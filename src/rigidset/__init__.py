@@ -13,7 +13,6 @@ from .experiments import (
     UnitCubeSampler,
     build_lattice_set,
     congruence_class_counts,
-    count_congruence_classes,
     covering_count,
     distance_images,
     euler_t24,

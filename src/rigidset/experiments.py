@@ -132,17 +132,6 @@ def congruence_class_counts(d: int, q: int, k: int) -> tuple[int, int]:
     return len(unlabeled), len(labeled)
 
 
-def count_congruence_classes(d: int, q: int, k: int, labeled: bool = False) -> int:
-    """Number of congruence classes of (k+1)-tuples on the grid {0..q}^d.
-
-    By default tuples are identified up to relabeling as well as isometry
-    (classes of unlabeled point sets); labeled=True counts distinct distance
-    vectors instead.
-    """
-    unlabeled_count, labeled_count = congruence_class_counts(d, q, k)
-    return labeled_count if labeled else unlabeled_count
-
-
 def _check_s_range(d: int, s: float):
     if not d / 2 <= s < d:
         raise ValueError(f"s must lie in [d/2, d) = [{d / 2}, {d}), got {s}")

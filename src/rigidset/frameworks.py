@@ -14,7 +14,7 @@ from typing import Union
 import numpy as np
 
 from .graphs import Graph
-from .linalg import exact_rank_int, integerize_row, rational_kernel_basis
+from .linalg import exact_rank_int, rational_kernel_basis
 
 Scalar = Union[int, Fraction, float]
 
@@ -209,7 +209,7 @@ def is_general_position(x: Configuration) -> bool:
         raise ValueError("is_general_position needs an exact configuration")
     size = min(x.n_points, x.d + 1)
     for subset in itertools.combinations(x.points, size):
-        rows = [integerize_row((1,) + tuple(p)) for p in subset]
+        rows = [(1,) + tuple(p) for p in subset]
         if exact_rank_int(rows, x.d + 1) < size:
             return False
     return True
@@ -223,7 +223,7 @@ class Isometry:
     translation: tuple[Scalar, ...]
 
 
-def _orthogonality_defect(matrix) -> bool:
+def _is_orthogonal(matrix) -> bool:
     """True when Q Q^T = I, exactly for exact entries, else to 1e-9."""
     d = len(matrix)
     exact = all(_is_exact(v) for row in matrix for v in row)
@@ -244,7 +244,7 @@ def apply_isometry(x: Configuration, iso: Isometry) -> Configuration:
     matrix, shift = iso.matrix, iso.translation
     if len(matrix) != x.d or any(len(row) != x.d for row in matrix) or len(shift) != x.d:
         raise ValueError(f"isometry shape does not match dimension {x.d}")
-    if not _orthogonality_defect(matrix):
+    if not _is_orthogonal(matrix):
         raise ValueError("matrix part is not orthogonal")
     new_points = []
     for p in x.points:

@@ -1,9 +1,12 @@
 """Exact linear algebra over the rationals for small dense matrices.
 
-Rank decisions stay in integer arithmetic: rational rows are scaled to
-coprime integers (row scaling never changes rank) and elimination is
-fraction-free, so no floating-point rounding can flip an outcome. A floating
-SVD rank is provided for cross-checks only.
+Every exact rank comes from one elimination, RowSpace: each row is scaled to
+coprime integers (row scaling never changes rank; floats are rejected) and
+reduced against an integer echelon basis with the gcd stripped after every
+step, so no rounding can flip an outcome. exact_rank_int is a batch call of
+the same routine. Rational Gauss-Jordan is kept only for kernel bases, where
+rational output is needed. A floating SVD rank is provided for cross-checks
+only.
 """
 
 from __future__ import annotations
@@ -29,42 +32,6 @@ def integerize_row(row) -> list[int]:
     if g > 1:
         ints = [v // g for v in ints]
     return ints
-
-
-def exact_rank_int(rows, n_cols: int) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
-
-    Intermediate entries are minors of the input, so the interior division by
-    the previous pivot is exact and entry growth stays polynomial.
-    """
-    mat = [list(r) for r in rows if any(r)]
-    if not mat:
-        return 0
-    n_rows = len(mat)
-    rank = 0
-    prev = 1
-    for col in range(n_cols):
-        piv = None
-        for r in range(rank, n_rows):
-            if mat[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pivot_row = mat[rank]
-        p = pivot_row[col]
-        for r in range(rank + 1, n_rows):
-            target = mat[r]
-            f = target[col]
-            for j in range(col + 1, n_cols):
-                target[j] = (target[j] * p - f * pivot_row[j]) // prev
-            target[col] = 0
-        prev = p
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
 
 
 class RowSpace:
@@ -117,6 +84,18 @@ class RowSpace:
         self._rows.insert(pos, reduced)
         self._pivot_cols.insert(pos, lead)
         return True
+
+
+def exact_rank_int(rows, n_cols: int) -> int:
+    """Exact rank of a matrix of ints/Fractions; rejects floats.
+
+    The rows are added one by one to a fresh RowSpace, so the rank comes from
+    the same elimination as every incremental rank decision.
+    """
+    space = RowSpace(n_cols)
+    for row in rows:
+        space.add(row)
+    return space.rank
 
 
 def rational_kernel_basis(rows, n_cols: int) -> list[tuple[Fraction, ...]]:

@@ -16,12 +16,11 @@ The headline quantities, for a graph on k+1 vertices in R^d:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph, connected_components, prune_degree_one
-from .rigidity import max_independent_subset, required_edge_count
+from .rigidity import _witness_seeds, max_independent_subset, required_edge_count
 
 SMALL_REGIME_NOTE = (
     "at most d+1 vertices: complete-graph analysis applies and the sharper "
@@ -88,26 +87,6 @@ def small_regime_threshold(d: int, n_vertices: int) -> Fraction:
     if not 1 <= k <= d:
         raise ValueError("small regime needs 1 <= n_vertices - 1 <= d")
     return Fraction(d * k + 1, k + 1)
-
-
-def _component_seeds(seed: int, count: int) -> list[int]:
-    rng = random.Random(seed)
-    return [rng.randrange(2 ** 32) for _ in range(count)]
-
-
-def predicted_distance_set_dimension(g: Graph, d: int, seed: int) -> int:
-    """Predicted dimension of the generic distance set.
-
-    The size of a maximum independent edge subset, summed over connected
-    components; the distance set of a disconnected graph is a product over
-    its components, so dimensions add.
-    """
-    comps = connected_components(g)
-    total = 0
-    for (comp, _), comp_seed in zip(comps, _component_seeds(seed, len(comps))):
-        if comp.n_edges:
-            total += max_independent_subset(comp, d, comp_seed).rank
-    return total
 
 
 @dataclass(frozen=True)
@@ -186,6 +165,17 @@ def _report_for(graph: Graph, d: int, rank: int, components=(), vertices=None) -
     )
 
 
+def predicted_distance_set_dimension(g: Graph, d: int, seed: int) -> int:
+    """Predicted dimension of the generic distance set.
+
+    The size of a maximum independent edge subset, summed over connected
+    components; the distance set of a disconnected graph is a product over
+    its components, so dimensions add. This is the same number `analyze`
+    reports, at the same per-component witnesses.
+    """
+    return analyze(g, d, seed).predicted_distance_set_dimension
+
+
 def analyze(g: Graph, d: int, seed: int) -> ThresholdReport:
     """Full threshold report with one sub-report per connected component.
 
@@ -197,7 +187,7 @@ def analyze(g: Graph, d: int, seed: int) -> ThresholdReport:
     comps = connected_components(g)
     subs = []
     total_rank = 0
-    for (comp, relabel), comp_seed in zip(comps, _component_seeds(seed, len(comps))):
+    for (comp, relabel), comp_seed in zip(comps, _witness_seeds(seed, len(comps))):
         rank = max_independent_subset(comp, d, comp_seed).rank if comp.n_edges else 0
         total_rank += rank
         subs.append(_report_for(comp, d, rank, vertices=sorted(relabel)))

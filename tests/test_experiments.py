@@ -13,7 +13,6 @@ from rigidset.experiments import (
     UnitCubeSampler,
     build_lattice_set,
     congruence_class_counts,
-    count_congruence_classes,
     covering_count,
     distance_images,
     euler_t24,
@@ -183,11 +182,6 @@ class TestCongruenceCounts:
             for k in (1, 2):
                 unlabeled, labeled = congruence_class_counts(2, q, k)
                 assert labeled <= (2 * q + 1) ** (2 * k)
-
-    def test_labeled_flag(self):
-        assert count_congruence_classes(2, 2, 2) == congruence_class_counts(2, 2, 2)[0]
-        assert count_congruence_classes(2, 2, 2, labeled=True) == \
-            congruence_class_counts(2, 2, 2)[1]
 
     def test_enumeration_guard(self):
         with pytest.raises(EnumerationLimitError):

@@ -45,6 +45,16 @@ def random_int_matrix(rng, n_rows, n_cols, inner=None):
             for i in range(n_rows)]
 
 
+def random_fraction_product(rng, n_rows, n_cols, inner):
+    """Product of two random Fraction matrices, so its rank is at most inner."""
+    def entry():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+    left = [[entry() for _ in range(inner)] for _ in range(n_rows)]
+    right = [[entry() for _ in range(n_cols)] for _ in range(inner)]
+    return [[sum((left[i][t] * right[t][j] for t in range(inner)), Fraction(0))
+             for j in range(n_cols)] for i in range(n_rows)]
+
+
 class TestIntegerizeRow:
     def test_fractions_scaled(self):
         assert integerize_row([Fraction(1, 2), Fraction(1, 3)]) == [3, 2]
@@ -91,13 +101,21 @@ class TestExactRankInt:
 
     def test_low_rank_products(self):
         rng = random.Random(159)
+        frac_rng = random.Random(160)
         for _ in range(40):
             inner = rng.randint(0, 4)
             n_rows, n_cols = rng.randint(1, 7), rng.randint(1, 7)
             mat = random_int_matrix(rng, n_rows, n_cols, inner=inner)
-            r = exact_rank_int(mat, n_cols)
-            assert r <= inner
-            assert r == fraction_rank(mat, n_cols)
+            # row scaling keeps the rank; Fraction input must stay exact
+            divisors = [frac_rng.randint(1, 9) for _ in mat]
+            scaled = [[Fraction(v, k) for v in row] for row, k in zip(mat, divisors)]
+            fractional = random_fraction_product(frac_rng, n_rows, n_cols, inner)
+            for case in (mat, scaled, fractional):
+                r = exact_rank_int(case, n_cols)
+                assert r <= inner
+                assert r == fraction_rank(case, n_cols)
+        with pytest.raises(ValueError, match="exact scalar"):
+            exact_rank_int([[1, 2], [0.5, 1.0]], 2)
 
     def test_big_entries_stay_exact(self):
         # a float path would round these; the exact path must not

@@ -87,7 +87,7 @@ class TestExactRank:
             exact_rank(rigidity_matrix(complete_graph(2), floaty))
 
     def test_agrees_with_float_svd(self):
-        # dual route: the exact Bareiss rank and the SVD rank must coincide
+        # dual route: the exact rank and the SVD rank must coincide
         # at the same witness
         rng = random.Random(17)
         for _ in range(20):
