@@ -123,18 +123,30 @@ def distance_map(g: Graph, x: Configuration) -> list[float]:
     return [math.sqrt(v) for v in squared_distance_map(g, x)]
 
 
-def rigidity_rows(edges, x: Configuration) -> list[tuple]:
-    """Rigidity-matrix rows for an arbitrary edge list at configuration x."""
+def rigidity_row(edge, x: Configuration) -> dict[int, Scalar]:
+    """Non-zero entries of one edge's rigidity-matrix row at x, as
+    {column: value}: 2(x_i - x_j) in block i and its negation in block j, so
+    at most 2d entries; a coincident pair gives an empty row."""
+    i, j = edge
     d = x.d
-    n_cols = d * x.n_points
-    rows = []
-    for i, j in edges:
-        p, q = x.points[i - 1], x.points[j - 1]
-        row = [0] * n_cols
-        for t in range(d):
-            diff = 2 * (p[t] - q[t])
+    p, q = x.points[i - 1], x.points[j - 1]
+    row = {}
+    for t in range(d):
+        diff = 2 * (p[t] - q[t])
+        if diff:
             row[(i - 1) * d + t] = diff
             row[(j - 1) * d + t] = -diff
+    return row
+
+
+def rigidity_rows(edges, x: Configuration) -> list[tuple]:
+    """Dense rigidity-matrix rows for an arbitrary edge list at configuration x."""
+    n_cols = x.d * x.n_points
+    rows = []
+    for edge in edges:
+        row = [0] * n_cols
+        for col, value in rigidity_row(edge, x).items():
+            row[col] = value
         rows.append(tuple(row))
     return rows
 

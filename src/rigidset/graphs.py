@@ -8,6 +8,11 @@ import json
 import re
 from dataclasses import dataclass
 
+# Largest graph accepted from a JSON file or a built-in name; anything larger
+# is refused before memory proportional to its size is allocated.
+MAX_VERTICES = 10 ** 5
+MAX_EDGES = 10 ** 6
+
 
 class GraphFormatError(ValueError):
     """Graph JSON does not match the expected schema."""
@@ -221,11 +226,21 @@ def double_banana() -> Graph:
     return make_graph(8, edges)
 
 
+def _check_size(source: str, n_vertices: int, n_edges: int) -> None:
+    if n_vertices > MAX_VERTICES:
+        raise GraphFormatError(
+            f"{source} has {n_vertices} vertices; at most {MAX_VERTICES} are supported")
+    if n_edges > MAX_EDGES:
+        raise GraphFormatError(
+            f"{source} has {n_edges} edges; at most {MAX_EDGES} are supported")
+
+
 def graph_from_json(text: str) -> Graph:
     """Parse {"vertices": n, "edges": [[i, j], ...]} (1-indexed pairs).
 
     The reader canonicalizes: pair order and duplicates are forgiven,
-    structural problems raise GraphFormatError.
+    structural problems raise GraphFormatError, and so do graphs above
+    MAX_VERTICES vertices or MAX_EDGES listed edges.
     """
     try:
         obj = json.loads(text)
@@ -239,6 +254,7 @@ def graph_from_json(text: str) -> Graph:
         raise GraphFormatError('"vertices" must be an integer')
     if not isinstance(edges, list):
         raise GraphFormatError('"edges" must be a list of [i, j] pairs')
+    _check_size("graph JSON", n, len(edges))
     pairs = []
     for entry in edges:
         if (not isinstance(entry, (list, tuple)) or len(entry) != 2
@@ -259,16 +275,23 @@ def named_graph(name: str) -> Graph:
     """Resolve a built-in graph name: k<n>, path-<n>, star-<n>, double-banana.
 
     Raises KeyError for names that do not match any pattern, so callers can
-    fall back to reading a file.
+    fall back to reading a file, and GraphFormatError for a graph above
+    MAX_VERTICES vertices or MAX_EDGES edges, before building it.
     """
     if name == "double-banana":
         return double_banana()
-    for pattern, builder in (
-        (r"k(\d+)", complete_graph),
-        (r"path-(\d+)", path_graph),
-        (r"star-(\d+)", star_graph),
+    for pattern, builder, n_edges in (
+        (r"k(\d+)", complete_graph, lambda n: n * (n - 1) // 2),
+        (r"path-(\d+)", path_graph, lambda n: n - 1),
+        (r"star-(\d+)", star_graph, lambda n: n - 1),
     ):
         match = re.fullmatch(pattern, name)
         if match:
-            return builder(int(match.group(1)))
+            digits = match.group(1).lstrip("0")
+            if len(digits) > len(str(MAX_VERTICES)):
+                raise GraphFormatError(
+                    f"built-in graph name has more than {MAX_VERTICES} vertices")
+            n = int(digits or "0")
+            _check_size(f"graph {name!r}", n, n_edges(n))
+            return builder(n)
     raise KeyError(name)

@@ -18,6 +18,7 @@ gives at most 3.1e-4 for one witness.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from .frameworks import (
     RigidityMatrix,
     config_to_obj,
     rigidity_matrix,
-    rigidity_rows,
+    rigidity_row,
 )
 from .graphs import Graph, complete_graph, make_graph
 from .linalg import RowSpace, exact_rank_int
@@ -170,10 +171,11 @@ def max_independent_subset(g: Graph, d: int, seed: int, scan_order=None) -> Edge
     rank. Greedy on a matroid yields a maximum independent set, so the
     result's size equals the generic rank whenever the witness is generic;
     the size is invariant under the scan order, the edge set itself need not
-    be. With one witness the size falls short of the generic rank r with
-    probability at most r/(2^21+1) (Schwartz-Zippel, see the module
-    docstring); `analyze` calls this once per connected component, each with
-    its own witness.
+    be. The scan stops once required_edge_count(d, n) edges are kept: no
+    rank exceeds it, so no later edge could be kept. With one witness the
+    size falls short of the generic rank r with probability at most
+    r/(2^21+1) (Schwartz-Zippel, see the module docstring); `analyze` calls
+    this once per connected component, each with its own witness.
     """
     witness = sample_generic_config(d, g.n_vertices, seed)
     if scan_order is None:
@@ -183,11 +185,13 @@ def max_independent_subset(g: Graph, d: int, seed: int, scan_order=None) -> Edge
         if sorted(order) != list(g.edges):
             raise ValueError("scan_order must be a permutation of the graph's edges")
     space = RowSpace(d * g.n_vertices)
+    target = required_edge_count(d, g.n_vertices)
     kept = []
     for edge in order:
-        row = rigidity_rows([edge], witness)[0]
-        if space.add(row):
+        if space.add(rigidity_row(edge, witness)):
             kept.append(edge)
+            if len(kept) == target:
+                break
     return EdgeBasis(edges=tuple(sorted(kept)), witness=witness, rank=len(kept))
 
 
@@ -236,8 +240,8 @@ def minimal_rigid_completion(g: Graph, d: int, seed: int) -> Graph:
     n = g.n_vertices
     witness = sample_generic_config(d, n, seed)
     space = RowSpace(d * n)
-    for row in rigidity_rows(g.edges, witness):
-        if not space.add(row):
+    for edge in g.edges:
+        if not space.add(rigidity_row(edge, witness)):
             raise DependentEdgeSetError(
                 "dependent edges: the input edge set is not independent, "
                 "so it has no minimally rigid completion")
@@ -247,10 +251,10 @@ def minimal_rigid_completion(g: Graph, d: int, seed: int) -> Graph:
     edges = list(g.edges)
     if space.rank < target:
         present = set(g.edges)
-        for edge in complete_graph(n).edges:
+        for edge in itertools.combinations(range(1, n + 1), 2):
             if edge in present:
                 continue
-            if space.add(rigidity_rows([edge], witness)[0]):
+            if space.add(rigidity_row(edge, witness)):
                 edges.append(edge)
                 if space.rank == target:
                     break

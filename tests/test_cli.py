@@ -65,6 +65,29 @@ class TestAnalyze:
             main(["analyze", "k4"])
         assert exc.value.code == 2
 
+    def test_oversized_json_refused(self, capsys, tmp_path):
+        # 40 bytes of JSON must not allocate for 10^8 vertices
+        path = tmp_path / "big.json"
+        path.write_text('{"vertices": 100000000, "edges": [[1, 2]]}')
+        code, out, err = run(capsys, "analyze", str(path), "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "100000000 vertices" in err
+
+    @pytest.mark.parametrize("name, what", [
+        ("k100000", "4999950000 edges"),
+        ("k1415", "1000405 edges"),
+        ("path-100001", "100001 vertices"),
+        ("star-" + "9" * 5000, "more than 100000 vertices"),
+    ])
+    def test_oversized_name_refused(self, capsys, name, what):
+        code, out, err = run(capsys, "analyze", name, "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert what in err
+
 
 class TestComplete:
     def test_path4(self, capsys):

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from rigidset import graphs
 from rigidset.graphs import (
+    MAX_VERTICES,
     Graph,
     GraphFormatError,
     complete_graph,
@@ -239,6 +241,18 @@ class TestJson:
         assert doc["vertices"] == 8
         assert len(doc["edges"]) == 18
 
+    def test_size_limits(self, monkeypatch):
+        at_limit = graph_from_json(json.dumps({"vertices": MAX_VERTICES, "edges": [[1, 2]]}))
+        assert at_limit.n_vertices == MAX_VERTICES
+        with pytest.raises(GraphFormatError, match="vertices"):
+            graph_from_json(json.dumps({"vertices": MAX_VERTICES + 1, "edges": []}))
+        # listed edges count before duplicates are dropped; a small limit
+        # keeps the document small
+        monkeypatch.setattr(graphs, "MAX_EDGES", 2)
+        assert graph_from_json('{"vertices": 3, "edges": [[1, 2], [2, 1]]}').n_edges == 1
+        with pytest.raises(GraphFormatError, match="3 edges"):
+            graph_from_json('{"vertices": 3, "edges": [[1, 2], [2, 1], [1, 2]]}')
+
 
 class TestNamedGraph:
     def test_builtins(self):
@@ -251,3 +265,10 @@ class TestNamedGraph:
     def test_unknown_names(self, name):
         with pytest.raises(KeyError):
             named_graph(name)
+
+    def test_size_limits(self):
+        assert named_graph(f"path-{MAX_VERTICES}").n_vertices == MAX_VERTICES
+        assert named_graph("k007") == complete_graph(7)
+        for name in (f"star-{MAX_VERTICES + 1}", "k1415", "k" + "9" * 5000):
+            with pytest.raises(GraphFormatError):
+                named_graph(name)

@@ -169,6 +169,43 @@ class TestRowSpace:
         with pytest.raises(ValueError, match="length"):
             space.add([1, 2])
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n_cols: st.lists(
+        st.lists(st.integers(-5, 5) | st.fractions(-3, 3, max_denominator=4),
+                 min_size=n_cols, max_size=n_cols),
+        min_size=1, max_size=8)))
+    def test_dict_rows_match_dense_rows(self, mat):
+        n_cols = len(mat[0])
+        dense, sparse = RowSpace(n_cols), RowSpace(n_cols)
+        for row in mat:
+            as_dict = {c: v for c, v in enumerate(row) if v}
+            assert dense.extends(row) == sparse.extends(as_dict)
+            assert dense.add(row) == sparse.add(as_dict)
+        assert dense.rank == sparse.rank == fraction_rank(mat, n_cols)
+
+    def test_dict_row_column_range(self):
+        space = RowSpace(3)
+        for row in ({3: 1}, {-1: 1}, {"0": 1}, {True: 1}):
+            with pytest.raises(ValueError, match="out of range"):
+                space.add(row)
+        assert space.add({2: 5}) and space.rank == 1
+
+    @pytest.mark.parametrize("value", [1.0, True, np.int64(1)])
+    def test_dict_row_inexact_value(self, value):
+        with pytest.raises(ValueError, match="exact scalar"):
+            RowSpace(3).add({0: 2, 1: value})
+
+    def test_mixed_int_and_integral_fraction(self):
+        # an integral Fraction next to plain ints must come out as an int
+        assert integerize_row([2, Fraction(4, 1)]) == [1, 2]
+        assert all(type(v) is int for v in integerize_row([3, Fraction(4, 1), 0]))
+        space = RowSpace(3)
+        assert space.add({0: 2, 1: Fraction(4, 1)})
+        assert space.add([0, Fraction(4, 1), 1])
+        assert not space.add([Fraction(2), 4, 0])
+        assert space.add({2: Fraction(4, 1), 0: 3})
+        assert space.rank == 3
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4),
                     min_size=1, max_size=7))

@@ -2,9 +2,12 @@ import itertools
 import json
 import random
 
-import pytest
+from fractions import Fraction
 
-from rigidset.frameworks import make_config, rigidity_matrix
+import pytest
+from test_linalg import fraction_rank
+
+from rigidset.frameworks import make_config, rigidity_matrix, rigidity_row, rigidity_rows
 from rigidset.graphs import (
     complete_graph,
     double_banana,
@@ -57,6 +60,30 @@ def random_graph(rng, n, p):
     return make_graph(n, edges)
 
 
+def henneberg_laman(rng, n):
+    """Plane Laman graph: each new vertex joins two earlier ones (Henneberg I)."""
+    edges = [(1, 2)]
+    for v in range(3, n + 1):
+        a, b = rng.sample(range(1, v), 2)
+        edges += [(a, v), (b, v)]
+    return make_graph(n, edges)
+
+
+def reference_greedy(n, d, seed, start, candidates):
+    """Candidates kept by a greedy scan after the (independent) start edges,
+    each decided by Fraction elimination on dense rows at the witness the
+    library draws for this seed."""
+    x = sample_generic_config(d, n, seed)
+    rows = rigidity_rows(start, x)
+    kept = []
+    for edge in candidates:
+        row = rigidity_rows([edge], x)[0]
+        if fraction_rank(rows + [row], d * n) > len(rows):
+            rows.append(row)
+            kept.append(edge)
+    return kept
+
+
 class TestSampleGenericConfig:
     def test_deterministic(self):
         assert sample_generic_config(3, 5, 42) == sample_generic_config(3, 5, 42)
@@ -95,6 +122,22 @@ class TestExactRank:
             x = sample_generic_config(2, g.n_vertices, rng.randrange(2 ** 32))
             mat = rigidity_matrix(g, x)
             assert exact_rank(mat) == float_rank(mat.as_numpy())
+
+
+class TestRigidityRow:
+    def test_nonzeros_of_dense_row(self):
+        configs = [
+            sample_generic_config(3, 5, 4),
+            # vertices 1 and 2 coincide; 1 and 3 share their first coordinate
+            make_config([(0, 0), (0, 0), (0, 5), (Fraction(1, 2), -3)]),
+        ]
+        for x in configs:
+            for edge in itertools.combinations(range(1, x.n_points + 1), 2):
+                dense = rigidity_rows([edge], x)[0]
+                assert rigidity_row(edge, x) == {c: v for c, v in enumerate(dense) if v}
+        coincident = configs[1]
+        assert rigidity_row((1, 2), coincident) == {}
+        assert rigidity_row((1, 3), coincident) == {1: -10, 5: 10}
 
 
 class TestGenericRank:
@@ -245,6 +288,28 @@ class TestMaxIndependentSubset:
         _, cert = generic_rank(complete_graph(3), 2, seed=2)
         doc = json.loads(cert.to_json())
         assert doc == {"seed": 2, "samples": 5, "agreed_rank": 3}
+
+
+class TestGreedyAgainstFractionReference:
+    @pytest.mark.parametrize("d, sizes", [(2, (5, 8, 11)), (3, (5, 8))])
+    def test_dropped_henneberg_graphs(self, d, sizes):
+        rng = random.Random(4000 + d)
+        for n in sizes:
+            g = henneberg_laman(rng, n)
+            dropped = make_graph(n, rng.sample(g.edges, g.n_edges - g.n_edges // 4))
+            seed = rng.randrange(2 ** 32)
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            # extra pairs make the scan meet dependent edges
+            padded = make_graph(n, list(dropped.edges) + rng.sample(pairs, n))
+            for graph in (dropped, padded):
+                basis = max_independent_subset(graph, d, seed)
+                assert list(basis.edges) == reference_greedy(n, d, seed, [], graph.edges)
+            present = set(dropped.edges)
+            added = reference_greedy(n, d, seed, dropped.edges,
+                                     [e for e in pairs if e not in present])
+            done = minimal_rigid_completion(dropped, d, seed)
+            assert done == make_graph(n, list(dropped.edges) + added)
+            assert done.n_edges == required_edge_count(d, n)
 
 
 class TestFrameworkRigidity:
