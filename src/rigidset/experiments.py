@@ -21,6 +21,81 @@ class EnumerationLimitError(ValueError):
     """Instance too large to enumerate exactly."""
 
 
+# Packed row keys stay below this bound, so they fit an int64; cell
+# indices must lie strictly inside (-2^63, 2^63).
+_KEY_LIMIT = 2 ** 63
+# int64 entries (tuple coordinates plus pair distances) per lattice chunk
+_LATTICE_CHUNK_ENTRIES = 2 ** 22
+
+
+def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each value's rank among the distinct values, and their number."""
+    distinct, rank = np.unique(values, return_inverse=True)
+    return rank.reshape(-1).astype(np.int64, copy=False), distinct.size
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One int64 key per row of an (N, m) int64 array, equal for two rows
+    exactly when the rows are equal.
+
+    The key is mixed-radix over the column ranges: each column is shifted
+    by its minimum and the key so far is multiplied by the column's span.
+    Before a multiplication that would pass 2^63 the key so far, and if
+    that is not enough the column too, is replaced by its dense rank,
+    which is below N, so the key stays exact for any m. Keys depend on
+    the data's ranges and compare only within one call.
+    """
+    n, m = rows.shape
+    keys = np.zeros(n, dtype=np.int64)
+    size = 1  # every key lies in range(size); a Python int, so it cannot wrap
+    for j in range(m):
+        lo, hi = int(rows[:, j].min()), int(rows[:, j].max())
+        # col - lo wraps when span passes 2^63; the wrap is one-to-one and
+        # such a column is always ranked below, so the ranks stay exact
+        col, span = rows[:, j] - lo, hi - lo + 1
+        if size * span > _KEY_LIMIT:
+            keys, size = _dense_rank(keys)
+            if size * span > _KEY_LIMIT:
+                col, span = _dense_rank(col)
+        keys *= span
+        keys += col
+        size *= span
+    return keys
+
+
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of a non-empty 1-D array, ascending: sort, then
+    keep each value that differs from its left neighbour."""
+    keys = np.sort(keys)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+
+
+def _merge_distinct(seen, rows: np.ndarray, radix: int) -> np.ndarray:
+    """Merge the distinct rows of `rows`, whose entries lie in
+    [0, radix), into `seen`, the result of an earlier merge or None; the
+    result's length counts the distinct rows merged so far.
+
+    Each run of columns whose fixed-radix key fits below 2^63 becomes one
+    int64 word, which means the same in every call. With one word per row
+    the result is the sorted distinct words; with more it is the distinct
+    rows of words, found by _row_keys.
+    """
+    per_word = 1
+    while radix ** (per_word + 1) <= _KEY_LIMIT:
+        per_word += 1
+    n_words = (rows.shape[1] + per_word - 1) // per_word
+    words = np.zeros((rows.shape[0], n_words), dtype=np.int64)
+    for j in range(rows.shape[1]):
+        words[:, j // per_word] *= radix
+        words[:, j // per_word] += rows[:, j]
+    if words.shape[1] == 1:
+        keys = words[:, 0]
+        return _sorted_distinct(keys if seen is None else np.concatenate((seen, keys)))
+    if seen is not None:
+        words = np.concatenate((seen, words))
+    return words[np.unique(_row_keys(words), return_index=True)[1]]
+
+
 def euler_t24(t12: float, t13: float, t14: float, t23: float, t34: float,
               convex: bool = True) -> float:
     """Sixth distance t24 of a planar 4-point configuration from the other
@@ -112,23 +187,36 @@ def congruence_class_counts(d: int, q: int, k: int) -> tuple[int, int]:
     unlabeled classes key on its sorted multiset, which quotients out vertex
     relabeling. Both counts are bounded by (2q+1)^(dk): translating the first
     vertex to the origin leaves the remaining k vertices in a (2q+1)-wide box.
+
+    Tuples are enumerated by index in numpy chunks of at most
+    _LATTICE_CHUNK_ENTRIES int64 entries; the base-(q+1) digits of an index
+    are the coordinates of its k+1 points.
     """
     if d < 1 or q < 1 or k < 1:
         raise ValueError("d, q, k must all be >= 1")
-    if (q + 1) ** (d * (k + 1)) > ENUMERATION_LIMIT:
+    n_tuples = (q + 1) ** (d * (k + 1))
+    if n_tuples > ENUMERATION_LIMIT:
         raise EnumerationLimitError(
-            f"(q+1)^(d(k+1)) = {(q + 1) ** (d * (k + 1))} tuples exceeds "
+            f"(q+1)^(d(k+1)) = {n_tuples} tuples exceeds "
             f"the enumeration guard of {ENUMERATION_LIMIT}")
-    points = list(itertools.product(range(q + 1), repeat=d))
-    pair_idx = list(itertools.combinations(range(k + 1), 2))
-    unlabeled: set = set()
-    labeled: set = set()
-    for tup in itertools.product(points, repeat=k + 1):
-        key = tuple(
-            sum((pa - pb) ** 2 for pa, pb in zip(tup[a], tup[b]))
-            for a, b in pair_idx)
-        labeled.add(key)
-        unlabeled.add(tuple(sorted(key)))
+    pairs = list(itertools.combinations(range(k + 1), 2))
+    radix = d * q * q + 1  # every squared distance lies in [0, d q^2]
+    chunk = max(1, _LATTICE_CHUNK_ENTRIES // (d * (k + 1) + len(pairs)))
+    unlabeled = labeled = None
+    for start in range(0, n_tuples, chunk):
+        rest = np.arange(start, min(start + chunk, n_tuples), dtype=np.int64)
+        coords = []  # coords[v * d + axis] is that coordinate of point v
+        for _ in range(d * (k + 1)):
+            coords.append(rest % (q + 1))
+            rest //= q + 1
+        dists = np.empty((rest.size, len(pairs)), dtype=np.int64)
+        for col, (a, b) in enumerate(pairs):
+            dists[:, col] = sum((coords[a * d + axis] - coords[b * d + axis]) ** 2
+                                for axis in range(d))
+        del coords
+        labeled = _merge_distinct(labeled, dists, radix)
+        dists.sort(axis=1)
+        unlabeled = _merge_distinct(unlabeled, dists, radix)
     return len(unlabeled), len(labeled)
 
 
@@ -260,16 +348,36 @@ def sample_distance_set(g: Graph, sampler, n_samples: int, seed: int) -> np.ndar
 
 
 def covering_count(cloud, eps: float) -> int:
-    """Number of occupied cells of the origin-anchored eps-grid."""
-    if eps <= 0:
+    """Number of occupied cells of the origin-anchored eps-grid.
+
+    The count is exact: each point's cell index vector is packed into one
+    int64 key. Raises ValueError when the cloud has a non-finite entry or
+    when some |x / eps| reaches 2^63, where cell indices leave int64.
+    """
+    if not eps > 0:
         raise ValueError("eps must be positive")
     a = np.asarray(cloud, dtype=float)
     if a.ndim == 1:
         a = a[:, None]
     if a.size == 0:
         raise ValueError("empty cloud")
-    cells = np.floor(a / eps).astype(np.int64)
-    return int(np.unique(cells, axis=0).shape[0])
+    with np.errstate(over="ignore"):
+        scaled = a / eps
+    lo, hi = scaled.min(), scaled.max()
+    if not (-_KEY_LIMIT < lo and hi < _KEY_LIMIT):
+        if not np.isfinite(a).all():
+            raise ValueError("cloud has a non-finite entry")
+        raise ValueError(
+            f"eps={eps!r} gives cell indices beyond the int64 range "
+            f"(|x/eps| up to {max(-lo, hi):.3g}, limit 2^63)")
+    # free each full-size array once used: on large clouds these set the
+    # peak memory of `sample`
+    np.floor(scaled, out=scaled)
+    cells = scaled.astype(np.int64)
+    del scaled
+    keys = _row_keys(cells)
+    del cells
+    return _sorted_distinct(keys).size
 
 
 @dataclass(frozen=True)

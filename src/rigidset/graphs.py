@@ -4,6 +4,7 @@ builds on."""
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
 from dataclasses import dataclass
@@ -107,26 +108,30 @@ def connected_components(g: Graph) -> list[tuple[Graph, dict[int, int]]]:
     increasing original order.
     """
     adj = g.adjacency()
-    seen: set[int] = set()
-    comps = []
+    comp_of: dict[int, int] = {}
+    members: list[list[int]] = []
     for start in range(1, g.n_vertices + 1):
-        if start in seen:
+        if start in comp_of:
             continue
+        comp_of[start] = len(members)
         stack = [start]
-        seen.add(start)
         verts = []
         while stack:
             v = stack.pop()
             verts.append(v)
             for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
+                if w not in comp_of:
+                    comp_of[w] = len(members)
                     stack.append(w)
         verts.sort()
-        relabel = {v: idx for idx, v in enumerate(verts, start=1)}
-        edges = [(relabel[i], relabel[j]) for i, j in g.edges if i in relabel]
-        comps.append((make_graph(len(verts), edges), relabel))
-    return comps
+        members.append(verts)
+    relabels = [{v: idx for idx, v in enumerate(verts, start=1)} for verts in members]
+    edge_lists: list[list[tuple[int, int]]] = [[] for _ in members]
+    for i, j in g.edges:
+        c = comp_of[i]
+        edge_lists[c].append((relabels[c][i], relabels[c][j]))
+    return [(make_graph(len(verts), edges), relabel)
+            for verts, edges, relabel in zip(members, edge_lists, relabels)]
 
 
 def spanning_tree(g: Graph) -> Graph:
@@ -168,21 +173,23 @@ def prune_degree_one(g: Graph) -> PruneTrace:
     adj = g.adjacency()
     if any(not nbrs for nbrs in adj.values()):
         raise ValueError("isolated vertex present")
+    # Degrees only fall, so a degree-1 vertex whose neighbour also has
+    # degree 1 never becomes removable, and a vertex becomes a candidate
+    # only when its degree drops to 1: popping the heap yields the lowest
+    # removable vertex each time.
+    candidates = [v for v, nbrs in adj.items() if len(nbrs) == 1]
+    heapq.heapify(candidates)
     removed = []
-    while True:
-        victim = None
-        for v in sorted(adj):
-            if len(adj[v]) == 1:
-                nbr = next(iter(adj[v]))
-                if len(adj[nbr]) >= 2:
-                    victim = v
-                    break
-        if victim is None:
-            break
+    while candidates:
+        victim = heapq.heappop(candidates)
         nbr = next(iter(adj[victim]))
+        if len(adj[nbr]) < 2:
+            continue
         adj[nbr].discard(victim)
         del adj[victim]
         removed.append(victim)
+        if len(adj[nbr]) == 1:
+            heapq.heappush(candidates, nbr)
     alive = sorted(adj)
     relabel = {v: idx for idx, v in enumerate(alive, start=1)}
     edges = [(relabel[i], relabel[j]) for i, j in g.edges if i in relabel and j in relabel]

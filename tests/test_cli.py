@@ -196,6 +196,15 @@ class TestSample:
                            "--scales", "3")
         assert code == 3
 
+    def test_scales_beyond_int64_grid(self, capsys):
+        # at eps = 2^-64 some distance / eps passes 2^63, so cell indices
+        # would wrap in int64
+        code, out, err = run(capsys, "sample", "k3", "--n", "1000", "--seed", "1",
+                             "--scales", "1,64")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
     def test_bad_n(self, capsys):
         code, _, err = run(capsys, "sample", "k2", "--n", "0", "--seed", "1")
         assert code == 3

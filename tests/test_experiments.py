@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rigidset import experiments
 from rigidset.experiments import (
     CantorSampler,
     EnumerationLimitError,
@@ -67,6 +70,59 @@ def quad_lengths(pts):
         "t14": d(pts[0], pts[3]), "t23": d(pts[1], pts[2]),
         "t24": d(pts[1], pts[3]), "t34": d(pts[2], pts[3]),
     }
+
+
+def congruence_counts_loop(d, q, k):
+    """Reference: the per-tuple Python loop that congruence_class_counts ran
+    before it was vectorised, with the same keys in Python sets."""
+    points = list(itertools.product(range(q + 1), repeat=d))
+    pair_idx = list(itertools.combinations(range(k + 1), 2))
+    unlabeled, labeled = set(), set()
+    for tup in itertools.product(points, repeat=k + 1):
+        key = tuple(
+            sum((pa - pb) ** 2 for pa, pb in zip(tup[a], tup[b]))
+            for a, b in pair_idx)
+        labeled.add(key)
+        unlabeled.add(tuple(sorted(key)))
+    return len(unlabeled), len(labeled)
+
+
+def n_tuples(d, q, k):
+    return (q + 1) ** (d * (k + 1))
+
+
+# Every (d, q, k) with q <= 4, at most 10^5 tuples, and at most 3*10^5
+# pair distances for the loop to compute, so the reference stays fast.
+LOOP_CASES = [
+    (d, q, k)
+    for d in range(1, 9) for q in range(1, 5) for k in range(1, 16)
+    if n_tuples(d, q, k) <= 10 ** 5
+    and n_tuples(d, q, k) * k * (k + 1) // 2 <= 3 * 10 ** 5
+]
+
+
+def covering_reference(cloud, eps):
+    """Reference: the row-wise unique covering_count used before packed keys."""
+    a = np.asarray(cloud, dtype=float)
+    if a.ndim == 1:
+        a = a[:, None]
+    return len(np.unique(np.floor(a / eps).astype(np.int64), axis=0))
+
+
+@st.composite
+def clouds(draw):
+    """Point clouds with negative coordinates and repeated points: n rows
+    drawn from a pool of distinct points, returned 1-D when they have one
+    column; `spread` widens the coordinates far enough that the product of
+    the column spans passes 2^63 at eps = 2^-4 once there are two or more
+    columns."""
+    n = draw(st.integers(1, 60))
+    m = draw(st.integers(1, 6))
+    spread = draw(st.sampled_from([1.0, 4.0, 2.0 ** 30]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pool = rng.uniform(-spread, spread, size=(draw(st.integers(1, n)), m))
+    cloud = pool[rng.integers(0, len(pool), size=n)]
+    return cloud[:, 0] if m == 1 and draw(st.booleans()) else cloud
 
 
 class TestEulerT24:
@@ -192,6 +248,24 @@ class TestCongruenceCounts:
         for bad in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
             with pytest.raises(ValueError):
                 congruence_class_counts(*bad)
+
+    @pytest.mark.parametrize("d,q,k", LOOP_CASES)
+    def test_matches_loop(self, d, q, k):
+        assert congruence_class_counts(d, q, k) == congruence_counts_loop(d, q, k)
+
+    def test_overflowing_key_matches_loop(self):
+        # 66 pairs at radix 2 do not fit one int64 key, while the grid
+        # {0,1} has only 2^12 = 4096 tuples of 12 points
+        assert 2 ** 66 > 2 ** 63 and n_tuples(1, 1, 11) == 4096
+        assert congruence_class_counts(1, 1, 11) == congruence_counts_loop(1, 1, 11)
+
+    @pytest.mark.parametrize("d,q,k", [(2, 2, 2), (3, 1, 2), (1, 3, 3), (1, 1, 11)])
+    def test_small_chunks_merge(self, monkeypatch, d, q, k):
+        # chunks of 25 to 222 tuples, so keys (and, for (1, 1, 11), rows)
+        # are merged across 2 to 164 chunks
+        want = congruence_counts_loop(d, q, k)
+        monkeypatch.setattr(experiments, "_LATTICE_CHUNK_ENTRIES", 2000)
+        assert congruence_class_counts(d, q, k) == want
 
 
 class TestContentBound:
@@ -369,6 +443,50 @@ class TestCovering:
             covering_count(np.array([1.0]), 0)
         with pytest.raises(ValueError):
             covering_count(np.array([]), 0.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(clouds(), st.sampled_from([1.0, 0.5, 0.3, 2.0 ** -4, 2.0 ** -10]))
+    def test_matches_row_unique(self, cloud, eps):
+        assert covering_count(cloud, eps) == covering_reference(cloud, eps)
+
+    def test_overflowing_key_matches_row_unique(self, monkeypatch):
+        # column spans of 2^24 + 1 and 2^40 cells: packed without ranks,
+        # the key of (2^24, 0) would wrap round to the key of (0, 0)
+        cloud = np.array([[0.0, 0.0], [2.0 ** 24, 0.0], [0.0, 2.0 ** 40 - 1]])
+        assert covering_count(cloud, 1.0) == 3
+        # five columns spanning about 2^41 cells each (product about 2^205),
+        # one column reaching both ends of int64, and repeated rows
+        ranks = []
+        dense_rank = experiments._dense_rank
+        monkeypatch.setattr(experiments, "_dense_rank",
+                            lambda values: ranks.append(1) or dense_rank(values))
+        rng = np.random.default_rng(31)
+        pool = rng.uniform(-2.0 ** 40, 2.0 ** 40, size=(50, 6))
+        pool[:25, 5] = -(2.0 ** 63) + 2 ** 11
+        pool[25:, 5] = 2.0 ** 63 - 2 ** 11
+        cloud = pool[rng.integers(0, 50, size=400)]
+        assert covering_count(cloud, 1.0) == covering_reference(cloud, 1.0) == 50
+        assert ranks
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, bad):
+        cloud = np.array([[0.1, 0.2], [0.3, bad]])
+        with pytest.raises(ValueError, match="non-finite"):
+            covering_count(cloud, 0.5)
+
+    def test_cells_beyond_int64_rejected(self):
+        eps = 2.0 ** -64
+        for cloud in (np.array([0.1, 0.5, 1.0]), np.array([-1.0, 0.0]),
+                      np.array([[0.0, 1e300]])):
+            with pytest.raises(ValueError, match="int64"):
+                covering_count(cloud, eps)
+        # |x / eps| = 2^63 is out, the float just below it is in
+        with pytest.raises(ValueError, match="int64"):
+            covering_count(np.array([2.0 ** 63]), 1.0)
+        with pytest.raises(ValueError, match="int64"):
+            covering_count(np.array([-(2.0 ** 63)]), 1.0)
+        edge = np.nextafter(2.0 ** 63, 0)
+        assert covering_count(np.array([-edge, 0.0, edge]), 1.0) == 3
 
 
 class TestBoxDimension:

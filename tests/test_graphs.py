@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidset import graphs
 from rigidset.graphs import (
@@ -50,6 +52,83 @@ def bfs_components(n, edges):
 def random_graph(rng, n, p):
     edges = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1) if rng.random() < p]
     return make_graph(n, edges)
+
+
+def components_rescan(g):
+    """Reference: connected_components as it was before the one-pass edge
+    split, rescanning every edge once per component."""
+    adj = g.adjacency()
+    seen = set()
+    comps = []
+    for start in range(1, g.n_vertices + 1):
+        if start in seen:
+            continue
+        stack = [start]
+        seen.add(start)
+        verts = []
+        while stack:
+            v = stack.pop()
+            verts.append(v)
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        verts.sort()
+        relabel = {v: idx for idx, v in enumerate(verts, start=1)}
+        edges = [(relabel[i], relabel[j]) for i, j in g.edges if i in relabel]
+        comps.append((make_graph(len(verts), edges), relabel))
+    return comps
+
+
+def prune_rescan(g):
+    """Reference: prune_degree_one as it was before the candidate heap,
+    rescanning the sorted adjacency for the lowest removable vertex after
+    every removal. Returns (removed vertices, remaining graph)."""
+    adj = g.adjacency()
+    if any(not nbrs for nbrs in adj.values()):
+        raise ValueError("isolated vertex present")
+    removed = []
+    while True:
+        victim = None
+        for v in sorted(adj):
+            if len(adj[v]) == 1:
+                nbr = next(iter(adj[v]))
+                if len(adj[nbr]) >= 2:
+                    victim = v
+                    break
+        if victim is None:
+            break
+        nbr = next(iter(adj[victim]))
+        adj[nbr].discard(victim)
+        del adj[victim]
+        removed.append(victim)
+    alive = sorted(adj)
+    relabel = {v: idx for idx, v in enumerate(alive, start=1)}
+    edges = [(relabel[i], relabel[j]) for i, j in g.edges if i in relabel and j in relabel]
+    return tuple(removed), make_graph(len(alive), edges)
+
+
+@st.composite
+def graphs_with_tails(draw):
+    """Disjoint unions of small complete cores (one vertex up to K5) with
+    pendant paths grown off the core or off earlier path vertices, under a
+    random relabeling; a one-vertex core without paths is an isolated
+    vertex."""
+    edges, n = [], 0
+    for _ in range(draw(st.integers(1, 6))):
+        core = draw(st.integers(1, 5))
+        part = list(range(n + 1, n + core + 1))
+        edges += [(a, b) for a in part for b in part if a < b]
+        n += core
+        for _ in range(draw(st.integers(0, 3))):
+            at = draw(st.sampled_from(part))
+            for _ in range(draw(st.integers(1, 4))):
+                n += 1
+                edges.append((at, n))
+                part.append(n)
+                at = n
+    perm = draw(st.permutations(range(1, n + 1)))
+    return make_graph(n, [(perm[i - 1], perm[j - 1]) for i, j in edges])
 
 
 class TestGraph:
@@ -113,6 +192,12 @@ class TestComponents:
         comps = connected_components(g)
         assert [sorted(r) for _, r in comps] == [[1], [2, 3], [4]]
         assert comps[1][0].edges == ((1, 2),)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_with_tails())
+    def test_matches_rescan_reference(self, g):
+        assert connected_components(g) == components_rescan(g)
 
 
 class TestSpanningTree:
@@ -188,6 +273,19 @@ class TestPrune:
                 rng.shuffle(perm)
                 relabeled = make_graph(n, [(perm[i - 1], perm[j - 1]) for i, j in g.edges])
                 assert prune_degree_one(relabeled).n == base
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_with_tails())
+    def test_matches_rescan_reference(self, g):
+        if any(g.degree(v) == 0 for v in range(1, g.n_vertices + 1)):
+            with pytest.raises(ValueError, match="isolated"):
+                prune_rescan(g)
+            with pytest.raises(ValueError, match="isolated"):
+                prune_degree_one(g)
+            return
+        trace = prune_degree_one(g)
+        assert (trace.removed_vertices, trace.remaining) == prune_rescan(g)
 
 
 class TestBuilders:
