@@ -6,8 +6,10 @@ bounds), sample (box-counting estimate of a sampled distance set). Every
 randomized command takes an explicit --seed and reruns byte-identically;
 a run manifest is written next to any requested output file.
 
-Exit codes: 0 success, 2 unreadable input, 3 invalid parameter,
-4 dependent input edges, 5 enumeration guard tripped.
+Exit codes: 0 success, 2 unreadable input, 3 invalid parameter (among them
+a --d whose witness, d times the vertex count, would exceed
+rigidity.MAX_WITNESS_COORDINATES coordinates), 4 dependent input
+edges, 5 enumeration guard tripped.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .experiments import (
     sample_framework_tuples,
 )
 from .graphs import Graph, GraphFormatError, graph_from_json, graph_to_json, named_graph
-from .rigidity import DependentEdgeSetError, minimal_rigid_completion
+from .rigidity import MAX_WITNESS_COORDINATES, DependentEdgeSetError, minimal_rigid_completion
 from .thresholds import ThresholdReport, analyze
 
 DEFAULT_SCALES = "3,4,5,6,7"
@@ -237,17 +239,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="rigidity analysis and distance-set experiments for small graphs")
     parser.add_argument("--version", action="version", version=f"rigidset {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    witness_d_help = (f"ambient dimension (default 2); d times the vertex count "
+                      f"may be at most {MAX_WITNESS_COORDINATES}")
 
     p = sub.add_parser("analyze", help="threshold report for a graph")
     p.add_argument("graph", help="built-in name (k4, path-5, star-6, double-banana) or JSON file")
-    p.add_argument("--d", type=int, default=2, help="ambient dimension (default 2)")
+    p.add_argument("--d", type=int, default=2, help=witness_d_help)
     p.add_argument("--seed", type=int, required=True, help="witness seed")
     p.add_argument("--output", help="also write the report JSON here")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("complete", help="minimally rigid completion of a graph")
     p.add_argument("graph", help="built-in name or JSON file")
-    p.add_argument("--d", type=int, default=2, help="ambient dimension (default 2)")
+    p.add_argument("--d", type=int, default=2, help=witness_d_help)
     p.add_argument("--seed", type=int, required=True, help="witness seed")
     p.add_argument("--output", help="also write the completion JSON here")
     p.set_defaults(func=cmd_complete)

@@ -1,20 +1,25 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, and over F_p for randomized ranks.
 
-Every exact rank comes from one elimination, RowSpace. A row is held sparse,
-as a {column: int} dict of its non-zeros, scaled to coprime integers (row
-scaling never changes rank; floats are rejected), and the basis is a dict of
-such rows keyed by leading column. A candidate row is reduced only against
-the basis rows whose leading columns it hits, in ascending column order, by
-gcd-reduced integer cross-multiplication, so no rounding can flip an outcome.
-exact_rank_int is a batch call of the same routine. Rational Gauss-Jordan is
-kept only for kernel bases, where rational output is needed. A floating SVD
-rank is provided for cross-checks only.
+Every rank comes from one elimination, RowSpace. A row is held sparse, as a
+{column: int} dict of its non-zeros, scaled to coprime integers (row scaling
+never changes rank; floats are rejected), and the basis is a dict of such
+rows keyed by leading column. A candidate row is reduced only against the
+basis rows whose leading columns it hits, in ascending column order. Over Q
+(the default) each step is a gcd-reduced integer cross-multiplication, so no
+rounding can flip an outcome. Given a prime modulus p, the same walk runs on
+residues mod p against pivot rows normalised to lead with 1, so no entry
+exceeds p. The rank mod p of an integer matrix never exceeds its rank over
+Q, and rows independent mod p are independent over Q. exact_rank_int is a
+batch call of the same routine. Rational Gauss-Jordan is kept only for
+kernel bases, where rational output is needed. A floating SVD rank is
+provided for cross-checks only.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd
 
@@ -53,20 +58,31 @@ def integerize_row(row) -> list[int]:
 
 
 class RowSpace:
-    """Incrementally grown row space of exact vectors.
+    """Incrementally grown row space of exact vectors, over Q or over F_p.
 
     Rows are {column: int} dicts of their non-zeros; the basis maps each
     leading column to the row that leads there. add and extends take a dense
     row of length n_cols or a {column: value} mapping. A candidate is
     reduced against the basis rows whose leading columns it hits, popped from
-    a min-heap in ascending order; before each cross-multiplication the gcd
-    of pivot and factor is divided out of both, and the row's content is
-    stripped after it, which removes at least the factor fraction-free
-    elimination would divide out, so entries stay small.
+    a min-heap in ascending order.
+
+    With modulus None (the default) the rank is the rank over Q: before each
+    cross-multiplication the gcd of pivot and factor is divided out of both,
+    and the row's content is stripped after it, which removes at least the
+    factor fraction-free elimination would divide out, so entries stay
+    small. With a prime modulus p, each integerized row is taken mod p and
+    reduced against pivot rows scaled to lead with 1, so every entry stays
+    below p; the rank is then the rank mod p of the integerized rows, at
+    most their rank over Q, and rows the space keeps are independent over Q.
     """
 
-    def __init__(self, n_cols: int):
+    def __init__(self, n_cols: int, modulus: int | None = None):
+        if modulus is not None and (type(modulus) is not int
+                                    or not 2 <= modulus < 1 << 64
+                                    or not _is_prime(modulus)):
+            raise ValueError(f"modulus must be a prime int below 2^64, got {modulus!r}")
         self.n_cols = n_cols
+        self.modulus = modulus
         self._basis: dict[int, dict[int, int]] = {}
 
     @property
@@ -83,12 +99,19 @@ class RowSpace:
         else:
             if len(row) != self.n_cols:
                 raise ValueError("row length mismatch")
-            items = enumerate(row)
-        return {c: v for c, v in _integerize(items) if v}
+            # only int zeros are dropped unchecked; any other entry is
+            # validated, so a float 0.0 is still rejected
+            items = [(c, v) for c, v in enumerate(row) if v or type(v) is not int]
+        pairs = _integerize(items)
+        p = self.modulus
+        if p is None:
+            return {c: v for c, v in pairs if v}
+        return {c: r for c, v in pairs if (r := v % p)}
 
     def _reduce(self, row) -> dict[int, int]:
         reduced = self._sparse(row)
         basis = self._basis
+        modulus = self.modulus
         heap = [c for c in reduced if c in basis]
         heapify(heap)
         while heap:
@@ -97,6 +120,17 @@ class RowSpace:
             if f is None:
                 continue
             pivot_row = basis[col]
+            if modulus is not None:
+                # the pivot is 1: subtract f times the pivot row, mod p
+                for c, b in pivot_row.items():
+                    v = (reduced.get(c, 0) - f * b) % modulus
+                    if v:
+                        if c not in reduced and c in basis:
+                            heappush(heap, c)
+                        reduced[c] = v
+                    else:
+                        reduced.pop(c, None)
+                continue
             p = pivot_row[col]
             g = gcd(p, f)
             if g > 1:
@@ -130,20 +164,67 @@ class RowSpace:
         reduced = self._reduce(row)
         if not reduced:
             return False
-        self._basis[min(reduced)] = reduced
+        lead = min(reduced)
+        p = self.modulus
+        if p is not None:
+            inv = pow(reduced[lead], -1, p)
+            reduced = {c: v * inv % p for c, v in reduced.items()}
+        self._basis[lead] = reduced
         return True
 
 
-def exact_rank_int(rows, n_cols: int) -> int:
+def exact_rank_int(rows, n_cols: int, modulus: int | None = None) -> int:
     """Exact rank of a matrix of ints/Fractions; rejects floats.
 
     The rows are added one by one to a fresh RowSpace, so the rank comes from
-    the same elimination as every incremental rank decision.
+    the same elimination as every incremental rank decision. With a prime
+    modulus it is the rank mod that prime of the integerized rows, which
+    never exceeds the rank over Q.
     """
-    space = RowSpace(n_cols)
+    space = RowSpace(n_cols, modulus)
     for row in rows:
         space.add(row)
     return space.rank
+
+
+# Miller-Rabin with these bases decides primality exactly for every n < 2^64
+# (Jim Sinclair's set); witnesses are reduced mod n, and one that is 0 mod n
+# proves nothing and is skipped.
+_MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+@lru_cache(maxsize=64)
+def _is_prime(n: int) -> bool:
+    """Deterministic primality test for 0 <= n < 2^64.
+
+    Cached, because every RowSpace checks its modulus and one call can build
+    thousands of them with the same prime (one per graph component)."""
+    if n < 2:
+        return False
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    if n >= 1 << 64:
+        raise ValueError("_is_prime is exact only below 2^64")
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        a %= n
+        if a == 0:
+            continue
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def rational_kernel_basis(rows, n_cols: int) -> list[tuple[Fraction, ...]]:

@@ -1,19 +1,54 @@
 """Generic rank, matroid independence of edge sets, rigidity decisions, and
-minimally rigid completion, all through randomized exact-arithmetic
-certificates.
+minimally rigid completion, all through randomized witness certificates.
 
-The rank of the rigidity matrix at any single configuration lower-bounds the
-generic rank, so an exact rank at a random integer witness can only
-under-report it. The bound on how often it does follows from
-Schwartz-Zippel (Schwartz 1980; Zippel 1979): every entry of the rigidity
-matrix is linear in the coordinates, so a nonzero r x r minor of the generic
-matrix is a nonzero polynomial of degree r. Coordinates are drawn uniformly
-from the 2^21+1 integers in [-2^20, 2^20], so that minor vanishes at one
-witness with probability at most r/(2^21+1), and the witness under-reports a
-generic rank r with at most that probability. The maximum over `samples`
-independent witnesses under-reports with probability at most
-(r/(2^21+1))^samples. For example, r = 637 (a Laman graph on 320 vertices)
-gives at most 3.1e-4 for one witness.
+Each decision here ranks the rigidity matrix at a random integer witness by
+elimination modulo a random prime p (RowSpace in F_p mode). Ranks of
+configurations the caller supplies are exact over Q: exact_rank with its
+default modulus, is_framework_inf_rigid, and the frameworks module's
+is_general_position and infinitesimal_motions.
+
+Whatever the witness and p, three guarantees hold. The rank mod p at the
+witness is at most the rank over Q there, which is at most the generic rank
+r, so every reported rank is a lower bound. Rows independent mod p are
+independent over Q, so the edges a basis keeps are generically independent.
+A returned completion has required_edge_count(d, n) such edges, so it is
+minimally rigid.
+
+The reported rank falls short of r only through one of two events. First,
+the witness: every entry of the rigidity matrix is linear in the
+coordinates, so a nonzero r x r minor of the generic matrix is a nonzero
+polynomial of degree r. Coordinates are drawn uniformly from the 2^21+1
+integers in [-2^20, 2^20], so by Schwartz-Zippel (Schwartz 1980; Zippel
+1979) the minor vanishes at the witness with probability at most
+r/(2^21+1). Second, the prime: otherwise the rank over Q at the witness is
+r, and M, the r x r minor of the rows the greedy scan over Q keeps, is a
+nonzero integer fixed by the witness alone. If p does not divide M those
+rows stay independent mod p, so every prefix of the scan has the same rank
+mod p as over Q, and the rank, the kept edges and the completion are the
+ones exact arithmetic over Q would give. Each entry is at most 2^22 in
+absolute value and a row has at most 2d non-zeros, so Hadamard's inequality
+gives |M| <= (sqrt(2d) * 2^22)^r, and M has at most
+r (22 + log2(2d)/2) / 61 prime factors in [2^61, 2^62). p is uniform among
+the primes there, of which there are more than 2^61/60 (Rosser &
+Schoenfeld 1962: x/ln x < pi(x) < 1.25506 x/ln x), and independent of the
+witness, so it divides M with probability below
+60 floor(r (22 + log2(2d)/2) / 61) / 2^61.
+
+For example, a Laman graph on 320 vertices has r = 637 in d = 2: the
+witness term is 637/(2^21+1) = 3.04e-4, M has at most
+floor(637 * 23 / 61) = 240 prime factors in the range, and the prime term
+is below 240 * 60 / 2^61 = 6.3e-15, so one witness fails with probability
+below 3.04e-4. generic_rank takes the maximum over `samples` witnesses
+sharing one p: it falls short only if no witness reaches r over Q, or if p
+divides M at the first witness that does (fixed by the witnesses alone), so
+with probability at most (r/(2^21+1))^samples plus the prime term once.
+analyze ranks each connected component at its own witness, all with the one
+p of the call, and its report falls short with at most the sum of the
+components' bounds (union bound).
+
+The witness seeds come from random.Random(seed) and p from a stream keyed by
+MODULUS_SCHEDULE and the seed, so both are fixed by the seed and a rerun
+repeats every rank, basis and completion.
 """
 
 from __future__ import annotations
@@ -31,10 +66,21 @@ from .frameworks import (
     rigidity_row,
 )
 from .graphs import Graph, complete_graph, make_graph
-from .linalg import RowSpace, exact_rank_int
+from .linalg import RowSpace, _is_prime, exact_rank_int
 
 COORDINATE_BOUND = 2 ** 20
 DEFAULT_WITNESSES = 5
+
+# The prime for a call is drawn uniformly among the primes in
+# [MODULUS_LOW, 2 * MODULUS_LOW) from a stream keyed by this versioned label
+# and the call's seed; changing either changes which p a seed gives.
+MODULUS_LOW = 2 ** 61
+MODULUS_SCHEDULE = "rigidset-fp-v1"
+
+# At most this many witness coordinates (d times the vertex count) are drawn
+# for one call: twice graphs.MAX_VERTICES is what plane graphs need, and this
+# admits every graph the loaders accept up to d = 10.
+MAX_WITNESS_COORDINATES = 10 ** 6
 
 
 class DependentEdgeSetError(ValueError):
@@ -46,7 +92,10 @@ class EdgeBasis:
     """An independent edge set together with the witness certifying it.
 
     The rigidity-matrix rows of `edges` at `witness` are linearly
-    independent, and rank = len(edges).
+    independent over Q (they were found independent mod a prime, which
+    implies it), so the edges are generically independent, and
+    rank = len(edges). The prime is not recorded: it is drawn from the same
+    seed as the witness (see the module docstring).
     """
 
     edges: tuple[tuple[int, int], ...]
@@ -65,11 +114,13 @@ class EdgeBasis:
 class GenericCertificate:
     """Reproducibility record for a randomized rank computation.
 
-    agreed_rank is the maximum exact rank over `samples` witnesses drawn from
-    the given seed; rank is lower-semicontinuous, so this certifies a lower
-    bound on the generic rank r. By Schwartz-Zippel each witness falls short
-    of r with probability at most r/(2^21+1), so agreed_rank < r with
-    probability at most (r/(2^21+1))^samples.
+    agreed_rank is the maximum over `samples` witnesses drawn from the given
+    seed of the rank mod p, one prime p drawn from the same seed for all of
+    them. The rank mod p never exceeds the rank over Q at the witness, which
+    never exceeds the generic rank r, so this certifies a lower bound on r.
+    agreed_rank < r with probability at most (r/(2^21+1))^samples (each
+    witness by Schwartz-Zippel) plus 60 floor(r (22 + log2(2d)/2) / 61) / 2^61
+    (p dividing one fixed nonzero minor); the module docstring derives both.
     """
 
     seed: int
@@ -84,9 +135,20 @@ class GenericCertificate:
         }, sort_keys=True)
 
 
+def _check_witness_size(d: int, n_vertices: int) -> None:
+    """Refuse a witness of more than MAX_WITNESS_COORDINATES coordinates
+    before any is drawn (ValueError)."""
+    if d * n_vertices > MAX_WITNESS_COORDINATES:
+        raise ValueError(
+            f"d={d} on {n_vertices} vertices needs {d * n_vertices} witness "
+            f"coordinates; at most {MAX_WITNESS_COORDINATES} are supported")
+
+
 def sample_generic_config(d: int, n_vertices: int, seed: int) -> Configuration:
     """Integer configuration with coordinates uniform in [-2^20, 2^20],
-    deterministic per seed."""
+    deterministic per seed. Refuses more than MAX_WITNESS_COORDINATES
+    coordinates."""
+    _check_witness_size(d, n_vertices)
     rng = random.Random(seed)
     pts = tuple(
         tuple(rng.randint(-COORDINATE_BOUND, COORDINATE_BOUND) for _ in range(d))
@@ -94,20 +156,21 @@ def sample_generic_config(d: int, n_vertices: int, seed: int) -> Configuration:
     return Configuration(d, pts)
 
 
-def exact_rank(matrix) -> int:
-    """Exact rational rank of a RigidityMatrix or row iterable.
+def exact_rank(matrix, modulus: int | None = None) -> int:
+    """Exact rank of a RigidityMatrix or row iterable.
 
     Entries must be ints or Fractions; floating input is rejected because a
-    rounded entry would make the certificate worthless.
+    rounded entry would make the certificate worthless (RowSpace rejects
+    it). With modulus None the rank is over Q; with a prime modulus it is
+    the rank mod that prime of the integerized rows, which never exceeds
+    the rank over Q.
     """
     if isinstance(matrix, RigidityMatrix):
-        if not matrix.is_exact:
-            raise ValueError("exact_rank requires exact entries")
         rows, n_cols = matrix.entries, matrix.n_cols
     else:
         rows = [tuple(r) for r in matrix]
         n_cols = len(rows[0]) if rows else 0
-    return exact_rank_int(rows, n_cols)
+    return exact_rank_int(rows, n_cols, modulus)
 
 
 def _witness_seeds(seed: int, samples: int) -> list[int]:
@@ -115,19 +178,34 @@ def _witness_seeds(seed: int, samples: int) -> list[int]:
     return [rng.randrange(2 ** 32) for _ in range(samples)]
 
 
+def _witness_modulus(seed: int) -> int:
+    """The prime for one call with this seed: odd candidates are drawn
+    uniformly from [2^61, 2^62) until one is prime, so every prime there is
+    equally likely. The stream is keyed by MODULUS_SCHEDULE and the seed, so
+    p is fixed by the seed and independent of the witnesses drawn from it."""
+    rng = random.Random(f"{MODULUS_SCHEDULE}:{seed}")
+    while True:
+        p = rng.randrange(MODULUS_LOW + 1, 2 * MODULUS_LOW, 2)
+        if _is_prime(p):
+            return p
+
+
 def generic_rank(g: Graph, d: int, seed: int,
                  samples: int = DEFAULT_WITNESSES) -> tuple[int, GenericCertificate]:
     """Generic rigidity-matroid rank with its certificate.
 
-    Maximum of the exact rank over `samples` random integer witnesses; the
-    max is order-independent, so the result is deterministic per seed.
+    Maximum of the rank mod p over `samples` random integer witnesses, with
+    one prime p drawn from the seed for all of them; the max is
+    order-independent, so the result is deterministic per seed. See
+    GenericCertificate for the failure bound.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    modulus = _witness_modulus(seed)
     best = 0
     for witness_seed in _witness_seeds(seed, samples):
         x = sample_generic_config(d, g.n_vertices, witness_seed)
-        best = max(best, exact_rank(rigidity_matrix(g, x)))
+        best = max(best, exact_rank(rigidity_matrix(g, x), modulus))
     return best, GenericCertificate(seed=seed, samples=samples, agreed_rank=best)
 
 
@@ -163,28 +241,36 @@ def is_independent(g: Graph, subset, d: int, seed: int) -> bool:
     return rank == sub.n_edges
 
 
-def max_independent_subset(g: Graph, d: int, seed: int, scan_order=None) -> EdgeBasis:
+def max_independent_subset(g: Graph, d: int, seed: int, scan_order=None, *,
+                           modulus: int | None = None) -> EdgeBasis:
     """Greedy basis of the graph's edges in the generic rigidity matroid.
 
     Scans edges lexicographically (or in the given permutation of them) at a
     single random integer witness, keeping each edge whose row grows the
-    rank. Greedy on a matroid yields a maximum independent set, so the
-    result's size equals the generic rank whenever the witness is generic;
-    the size is invariant under the scan order, the edge set itself need not
-    be. The scan stops once required_edge_count(d, n) edges are kept: no
-    rank exceeds it, so no later edge could be kept. With one witness the
-    size falls short of the generic rank r with probability at most
-    r/(2^21+1) (Schwartz-Zippel, see the module docstring); `analyze` calls
-    this once per connected component, each with its own witness.
+    rank mod p. Greedy on a matroid yields a maximum independent set, so the
+    result's size equals the generic rank whenever the witness is generic
+    and p divides none of its minors; the size is invariant under the scan
+    order, the edge set itself need not be. The scan stops once
+    required_edge_count(d, n) edges are kept: no rank exceeds it, so no
+    later edge could be kept. The kept edges are always independent (rows
+    independent mod p are independent over Q). The size falls short of the
+    generic rank r with probability at most r/(2^21+1) plus
+    60 floor(r (22 + log2(2d)/2) / 61) / 2^61 (see the module docstring).
+
+    The prime p is drawn from `seed` unless `modulus` gives it; `analyze`
+    calls this once per connected component, each with its own witness and
+    all with the one prime drawn from its own seed.
     """
     witness = sample_generic_config(d, g.n_vertices, seed)
+    if modulus is None:
+        modulus = _witness_modulus(seed)
     if scan_order is None:
         order = g.edges
     else:
         order = [tuple(sorted(e)) for e in scan_order]
         if sorted(order) != list(g.edges):
             raise ValueError("scan_order must be a permutation of the graph's edges")
-    space = RowSpace(d * g.n_vertices)
+    space = RowSpace(d * g.n_vertices, modulus)
     target = required_edge_count(d, g.n_vertices)
     kept = []
     for edge in order:
@@ -230,16 +316,19 @@ def minimal_rigid_completion(g: Graph, d: int, seed: int) -> Graph:
     The input's edges must already be independent; otherwise no completion
     exists and DependentEdgeSetError is raised. Candidate edges are scanned
     in lexicographic order at one random integer witness and added exactly
-    when they grow the rank, stopping at the required edge count. With at
-    most d vertices the completion is the complete graph. Independent input
-    edges extend to a generic basis of r = required_edge_count(d, n) edges,
-    so the single witness fails on them (a spurious DependentEdgeSetError or
-    the RuntimeError below) with probability at most r/(2^21+1)
-    (Schwartz-Zippel, see the module docstring).
+    when they grow the rank mod a prime p drawn from the seed, stopping at
+    the required edge count. With at most d vertices the completion is the
+    complete graph. A returned completion is always minimally rigid: its
+    r = required_edge_count(d, n) edges are independent mod p, hence over Q
+    at the witness, hence generically. Independent input edges extend to a
+    generic basis of r edges, so the witness and p fail on them (a spurious
+    DependentEdgeSetError or the RuntimeError below) with probability at most
+    r/(2^21+1) + 60 floor(r (22 + log2(2d)/2) / 61) / 2^61 (see the module
+    docstring).
     """
     n = g.n_vertices
     witness = sample_generic_config(d, n, seed)
-    space = RowSpace(d * n)
+    space = RowSpace(d * n, _witness_modulus(seed))
     for edge in g.edges:
         if not space.add(rigidity_row(edge, witness)):
             raise DependentEdgeSetError(

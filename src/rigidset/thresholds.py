@@ -20,7 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph, connected_components, prune_degree_one
-from .rigidity import _witness_seeds, max_independent_subset, required_edge_count
+from .rigidity import (
+    _check_witness_size,
+    _witness_modulus,
+    _witness_seeds,
+    max_independent_subset,
+    required_edge_count,
+)
 
 SMALL_REGIME_NOTE = (
     "at most d+1 vertices: complete-graph analysis applies and the sharper "
@@ -180,15 +186,23 @@ def analyze(g: Graph, d: int, seed: int) -> ThresholdReport:
     """Full threshold report with one sub-report per connected component.
 
     The top-level rank and predicted dimension are the component sums (the
-    rigidity matrix is block-diagonal across components).
+    rigidity matrix is block-diagonal across components). Each component is
+    ranked at its own witness, all modulo the one prime drawn from `seed`;
+    the report's failure probability is at most the sum of the components'
+    bounds (see the rigidity module docstring). A graph whose witnesses
+    would need more than rigidity.MAX_WITNESS_COORDINATES coordinates in
+    total is refused with ValueError.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
+    _check_witness_size(d, g.n_vertices)
     comps = connected_components(g)
+    modulus = _witness_modulus(seed)
     subs = []
     total_rank = 0
     for (comp, relabel), comp_seed in zip(comps, _witness_seeds(seed, len(comps))):
-        rank = max_independent_subset(comp, d, comp_seed).rank if comp.n_edges else 0
+        rank = (max_independent_subset(comp, d, comp_seed, modulus=modulus).rank
+                if comp.n_edges else 0)
         total_rank += rank
         subs.append(_report_for(comp, d, rank, vertices=sorted(relabel)))
     return _report_for(g, d, total_rank, components=subs)

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from rigidset import rigidity
 from rigidset.cli import main
-from rigidset.graphs import complete_graph, graph_to_json
+from rigidset.graphs import complete_graph, graph_to_json, make_graph
 
 
 def run(capsys, *argv):
@@ -111,6 +112,34 @@ class TestComplete:
     def test_unknown_name(self, capsys):
         code, _, err = run(capsys, "complete", "not-a-graph", "--seed", "1")
         assert code == 2
+
+
+class TestWitnessSizeGuard:
+    """--d times the vertex count is capped by rigidity.MAX_WITNESS_COORDINATES;
+    the cap is patched small here so that no test draws the real size."""
+
+    @pytest.mark.parametrize("command", ["analyze", "complete"])
+    def test_boundary(self, capsys, monkeypatch, tmp_path, command):
+        monkeypatch.setattr(rigidity, "MAX_WITNESS_COORDINATES", 12)
+        code, out, _ = run(capsys, command, "k4", "--d", "3", "--seed", "1")
+        assert code == 0 and out
+        path = tmp_path / "out.json"
+        code, out, err = run(capsys, command, "k4", "--d", "4", "--seed", "1",
+                             "--output", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "16 witness coordinates; at most 12" in err
+        assert not path.exists()
+
+    def test_analyze_counts_every_component(self, capsys, monkeypatch, tmp_path):
+        # each 2-vertex component alone fits; the graph's 8 coordinates do not
+        monkeypatch.setattr(rigidity, "MAX_WITNESS_COORDINATES", 6)
+        path = tmp_path / "two.json"
+        path.write_text(graph_to_json(make_graph(4, [(1, 2), (3, 4)])))
+        code, out, err = run(capsys, "analyze", str(path), "--seed", "1")
+        assert code == 3 and out == ""
+        assert "8 witness coordinates" in err
 
 
 class TestLattice:

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from rigidset.linalg import (
     RowSpace,
+    _is_prime,
     exact_rank_int,
     float_rank,
     integerize_row,
     rational_kernel_basis,
 )
+from rigidset.rigidity import _witness_modulus
 
 
 def fraction_rank(rows, n_cols):
@@ -215,6 +217,157 @@ class TestRowSpace:
             space.add(row)
         assert space.rank <= min(len(mat), 4)
         assert space.rank == fraction_rank(mat, 4)
+
+
+def prime_flags(limit):
+    """Sieve of Eratosthenes: flags[n] is True exactly for the primes below limit."""
+    flags = bytearray([1]) * limit
+    flags[0:2] = b"\x00\x00"
+    for q in range(2, int(limit ** 0.5) + 1):
+        if flags[q]:
+            flags[q * q::q] = bytes(len(range(q * q, limit, q)))
+    return flags
+
+
+# entries in [-5, 5] and at most 6 x 6: every nonzero singular value of such
+# an integer matrix of rank r is at least sigma_1^(1-r) (the product of the
+# nonzero ones is a root of a sum of squared integer minors, so >= 1), and
+# sigma_1 <= 30, so sigma_r / sigma_1 >= 30^-6 > 1e-9 and float_rank is exact
+small_int_matrices = st.integers(1, 6).flatmap(lambda n_cols: st.lists(
+    st.lists(st.integers(-5, 5), min_size=n_cols, max_size=n_cols),
+    min_size=1, max_size=6))
+exact_matrices = st.integers(1, 6).flatmap(lambda n_cols: st.lists(
+    st.lists(st.integers(-9, 9) | st.fractions(-3, 3, max_denominator=6),
+             min_size=n_cols, max_size=n_cols),
+    min_size=1, max_size=8))
+
+
+class TestIsPrime:
+    def test_matches_sieve_below_a_million(self):
+        flags = prime_flags(10 ** 6)
+        is_prime = _is_prime.__wrapped__  # uncached, so the sieve check fills no cache
+        assert [n for n in range(10 ** 6) if is_prime(n)] == \
+            [n for n in range(10 ** 6) if flags[n]]
+
+    @pytest.mark.parametrize("n", [
+        561,                    # Carmichael
+        2047,                   # strong pseudoprime to base 2
+        1373653,                # to bases 2, 3
+        3215031751,             # to bases 2, 3, 5, 7
+        4759123141,             # to bases 2, 7, 61
+        3825123056546413051,    # to bases 2 .. 23
+        (2 ** 31 - 1) * (2 ** 31 + 11),
+        (2 ** 32 - 5) ** 2,
+    ])
+    def test_pseudoprimes_and_products_are_composite(self, n):
+        assert not _is_prime(n)
+
+    @pytest.mark.parametrize("n", [2, 3, 47, 53, 2 ** 31 - 1, 2 ** 61 - 1, 2 ** 62 - 57,
+                                   2 ** 64 - 59])
+    def test_primes(self, n):
+        assert _is_prime(n)
+
+    def test_beyond_two_to_the_64_refused(self):
+        with pytest.raises(ValueError, match="2\\^64"):
+            _is_prime(2 ** 89 - 1)
+
+
+class TestModularRank:
+    """The rank oracles above, ported to RowSpace's F_p mode."""
+
+    def test_frozen_cases(self):
+        p = _witness_modulus(1)
+        assert exact_rank_int([[1, 0], [0, 1]], 2, p) == 2
+        assert exact_rank_int([[1, 2], [2, 4]], 2, p) == 1
+        assert exact_rank_int([[0, 0], [0, 0]], 2, p) == 0
+        assert exact_rank_int([], 3, p) == 0
+        assert exact_rank_int([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 3, p) == 2
+        # det = -5: independent over Q, dependent mod 5
+        assert exact_rank_int([[1, 2], [3, 1]], 2) == 2
+        assert exact_rank_int([[1, 2], [3, 1]], 2, 5) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_int_matrices, st.integers(0, 2 ** 32))
+    def test_drawn_prime_matches_fraction_and_svd(self, mat, seed):
+        n_cols = len(mat[0])
+        rank = exact_rank_int(mat, n_cols, _witness_modulus(seed))
+        assert rank == fraction_rank(mat, n_cols) == float_rank(mat)
+
+    def test_low_rank_products(self):
+        rng = random.Random(159)
+        frac_rng = random.Random(160)
+        for i in range(40):
+            p = _witness_modulus(i)
+            inner = rng.randint(0, 4)
+            n_rows, n_cols = rng.randint(1, 7), rng.randint(1, 7)
+            mat = random_int_matrix(rng, n_rows, n_cols, inner=inner)
+            fractional = random_fraction_product(frac_rng, n_rows, n_cols, inner)
+            for case in (mat, fractional):
+                assert exact_rank_int(case, n_cols, p) == fraction_rank(case, n_cols) <= inner
+
+    @settings(max_examples=150, deadline=None)
+    @given(exact_matrices, st.sampled_from([2, 3, 5]))
+    def test_small_prime_never_exceeds_rational_rank(self, mat, p):
+        n_cols = len(mat[0])
+        space = RowSpace(n_cols, modulus=p)
+        kept = [row for row in mat if space.add(row)]
+        assert space.rank <= fraction_rank(mat, n_cols)
+        # rows kept mod p are independent over Q
+        assert fraction_rank(kept, n_cols) == len(kept) == space.rank
+
+    @settings(max_examples=60, deadline=None)
+    @given(exact_matrices, st.sampled_from([3, 5, 2 ** 61 - 1]))
+    def test_dict_rows_match_dense_rows(self, mat, p):
+        n_cols = len(mat[0])
+        dense, sparse = RowSpace(n_cols, p), RowSpace(n_cols, p)
+        for row in mat:
+            as_dict = {c: v for c, v in enumerate(row) if v}
+            assert dense.extends(row) == sparse.extends(as_dict)
+            assert dense.add(row) == sparse.add(as_dict)
+        assert dense.rank == sparse.rank
+
+    def test_incremental_rank_matches_batch(self):
+        rng = random.Random(271)
+        for i in range(40):
+            p = _witness_modulus(i)
+            n_rows, n_cols = rng.randint(1, 8), rng.randint(1, 8)
+            mat = random_int_matrix(rng, n_rows, n_cols, inner=rng.randint(0, 5))
+            space = RowSpace(n_cols, p)
+            for row in mat:
+                grew = space.extends(row)
+                assert space.add(row) == grew
+            assert space.rank == exact_rank_int(mat, n_cols, p) == fraction_rank(mat, n_cols)
+
+    def test_pivots_lead_with_one_and_stay_below_p(self):
+        space = RowSpace(3, 7)
+        for row in ([3, 5, 6], [2, 0, 1], {1: Fraction(1, 3), 2: -4}):
+            space.add(row)
+        assert space.rank == 3
+        for lead, row in space._basis.items():
+            assert row[lead] == 1 and min(row) == lead
+            assert all(0 < v < 7 for v in row.values())
+
+    def test_big_entries(self):
+        p = _witness_modulus(3)
+        base = 10 ** 30
+        assert exact_rank_int([[base, base + 1], [base + 1, base + 2]], 2, p) == 2
+        assert exact_rank_int([[base, 2 * base], [3 * base, 6 * base]], 2, p) == 1
+
+    @pytest.mark.parametrize("value", [1.0, 0.0, True, np.int64(1), np.float64(0.0)])
+    def test_inexact_scalars_rejected(self, value):
+        p = _witness_modulus(2)
+        with pytest.raises(ValueError, match="exact scalar"):
+            RowSpace(3, p).add({0: 2, 1: value})
+        with pytest.raises(ValueError, match="exact scalar"):
+            RowSpace(3, p).add([2, value, 0])
+        with pytest.raises(ValueError, match="exact scalar"):
+            exact_rank_int([[1, 2, 3], [value, 0, 1]], 3, p)
+
+    @pytest.mark.parametrize("modulus", [0, 1, 4, 561, 2 ** 61, 2 ** 89 - 1, 7.0, True,
+                                         Fraction(7)])
+    def test_modulus_must_be_a_prime_int(self, modulus):
+        with pytest.raises(ValueError, match="modulus"):
+            RowSpace(3, modulus)
 
 
 class TestRationalKernelBasis:

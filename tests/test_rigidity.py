@@ -8,16 +8,19 @@ import pytest
 from test_linalg import fraction_rank
 
 from rigidset.frameworks import make_config, rigidity_matrix, rigidity_row, rigidity_rows
+from rigidset import rigidity, thresholds
 from rigidset.graphs import (
+    MAX_VERTICES,
     complete_graph,
     double_banana,
     make_graph,
     path_graph,
     star_graph,
 )
-from rigidset.linalg import float_rank
+from rigidset.linalg import _is_prime, float_rank
 from rigidset.rigidity import (
     COORDINATE_BOUND,
+    MODULUS_LOW,
     DependentEdgeSetError,
     exact_rank,
     generic_rank,
@@ -29,6 +32,7 @@ from rigidset.rigidity import (
     minimal_rigid_completion,
     required_edge_count,
     sample_generic_config,
+    _witness_modulus,
 )
 
 UNIT_SQUARE = make_config([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -96,6 +100,55 @@ class TestSampleGenericConfig:
         assert all(abs(c) <= COORDINATE_BOUND for p in x.points for c in p)
 
 
+class TestWitnessSize:
+    def test_cap_admits_every_plane_graph(self):
+        assert rigidity.MAX_WITNESS_COORDINATES >= 2 * MAX_VERTICES
+
+    def test_boundary(self, monkeypatch):
+        monkeypatch.setattr(rigidity, "MAX_WITNESS_COORDINATES", 12)
+        assert sample_generic_config(3, 4, 1).n_points == 4
+        assert sample_generic_config(2, 6, 1).n_points == 6
+        with pytest.raises(ValueError, match="at most 12"):
+            sample_generic_config(2, 7, 1)
+        with pytest.raises(ValueError, match="witness coordinates"):
+            generic_rank(complete_graph(5), 3, 1)
+        with pytest.raises(ValueError, match="witness coordinates"):
+            minimal_rigid_completion(complete_graph(3), 5, 1)
+
+
+class TestWitnessModulus:
+    def test_prime_in_range_and_fixed_by_seed(self):
+        drawn = [_witness_modulus(seed) for seed in range(-5, 60)]
+        assert drawn == [_witness_modulus(seed) for seed in range(-5, 60)]
+        for p in drawn + [_witness_modulus(2 ** 70)]:
+            assert MODULUS_LOW <= p < 2 * MODULUS_LOW
+            assert _is_prime(p)
+        assert len(set(drawn)) == len(drawn)
+
+    def test_schedule_label_keys_the_draw(self, monkeypatch):
+        before = _witness_modulus(7)
+        monkeypatch.setattr(rigidity, "MODULUS_SCHEDULE", "another-schedule")
+        assert _witness_modulus(7) != before
+
+    def test_one_draw_per_public_call(self, monkeypatch):
+        calls = []
+
+        def counting(seed):
+            calls.append(seed)
+            return _witness_modulus(seed)
+
+        monkeypatch.setattr(rigidity, "_witness_modulus", counting)
+        monkeypatch.setattr(thresholds, "_witness_modulus", counting)
+        forest = make_graph(12, [(1, 2), (2, 3), (4, 5), (6, 7), (7, 8), (6, 8), (9, 10)])
+        for call in (lambda: thresholds.analyze(forest, 2, 3),
+                     lambda: generic_rank(complete_graph(5), 3, 3),
+                     lambda: max_independent_subset(complete_graph(5), 2, 3),
+                     lambda: minimal_rigid_completion(path_graph(5), 2, 3)):
+            calls.clear()
+            call()
+            assert calls == [3]
+
+
 class TestExactRank:
     def test_k4_unit_square(self):
         assert exact_rank(rigidity_matrix(complete_graph(4), UNIT_SQUARE)) == 5
@@ -112,6 +165,14 @@ class TestExactRank:
         floaty = make_config([(0.0, 0.0), (1.0, 0.0)])
         with pytest.raises(ValueError, match="exact"):
             exact_rank(rigidity_matrix(complete_graph(2), floaty))
+        with pytest.raises(ValueError, match="exact"):
+            exact_rank(rigidity_matrix(complete_graph(2), floaty), _witness_modulus(1))
+
+    def test_modulus_rank_bounded_by_rational_rank(self):
+        mat = rigidity_matrix(complete_graph(4), UNIT_SQUARE)
+        for p in (2, 3, 5, 7):
+            assert exact_rank(mat, p) <= 5
+        assert exact_rank(mat, _witness_modulus(4)) == 5
 
     def test_agrees_with_float_svd(self):
         # dual route: the exact rank and the SVD rank must coincide
@@ -277,6 +338,25 @@ class TestMaxIndependentSubset:
             max_independent_subset(g, 2, seed=1,
                                    scan_order=[(1, 2), (1, 3), (2, 3), (1, 2)])
 
+    def test_modulus_defaults_to_the_seed_draw(self):
+        g = double_banana()
+        assert max_independent_subset(g, 3, 11) == \
+            max_independent_subset(g, 3, 11, modulus=_witness_modulus(11))
+
+    @pytest.mark.parametrize("d, modulus", [(2, 3), (2, 5), (3, 3), (3, 7)])
+    def test_small_modulus_keeps_only_independent_edges(self, d, modulus):
+        # a tiny prime divides many minors, so the basis may shrink, but what
+        # it keeps is independent over Q at the witness
+        rng = random.Random(90 + d + modulus)
+        for _ in range(4):
+            n = rng.randint(5, 9)
+            g = make_graph(n, henneberg_laman(rng, n).edges)
+            seed = rng.randrange(2 ** 32)
+            basis = max_independent_subset(g, d, seed, modulus=modulus)
+            rows = rigidity_rows(basis.edges, basis.witness)
+            assert fraction_rank(rows, d * n) == basis.rank == len(basis.edges)
+            assert basis.rank <= max_independent_subset(g, d, seed).rank
+
     def test_json_serializable(self):
         basis = max_independent_subset(complete_graph(3), 2, seed=2)
         doc = json.loads(basis.to_json())
@@ -291,6 +371,9 @@ class TestMaxIndependentSubset:
 
 
 class TestGreedyAgainstFractionReference:
+    """The library's greedy scans run mod the prime drawn from the seed; the
+    reference decides every edge over Q at the same witness."""
+
     @pytest.mark.parametrize("d, sizes", [(2, (5, 8, 11)), (3, (5, 8))])
     def test_dropped_henneberg_graphs(self, d, sizes):
         rng = random.Random(4000 + d)
