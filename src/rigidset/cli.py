@@ -8,7 +8,8 @@ a run manifest is written next to any requested output file.
 
 Exit codes: 0 success, 2 unreadable input, 3 invalid parameter (among them
 a --d whose witness, d times the vertex count, would exceed
-rigidity.MAX_WITNESS_COORDINATES coordinates), 4 dependent input
+rigidity.MAX_WITNESS_COORDINATES coordinates, and a sample whose arrays
+would exceed experiments.SAMPLE_ENTRY_LIMIT entries), 4 dependent input
 edges, 5 enumeration guard tripped.
 """
 
@@ -27,6 +28,7 @@ from .experiments import (
     LatticeSampler,
     UnitCubeSampler,
     build_lattice_set,
+    check_sample_size,
     congruence_class_counts,
     distance_images,
     fit_box_dimension,
@@ -204,6 +206,7 @@ def cmd_sample(args) -> None:
     exponents = _parse_int_list(args.scales, "--scales")
     if args.n < 1:
         raise ValueError("--n must be >= 1")
+    check_sample_size(g, args.d, args.n, args.depth if args.sampler == "cantor" else 1)
     sampler = _build_sampler(args)
     tuples = sample_framework_tuples(sampler, g.n_vertices, args.n, args.seed)
     cloud = distance_images(g, tuples)

@@ -15,6 +15,10 @@ from .graphs import Graph
 
 ENUMERATION_LIMIT = 10 ** 8
 LATTICE_POINT_LIMIT = 10 ** 7
+# At most this many array entries are allocated for one sample: the sampled
+# coordinates (times the ternary digits each for the Cantor sampler) plus
+# the distance columns; 5*10^7 int64 or float64 entries are 400 MB.
+SAMPLE_ENTRY_LIMIT = 5 * 10 ** 7
 
 
 class EnumerationLimitError(ValueError):
@@ -310,6 +314,8 @@ class CantorSampler:
     def __init__(self, d: int, depth: int = 35):
         if d < 1:
             raise ValueError("d must be >= 1")
+        if depth < 1:
+            raise ValueError("depth must be >= 1")
         self.d = d
         self.depth = depth
 
@@ -317,6 +323,19 @@ class CantorSampler:
         digits = rng.integers(0, 2, size=(count, self.d, self.depth)) * 2.0
         weights = 3.0 ** -np.arange(1, self.depth + 1)
         return digits @ weights
+
+
+def check_sample_size(g: Graph, d: int, n_samples: int, digits: int = 1) -> None:
+    """Refuse with ValueError, before anything is drawn, a sample of
+    n_samples tuples in R^d whose arrays would hold more than
+    SAMPLE_ENTRY_LIMIT entries: n_samples * n_vertices * d coordinates,
+    each drawn as `digits` entries (the Cantor sampler's depth), plus
+    n_samples * n_edges distances."""
+    entries = n_samples * (g.n_vertices * d * digits + g.n_edges)
+    if entries > SAMPLE_ENTRY_LIMIT:
+        raise ValueError(
+            f"{n_samples} samples of {g.n_vertices} points in R^{d} need {entries} "
+            f"array entries; at most {SAMPLE_ENTRY_LIMIT} are supported")
 
 
 def sample_framework_tuples(sampler, n_points: int, n_samples: int, seed: int) -> np.ndarray:
@@ -394,8 +413,8 @@ def fit_box_dimension(cloud, scales) -> CoveringEstimate:
     """Least-squares box-dimension fit over the given scales (use powers of
     1/2 so coarser grids are exact unions of finer cells)."""
     scales = tuple(float(e) for e in scales)
-    if len(scales) < 2:
-        raise ValueError("need at least two scales to fit a slope")
+    if len(set(scales)) < 2:
+        raise ValueError("need at least two distinct scales to fit a slope")
     counts = tuple(covering_count(cloud, eps) for eps in scales)
     xs = np.log2(1.0 / np.asarray(scales))
     ys = np.log2(np.asarray(counts, dtype=float))

@@ -42,9 +42,11 @@ below 3.04e-4. generic_rank takes the maximum over `samples` witnesses
 sharing one p: it falls short only if no witness reaches r over Q, or if p
 divides M at the first witness that does (fixed by the witnesses alone), so
 with probability at most (r/(2^21+1))^samples plus the prime term once.
-analyze ranks each connected component at its own witness, all with the one
-p of the call, and its report falls short with at most the sum of the
-components' bounds (union bound).
+analyze reads every rank off one max_independent_subset basis of the whole
+graph, so it falls short with at most that basis's probability,
+r/(2^21+1) + 60 floor(r (22 + log2(2d)/2) / 61) / 2^61, where r is the
+total rank (the sum of the components' ranks, as the rigidity matrix is
+block-diagonal across components).
 
 The witness seeds come from random.Random(seed) and p from a stream keyed by
 MODULUS_SCHEDULE and the seed, so both are fixed by the seed and a rerun
@@ -135,20 +137,14 @@ class GenericCertificate:
         }, sort_keys=True)
 
 
-def _check_witness_size(d: int, n_vertices: int) -> None:
-    """Refuse a witness of more than MAX_WITNESS_COORDINATES coordinates
-    before any is drawn (ValueError)."""
+def sample_generic_config(d: int, n_vertices: int, seed: int) -> Configuration:
+    """Integer configuration with coordinates uniform in [-2^20, 2^20],
+    deterministic per seed. More than MAX_WITNESS_COORDINATES coordinates
+    are refused with ValueError before any is drawn."""
     if d * n_vertices > MAX_WITNESS_COORDINATES:
         raise ValueError(
             f"d={d} on {n_vertices} vertices needs {d * n_vertices} witness "
             f"coordinates; at most {MAX_WITNESS_COORDINATES} are supported")
-
-
-def sample_generic_config(d: int, n_vertices: int, seed: int) -> Configuration:
-    """Integer configuration with coordinates uniform in [-2^20, 2^20],
-    deterministic per seed. Refuses more than MAX_WITNESS_COORDINATES
-    coordinates."""
-    _check_witness_size(d, n_vertices)
     rng = random.Random(seed)
     pts = tuple(
         tuple(rng.randint(-COORDINATE_BOUND, COORDINATE_BOUND) for _ in range(d))
@@ -171,11 +167,6 @@ def exact_rank(matrix, modulus: int | None = None) -> int:
         rows = [tuple(r) for r in matrix]
         n_cols = len(rows[0]) if rows else 0
     return exact_rank_int(rows, n_cols, modulus)
-
-
-def _witness_seeds(seed: int, samples: int) -> list[int]:
-    rng = random.Random(seed)
-    return [rng.randrange(2 ** 32) for _ in range(samples)]
 
 
 def _witness_modulus(seed: int) -> int:
@@ -202,9 +193,10 @@ def generic_rank(g: Graph, d: int, seed: int,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     modulus = _witness_modulus(seed)
+    rng = random.Random(seed)
     best = 0
-    for witness_seed in _witness_seeds(seed, samples):
-        x = sample_generic_config(d, g.n_vertices, witness_seed)
+    for _ in range(samples):
+        x = sample_generic_config(d, g.n_vertices, rng.randrange(2 ** 32))
         best = max(best, exact_rank(rigidity_matrix(g, x), modulus))
     return best, GenericCertificate(seed=seed, samples=samples, agreed_rank=best)
 
@@ -241,8 +233,7 @@ def is_independent(g: Graph, subset, d: int, seed: int) -> bool:
     return rank == sub.n_edges
 
 
-def max_independent_subset(g: Graph, d: int, seed: int, scan_order=None, *,
-                           modulus: int | None = None) -> EdgeBasis:
+def max_independent_subset(g: Graph, d: int, seed: int, scan_order=None) -> EdgeBasis:
     """Greedy basis of the graph's edges in the generic rigidity matroid.
 
     Scans edges lexicographically (or in the given permutation of them) at a
@@ -256,21 +247,15 @@ def max_independent_subset(g: Graph, d: int, seed: int, scan_order=None, *,
     independent mod p are independent over Q). The size falls short of the
     generic rank r with probability at most r/(2^21+1) plus
     60 floor(r (22 + log2(2d)/2) / 61) / 2^61 (see the module docstring).
-
-    The prime p is drawn from `seed` unless `modulus` gives it; `analyze`
-    calls this once per connected component, each with its own witness and
-    all with the one prime drawn from its own seed.
     """
     witness = sample_generic_config(d, g.n_vertices, seed)
-    if modulus is None:
-        modulus = _witness_modulus(seed)
     if scan_order is None:
         order = g.edges
     else:
         order = [tuple(sorted(e)) for e in scan_order]
         if sorted(order) != list(g.edges):
             raise ValueError("scan_order must be a permutation of the graph's edges")
-    space = RowSpace(d * g.n_vertices, modulus)
+    space = RowSpace(d * g.n_vertices, _witness_modulus(seed))
     target = required_edge_count(d, g.n_vertices)
     kept = []
     for edge in order:
@@ -317,7 +302,7 @@ def minimal_rigid_completion(g: Graph, d: int, seed: int) -> Graph:
     exists and DependentEdgeSetError is raised. Candidate edges are scanned
     in lexicographic order at one random integer witness and added exactly
     when they grow the rank mod a prime p drawn from the seed, stopping at
-    the required edge count. With at most d vertices the completion is the
+    the required edge count, which with at most d vertices is that of the
     complete graph. A returned completion is always minimally rigid: its
     r = required_edge_count(d, n) edges are independent mod p, hence over Q
     at the witness, hence generically. Independent input edges extend to a
@@ -334,8 +319,6 @@ def minimal_rigid_completion(g: Graph, d: int, seed: int) -> Graph:
             raise DependentEdgeSetError(
                 "dependent edges: the input edge set is not independent, "
                 "so it has no minimally rigid completion")
-    if n <= d:
-        return complete_graph(n) if n >= 2 else g
     target = required_edge_count(d, n)
     edges = list(g.edges)
     if space.rank < target:

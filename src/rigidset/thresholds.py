@@ -20,13 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph, connected_components, prune_degree_one
-from .rigidity import (
-    _check_witness_size,
-    _witness_modulus,
-    _witness_seeds,
-    max_independent_subset,
-    required_edge_count,
-)
+from .rigidity import max_independent_subset, required_edge_count
 
 SMALL_REGIME_NOTE = (
     "at most d+1 vertices: complete-graph analysis applies and the sharper "
@@ -177,7 +171,7 @@ def predicted_distance_set_dimension(g: Graph, d: int, seed: int) -> int:
     The size of a maximum independent edge subset, summed over connected
     components; the distance set of a disconnected graph is a product over
     its components, so dimensions add. This is the same number `analyze`
-    reports, at the same per-component witnesses.
+    reports, from the same basis.
     """
     return analyze(g, d, seed).predicted_distance_set_dimension
 
@@ -185,24 +179,22 @@ def predicted_distance_set_dimension(g: Graph, d: int, seed: int) -> int:
 def analyze(g: Graph, d: int, seed: int) -> ThresholdReport:
     """Full threshold report with one sub-report per connected component.
 
-    The top-level rank and predicted dimension are the component sums (the
-    rigidity matrix is block-diagonal across components). Each component is
-    ranked at its own witness, all modulo the one prime drawn from `seed`;
-    the report's failure probability is at most the sum of the components'
-    bounds (see the rigidity module docstring). A graph whose witnesses
-    would need more than rigidity.MAX_WITNESS_COORDINATES coordinates in
-    total is refused with ValueError.
+    The top-level rank is the size of max_independent_subset(g, d, seed),
+    one greedy basis of the whole graph at one witness; each component's
+    rank is the number of its edges in that basis (the rigidity matrix is
+    block-diagonal across components), so the ranks sum to the total. See
+    the rigidity module docstring for the failure bound. A graph whose
+    witness would need more than rigidity.MAX_WITNESS_COORDINATES
+    coordinates is refused with ValueError.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    _check_witness_size(d, g.n_vertices)
+    basis = max_independent_subset(g, d, seed)
     comps = connected_components(g)
-    modulus = _witness_modulus(seed)
-    subs = []
-    total_rank = 0
-    for (comp, relabel), comp_seed in zip(comps, _witness_seeds(seed, len(comps))):
-        rank = (max_independent_subset(comp, d, comp_seed, modulus=modulus).rank
-                if comp.n_edges else 0)
-        total_rank += rank
-        subs.append(_report_for(comp, d, rank, vertices=sorted(relabel)))
-    return _report_for(g, d, total_rank, components=subs)
+    comp_of = {v: c for c, (_, relabel) in enumerate(comps) for v in relabel}
+    ranks = [0] * len(comps)
+    for i, _ in basis.edges:
+        ranks[comp_of[i]] += 1
+    subs = [_report_for(comp, d, rank, vertices=sorted(relabel))
+            for (comp, relabel), rank in zip(comps, ranks)]
+    return _report_for(g, d, basis.rank, components=subs)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rigidset import rigidity
+from rigidset import experiments, rigidity
 from rigidset.cli import main
 from rigidset.graphs import complete_graph, graph_to_json, make_graph
 
@@ -237,6 +237,35 @@ class TestSample:
     def test_bad_n(self, capsys):
         code, _, err = run(capsys, "sample", "k2", "--n", "0", "--seed", "1")
         assert code == 3
+
+    def test_repeated_scales_give_no_slope(self, capsys):
+        code, out, err = run(capsys, "sample", "k3", "--n", "100", "--seed", "1",
+                             "--scales", "5,5,5")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "two distinct scales" in err
+
+    @pytest.mark.parametrize("extra, entries", [
+        (("--n", "10"), 50),
+        (("--n", "10", "--sampler", "cantor", "--d", "1", "--depth", "3"), 70),
+    ])
+    def test_size_guard_boundary(self, capsys, monkeypatch, tmp_path, extra, entries):
+        # k2: per tuple 2 points of d coordinates (times --depth digits for
+        # the cantor sampler) plus 1 distance; the cap is patched small here
+        # so that no test allocates the real size
+        monkeypatch.setattr(experiments, "SAMPLE_ENTRY_LIMIT", entries)
+        code, out, _ = run(capsys, "sample", "k2", *extra, "--seed", "1", "--scales", "1,2")
+        assert code == 0 and out
+        monkeypatch.setattr(experiments, "SAMPLE_ENTRY_LIMIT", entries - 1)
+        path = tmp_path / "out.csv"
+        code, out, err = run(capsys, "sample", "k2", *extra, "--seed", "1", "--scales", "1,2",
+                             "--output", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{entries} array entries; at most {entries - 1}" in err
+        assert not path.exists()
 
 
 class TestDeterminism:

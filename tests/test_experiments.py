@@ -373,6 +373,8 @@ class TestSamplers:
             UnitCubeSampler(0)
         with pytest.raises(ValueError):
             CantorSampler(0)
+        with pytest.raises(ValueError, match="depth"):
+            CantorSampler(2, depth=0)
 
 
 class TestSampling:
@@ -517,6 +519,8 @@ class TestBoxDimension:
     def test_needs_two_scales(self):
         with pytest.raises(ValueError):
             fit_box_dimension(np.array([1.0, 2.0]), [0.5])
+        with pytest.raises(ValueError, match="two distinct scales"):
+            fit_box_dimension(np.array([1.0, 2.0]), [0.5, 0.5, 0.5])
 
     def test_estimate_fields(self):
         est = fit_box_dimension(np.array([0.1, 0.9]), [0.5, 0.25])

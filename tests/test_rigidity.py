@@ -131,22 +131,28 @@ class TestWitnessModulus:
         assert _witness_modulus(7) != before
 
     def test_one_draw_per_public_call(self, monkeypatch):
-        calls = []
+        calls, witnesses = [], []
 
         def counting(seed):
             calls.append(seed)
             return _witness_modulus(seed)
 
+        def counting_witness(d, n_vertices, seed):
+            witnesses.append(seed)
+            return sample_generic_config(d, n_vertices, seed)
+
         monkeypatch.setattr(rigidity, "_witness_modulus", counting)
-        monkeypatch.setattr(thresholds, "_witness_modulus", counting)
+        monkeypatch.setattr(rigidity, "sample_generic_config", counting_witness)
         forest = make_graph(12, [(1, 2), (2, 3), (4, 5), (6, 7), (7, 8), (6, 8), (9, 10)])
-        for call in (lambda: thresholds.analyze(forest, 2, 3),
-                     lambda: generic_rank(complete_graph(5), 3, 3),
-                     lambda: max_independent_subset(complete_graph(5), 2, 3),
-                     lambda: minimal_rigid_completion(path_graph(5), 2, 3)):
+        for call, n_witnesses in ((lambda: thresholds.analyze(forest, 2, 3), 1),
+                                  (lambda: generic_rank(complete_graph(5), 3, 3), 5),
+                                  (lambda: max_independent_subset(complete_graph(5), 2, 3), 1),
+                                  (lambda: minimal_rigid_completion(path_graph(5), 2, 3), 1)):
             calls.clear()
+            witnesses.clear()
             call()
             assert calls == [3]
+            assert len(witnesses) == n_witnesses
 
 
 class TestExactRank:
@@ -338,13 +344,8 @@ class TestMaxIndependentSubset:
             max_independent_subset(g, 2, seed=1,
                                    scan_order=[(1, 2), (1, 3), (2, 3), (1, 2)])
 
-    def test_modulus_defaults_to_the_seed_draw(self):
-        g = double_banana()
-        assert max_independent_subset(g, 3, 11) == \
-            max_independent_subset(g, 3, 11, modulus=_witness_modulus(11))
-
     @pytest.mark.parametrize("d, modulus", [(2, 3), (2, 5), (3, 3), (3, 7)])
-    def test_small_modulus_keeps_only_independent_edges(self, d, modulus):
+    def test_small_modulus_keeps_only_independent_edges(self, monkeypatch, d, modulus):
         # a tiny prime divides many minors, so the basis may shrink, but what
         # it keeps is independent over Q at the witness
         rng = random.Random(90 + d + modulus)
@@ -352,10 +353,13 @@ class TestMaxIndependentSubset:
             n = rng.randint(5, 9)
             g = make_graph(n, henneberg_laman(rng, n).edges)
             seed = rng.randrange(2 ** 32)
-            basis = max_independent_subset(g, d, seed, modulus=modulus)
+            reference = max_independent_subset(g, d, seed).rank
+            with monkeypatch.context() as patch:
+                patch.setattr(rigidity, "_witness_modulus", lambda _seed: modulus)
+                basis = max_independent_subset(g, d, seed)
             rows = rigidity_rows(basis.edges, basis.witness)
             assert fraction_rank(rows, d * n) == basis.rank == len(basis.edges)
-            assert basis.rank <= max_independent_subset(g, d, seed).rank
+            assert basis.rank <= reference
 
     def test_json_serializable(self):
         basis = max_independent_subset(complete_graph(3), 2, seed=2)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidset.graphs import (
     complete_graph,
@@ -11,6 +13,7 @@ from rigidset.graphs import (
     path_graph,
     star_graph,
 )
+from rigidset.rigidity import max_independent_subset, required_edge_count
 from rigidset.thresholds import (
     SMALL_REGIME_NOTE,
     analyze,
@@ -201,6 +204,43 @@ class TestAnalyze:
         assert [sub.vertices for sub in rep.components] == [(1, 2, 3), (4,), (5, 6, 7)]
         assert rep.generic_rank == sum(s.generic_rank for s in rep.components)
         assert not rep.is_generically_rigid
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(("henneberg", "complete", "path", "isolated")),
+                              st.integers(2, 7)), min_size=1, max_size=5),
+           st.sampled_from((2, 3)), st.randoms(use_true_random=False),
+           st.integers(0, 2 ** 32))
+    def test_component_ranks_count_one_basis(self, pieces, d, rng, seed):
+        # disjoint pieces of known generic rank, relabeled at random: a
+        # Henneberg piece (each vertex joins two earlier ones) is independent
+        # in d = 2 and 3, K_n has the maximal rank and a path is a tree
+        edges, expected, offset = [], [], 0
+        for kind, n in pieces:
+            if kind == "isolated":
+                n, local, rank = 1, [], 0
+            elif kind == "henneberg":
+                local = [(1, 2)]
+                for v in range(3, n + 1):
+                    local += [(a, v) for a in rng.sample(range(1, v), 2)]
+                rank = len(local)
+            elif kind == "complete":
+                local, rank = complete_graph(n).edges, required_edge_count(d, n)
+            else:
+                local, rank = path_graph(n).edges, n - 1
+            edges += [(offset + i, offset + j) for i, j in local]
+            expected.append((range(offset + 1, offset + n + 1), rank))
+            offset += n
+        perm = list(range(1, offset + 1))
+        rng.shuffle(perm)
+        g = make_graph(offset, [(perm[i - 1], perm[j - 1]) for i, j in edges])
+        report = analyze(g, d, seed)
+        basis = max_independent_subset(g, d, seed)
+        assert report.generic_rank == basis.rank
+        for sub in report.components:
+            inside = set(sub.vertices)
+            assert sub.generic_rank == sum(1 for i, _ in basis.edges if i in inside)
+        assert sorted((sub.vertices, sub.generic_rank) for sub in report.components) == \
+            sorted((tuple(sorted(perm[v - 1] for v in verts)), rank) for verts, rank in expected)
 
     def test_single_vertex_component_fields(self):
         g = make_graph(4, [(1, 2), (1, 3), (2, 3)])
