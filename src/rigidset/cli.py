@@ -29,6 +29,7 @@ from .experiments import (
     UnitCubeSampler,
     build_lattice_set,
     check_sample_size,
+    check_scales,
     congruence_class_counts,
     distance_images,
     fit_box_dimension,
@@ -208,16 +209,22 @@ def cmd_sample(args) -> None:
         raise ValueError("--n must be >= 1")
     check_sample_size(g, args.d, args.n, args.depth if args.sampler == "cantor" else 1)
     sampler = _build_sampler(args)
+    # refused here, not by the fit, so that a bad list costs no draw
+    scales = check_scales([2.0 ** -e for e in exponents])
     tuples = sample_framework_tuples(sampler, g.n_vertices, args.n, args.seed)
+    residual = None
+    if args.d == 2 and g.n_vertices == 4 and g.n_edges == 6:
+        residual = float(k4_euler_residuals(tuples).max())
     cloud = distance_images(g, tuples)
-    estimate = fit_box_dimension(cloud, [2.0 ** -e for e in exponents])
+    # the tuples are the largest array; the fit needs only the cloud
+    del tuples
+    estimate = fit_box_dimension(cloud, scales)
     lines = [
         f"# sample {args.graph} d={args.d} sampler={args.sampler} n={args.n} seed={args.seed}",
         f"# scales={','.join(str(e) for e in exponents)}",
         f"# slope={repr(estimate.slope)}",
     ]
-    if args.d == 2 and g.n_vertices == 4 and g.n_edges == 6:
-        residual = float(k4_euler_residuals(tuples).max())
+    if residual is not None:
         lines.append(f"# max_euler_residual={repr(residual)}")
     lines.append("eps,count")
     for eps, count in zip(estimate.scales, estimate.counts):

@@ -38,32 +38,42 @@ def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, int]:
     return rank.reshape(-1).astype(np.int64, copy=False), distinct.size
 
 
+def _fold_column(keys: np.ndarray, size: int, col: np.ndarray, span: int):
+    """Fold one int64 column whose entries lie in range(span) into row
+    keys whose entries lie in range(size); return the new keys and size.
+
+    The keys are multiplied by span and the column is added. Before a
+    multiplication that would pass 2^63 the keys, and if that is not
+    enough the column too, are replaced by their dense ranks, which are
+    below N, so the keys stay one-to-one on rows. `keys` is updated in
+    place unless it is ranked.
+    """
+    if size * span > _KEY_LIMIT:
+        keys, size = _dense_rank(keys)
+        if size * span > _KEY_LIMIT:
+            col, span = _dense_rank(col)
+    keys *= span
+    keys += col
+    return keys, size * span
+
+
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """One int64 key per row of an (N, m) int64 array, equal for two rows
     exactly when the rows are equal.
 
     The key is mixed-radix over the column ranges: each column is shifted
-    by its minimum and the key so far is multiplied by the column's span.
-    Before a multiplication that would pass 2^63 the key so far, and if
-    that is not enough the column too, is replaced by its dense rank,
-    which is below N, so the key stays exact for any m. Keys depend on
-    the data's ranges and compare only within one call.
+    by its minimum and folded in by _fold_column, so the key stays exact
+    for any m. Keys depend on the data's ranges and compare only within
+    one call.
     """
     n, m = rows.shape
     keys = np.zeros(n, dtype=np.int64)
     size = 1  # every key lies in range(size); a Python int, so it cannot wrap
     for j in range(m):
         lo, hi = int(rows[:, j].min()), int(rows[:, j].max())
-        # col - lo wraps when span passes 2^63; the wrap is one-to-one and
-        # such a column is always ranked below, so the ranks stay exact
-        col, span = rows[:, j] - lo, hi - lo + 1
-        if size * span > _KEY_LIMIT:
-            keys, size = _dense_rank(keys)
-            if size * span > _KEY_LIMIT:
-                col, span = _dense_rank(col)
-        keys *= span
-        keys += col
-        size *= span
+        # rows[:, j] - lo wraps when the span passes 2^63; the wrap is
+        # one-to-one and such a column is always ranked, so the ranks stay exact
+        keys, size = _fold_column(keys, size, rows[:, j] - lo, hi - lo + 1)
     return keys
 
 
@@ -98,6 +108,41 @@ def _merge_distinct(seen, rows: np.ndarray, radix: int) -> np.ndarray:
     if seen is not None:
         words = np.concatenate((seen, words))
     return words[np.unique(_row_keys(words), return_index=True)[1]]
+
+
+# vertex pairs of K4 in the order t12, t13, t14, t23, t24, t34
+_K4_PAIRS = tuple(itertools.combinations(range(4), 2))
+
+
+def _edge_lengths(pts: np.ndarray, pairs) -> np.ndarray:
+    """Euclidean lengths |pts[:, i] - pts[:, j]| for each pair (i, j) of
+    vertex indices, for an (N, n, d) float array: an (N, len(pairs)) view
+    whose column for each pair is contiguous.
+
+    Each pair's squared axis differences, taken from the strided slices
+    pts[:, i, a], are summed left to right in place in that pair's row of
+    one preallocated array, so no (N, d) difference array is built. For
+    d < 8 this is the order in which np.linalg.norm(x, axis=1) sums its d
+    squares, so the lengths are bit for bit the same. From 8 terms up
+    numpy sums pairwise in 8 unrolled lanes, a different order, so there
+    the norm is called per pair to keep its bits.
+    """
+    n, _, d = pts.shape
+    out = np.empty((len(pairs), n))
+    if not 0 < d < 8:
+        for col, (i, j) in zip(out, pairs):
+            col[:] = np.linalg.norm(pts[:, i] - pts[:, j], axis=1)
+        return out.T
+    tmp = np.empty(n)
+    for col, (i, j) in zip(out, pairs):
+        np.subtract(pts[:, i, 0], pts[:, j, 0], out=col)
+        col *= col
+        for a in range(1, d):
+            np.subtract(pts[:, i, a], pts[:, j, a], out=tmp)
+            tmp *= tmp
+            col += tmp
+    np.sqrt(out, out=out)
+    return out.T
 
 
 def euler_t24(t12: float, t13: float, t14: float, t23: float, t34: float,
@@ -155,32 +200,79 @@ def k4_euler_residuals(tuples) -> np.ndarray:
     pts = np.asarray(tuples, dtype=float)
     if pts.ndim != 3 or pts.shape[1] != 4 or pts.shape[2] != 2:
         raise ValueError("expected an (N, 4, 2) array of plane tuples")
-
-    def dist(a, b):
-        return np.linalg.norm(pts[:, a] - pts[:, b], axis=1)
-
-    t12, t13, t14 = dist(0, 1), dist(0, 2), dist(0, 3)
-    t23, t24, t34 = dist(1, 2), dist(1, 3), dist(2, 3)
-    diagonal = pts[:, 2] - pts[:, 0]
-
-    def cross2(a, b):
-        return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-
-    side2 = cross2(diagonal, pts[:, 1] - pts[:, 0])
-    side4 = cross2(diagonal, pts[:, 3] - pts[:, 0])
-    convex = side2 * side4 < 0
+    # euler_t24's formula on whole columns, in place, with the operations of
+    # its plain array expression in the same order, so each residual has the
+    # bits that expression gives
+    t12, t13, t14, t23, t24, t34 = _edge_lengths(pts, _K4_PAIRS).T
+    x = [pts[:, v, 0] for v in range(4)]
+    y = [pts[:, v, 1] for v in range(4)]
+    # sides of the 1-3 diagonal: cross(p3 - p1, p - p1) for p = p2 and p4
+    n = pts.shape[0]
+    dx, dy = np.subtract(x[2], x[0]), np.subtract(y[2], y[0])
+    side2, side4, tmp = np.empty(n), np.empty(n), np.empty(n)
+    for side, v in ((side2, 1), (side4, 3)):
+        np.subtract(y[v], y[0], out=side)
+        side *= dx
+        np.subtract(x[v], x[0], out=tmp)
+        tmp *= dy
+        side -= tmp
+    del dx, dy
+    side2 *= side4
+    convex = side2 < 0
+    del side2, side4
     # clip guards rounding on almost-degenerate samples; exact degeneracy has
     # probability zero under any continuous sampler
-    cos_theta = np.clip((t12 ** 2 + t13 ** 2 - t23 ** 2) / (2 * t12 * t13), -1.0, 1.0)
-    cos_psi = np.clip((t13 ** 2 + t34 ** 2 - t14 ** 2) / (2 * t13 * t34), -1.0, 1.0)
-    sin_theta = np.sqrt(1.0 - cos_theta ** 2)
-    sin_psi = np.sqrt(1.0 - cos_psi ** 2)
-    cos_gap = np.where(convex,
-                       cos_theta * cos_psi + sin_theta * sin_psi,
-                       cos_theta * cos_psi - sin_theta * sin_psi)
-    square = t23 ** 2 + t14 ** 2 - t13 ** 2 + 2 * t12 * t34 * cos_gap
-    predicted = np.sqrt(np.maximum(square, 0.0))
-    return np.abs(predicted - t24) / np.where(t24 > 0, t24, 1.0)
+    cos_theta, cos_psi = np.empty(n), np.empty(n)
+    for cos, (a, b, c) in ((cos_theta, (t12, t13, t23)), (cos_psi, (t13, t34, t14))):
+        # (a^2 + b^2 - c^2) / (2 a b)
+        np.square(a, out=cos)
+        cos += np.square(b, out=tmp)
+        cos -= np.square(c, out=tmp)
+        np.multiply(2, a, out=tmp)
+        tmp *= b
+        cos /= tmp
+        np.clip(cos, -1.0, 1.0, out=cos)
+    sin_theta, sin_psi = np.empty(n), tmp  # sin_psi takes over tmp's buffer
+    for sin, cos in ((sin_theta, cos_theta), (sin_psi, cos_psi)):
+        np.square(cos, out=sin)
+        np.subtract(1.0, sin, out=sin)
+        np.sqrt(sin, out=sin)
+    # cos_gap = cos_theta cos_psi + sin_theta sin_psi on convex samples and
+    # cos_theta cos_psi - sin_theta sin_psi on the others; a - b is a + (-b)
+    cos_gap = cos_theta
+    cos_gap *= cos_psi
+    sin_theta *= sin_psi
+    np.negative(sin_theta, out=sin_theta, where=~convex)
+    cos_gap += sin_theta
+    del cos_psi, sin_theta, sin_psi, convex
+    # t23^2 + t14^2 - t13^2 + 2 t12 t34 cos_gap
+    square = np.square(t23)
+    square += np.square(t14, out=tmp)
+    square -= np.square(t13, out=tmp)
+    np.multiply(2, t12, out=tmp)
+    tmp *= t34
+    tmp *= cos_gap
+    square += tmp
+    del cos_gap, tmp
+    residual = np.maximum(square, 0.0, out=square)
+    np.sqrt(residual, out=residual)
+    # |predicted - t24| / t24, with the divisor 1.0 where t24 = 0
+    residual -= t24
+    np.abs(residual, out=residual)
+    np.divide(residual, t24, out=residual, where=t24 > 0)
+    return residual
+
+
+def _power_exceeds(base: int, exponent: int, limit: int) -> bool:
+    """Whether base^exponent > limit, for base >= 2, without building the
+    power: multiply by base at most `exponent` times and stop once the
+    product passes limit, which takes at most log2(limit) + 1 steps."""
+    product = 1
+    for _ in range(exponent):
+        product *= base
+        if product > limit:
+            return True
+    return False
 
 
 def congruence_class_counts(d: int, q: int, k: int) -> tuple[int, int]:
@@ -198,11 +290,11 @@ def congruence_class_counts(d: int, q: int, k: int) -> tuple[int, int]:
     """
     if d < 1 or q < 1 or k < 1:
         raise ValueError("d, q, k must all be >= 1")
-    n_tuples = (q + 1) ** (d * (k + 1))
-    if n_tuples > ENUMERATION_LIMIT:
+    if _power_exceeds(q + 1, d * (k + 1), ENUMERATION_LIMIT):
         raise EnumerationLimitError(
-            f"(q+1)^(d(k+1)) = {n_tuples} tuples exceeds "
+            f"(q+1)^(d(k+1)) tuples for d={d}, q={q}, k={k} exceed "
             f"the enumeration guard of {ENUMERATION_LIMIT}")
+    n_tuples = (q + 1) ** (d * (k + 1))
     pairs = list(itertools.combinations(range(k + 1), 2))
     radix = d * q * q + 1  # every squared distance lies in [0, d q^2]
     chunk = max(1, _LATTICE_CHUNK_ENTRIES // (d * (k + 1) + len(pairs)))
@@ -266,9 +358,9 @@ def build_lattice_set(d: int, q: int, s: float) -> LatticeSet:
     if q < 1:
         raise ValueError("q must be >= 1")
     _check_s_range(d, s)
-    if (q + 1) ** d > LATTICE_POINT_LIMIT:
-        raise EnumerationLimitError(f"(q+1)^d = {(q + 1) ** d} lattice points "
-                                    f"exceeds the guard of {LATTICE_POINT_LIMIT}")
+    if _power_exceeds(q + 1, d, LATTICE_POINT_LIMIT):
+        raise EnumerationLimitError(f"(q+1)^d lattice points for d={d}, q={q} exceed "
+                                    f"the guard of {LATTICE_POINT_LIMIT}")
     pts = tuple(
         tuple(Fraction(c, q) for c in coords)
         for coords in itertools.product(range(q + 1), repeat=d))
@@ -354,10 +446,7 @@ def distance_images(g: Graph, tuples) -> np.ndarray:
     pts = np.asarray(tuples, dtype=float)
     if pts.ndim != 3 or pts.shape[1] != g.n_vertices:
         raise ValueError(f"expected (N, {g.n_vertices}, d) tuples")
-    if not g.edges:
-        return np.zeros((pts.shape[0], 0))
-    cols = [np.linalg.norm(pts[:, i - 1] - pts[:, j - 1], axis=1) for i, j in g.edges]
-    return np.stack(cols, axis=1)
+    return _edge_lengths(pts, [(i - 1, j - 1) for i, j in g.edges])
 
 
 def sample_distance_set(g: Graph, sampler, n_samples: int, seed: int) -> np.ndarray:
@@ -370,8 +459,13 @@ def covering_count(cloud, eps: float) -> int:
     """Number of occupied cells of the origin-anchored eps-grid.
 
     The count is exact: each point's cell index vector is packed into one
-    int64 key. Raises ValueError when the cloud has a non-finite entry or
-    when some |x / eps| reaches 2^63, where cell indices leave int64.
+    int64 key. The key is built one column at a time (divide by eps,
+    range-check, floor, cast to int64, shift, fold in with _fold_column),
+    so besides the cloud only the keys and one float and one int64
+    column are held; no full-size array of scaled coordinates or cell
+    indices is built. Raises ValueError when the cloud has a non-finite
+    entry or when some |x / eps| reaches 2^63, where cell indices leave
+    int64.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -380,23 +474,35 @@ def covering_count(cloud, eps: float) -> int:
         a = a[:, None]
     if a.size == 0:
         raise ValueError("empty cloud")
+    n, m = a.shape
+    scaled, cells = np.empty(n), np.empty(n, dtype=np.int64)
+    keys = np.zeros(n, dtype=np.int64)
+    size = 1  # every key lies in range(size); a Python int, so it cannot wrap
+    for j in range(m):
+        with np.errstate(over="ignore"):
+            np.divide(a[:, j], eps, out=scaled)
+        lo, hi = scaled.min(), scaled.max()
+        if not (-_KEY_LIMIT < lo and hi < _KEY_LIMIT):
+            _refuse_cells(a, eps)
+        # floor is monotone, so the column's cells span floor(lo)..floor(hi)
+        np.floor(scaled, out=cells, casting="unsafe")
+        lo, hi = int(np.floor(lo)), int(np.floor(hi))
+        cells -= lo
+        keys, size = _fold_column(keys, size, cells, hi - lo + 1)
+    return _sorted_distinct(keys).size
+
+
+def _refuse_cells(a: np.ndarray, eps: float):
+    """Raise the ValueError for a cloud some of whose cell indices at eps
+    leave int64, naming a non-finite entry first."""
+    if not np.isfinite(a).all():
+        raise ValueError("cloud has a non-finite entry")
     with np.errstate(over="ignore"):
         scaled = a / eps
     lo, hi = scaled.min(), scaled.max()
-    if not (-_KEY_LIMIT < lo and hi < _KEY_LIMIT):
-        if not np.isfinite(a).all():
-            raise ValueError("cloud has a non-finite entry")
-        raise ValueError(
-            f"eps={eps!r} gives cell indices beyond the int64 range "
-            f"(|x/eps| up to {max(-lo, hi):.3g}, limit 2^63)")
-    # free each full-size array once used: on large clouds these set the
-    # peak memory of `sample`
-    np.floor(scaled, out=scaled)
-    cells = scaled.astype(np.int64)
-    del scaled
-    keys = _row_keys(cells)
-    del cells
-    return _sorted_distinct(keys).size
+    raise ValueError(
+        f"eps={eps!r} gives cell indices beyond the int64 range "
+        f"(|x/eps| up to {max(-lo, hi):.3g}, limit 2^63)")
 
 
 @dataclass(frozen=True)
@@ -409,12 +515,19 @@ class CoveringEstimate:
     slope: float
 
 
-def fit_box_dimension(cloud, scales) -> CoveringEstimate:
-    """Least-squares box-dimension fit over the given scales (use powers of
-    1/2 so coarser grids are exact unions of finer cells)."""
+def check_scales(scales) -> tuple[float, ...]:
+    """The scales as a tuple of floats; ValueError unless at least two of
+    them are distinct, the fewest a slope can be fitted to."""
     scales = tuple(float(e) for e in scales)
     if len(set(scales)) < 2:
         raise ValueError("need at least two distinct scales to fit a slope")
+    return scales
+
+
+def fit_box_dimension(cloud, scales) -> CoveringEstimate:
+    """Least-squares box-dimension fit over the given scales (use powers of
+    1/2 so coarser grids are exact unions of finer cells)."""
+    scales = check_scales(scales)
     counts = tuple(covering_count(cloud, eps) for eps in scales)
     xs = np.log2(1.0 / np.asarray(scales))
     ys = np.log2(np.asarray(counts, dtype=float))

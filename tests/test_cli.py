@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from rigidset import experiments, rigidity
+from rigidset import cli, experiments, rigidity
 from rigidset.cli import main
 from rigidset.graphs import complete_graph, graph_to_json, make_graph
 
@@ -169,6 +170,34 @@ class TestLattice:
         code, _, err = run(capsys, "lattice", "--d", "2", "--q-list", "50", "--k", "3")
         assert code == 5
 
+    def test_guard_boundary(self, capsys, monkeypatch):
+        # d = 2, q = 2, k = 1: 3^4 = 81 tuples; the limit is patched small
+        # so that no test enumerates the real guard
+        monkeypatch.setattr(experiments, "ENUMERATION_LIMIT", 81)
+        code, out, _ = run(capsys, "lattice", "--q-list", "2", "--k", "1")
+        assert code == 0 and out.splitlines()[1].startswith("2,6,6,")
+        monkeypatch.setattr(experiments, "ENUMERATION_LIMIT", 80)
+        code, out, err = run(capsys, "lattice", "--q-list", "1,2", "--k", "1")
+        assert code == 5 and out == ""
+        assert err == "error: (q+1)^(d(k+1)) tuples for d=2, q=2, k=1 exceed " \
+                      "the enumeration guard of 80\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("lattice", "--q-list", "1", "--k", "100000000"),
+        ("lattice", "--q-list", "1", "--k", "100000000", "--s", "1.5"),
+        ("lattice", "--q-list", "123456789012345678901234567890", "--k", "1"),
+        ("sample", "k2", "--sampler", "lattice", "--q", "10000000000000000000000",
+         "--s", "1.5", "--n", "10", "--seed", "1"),
+    ])
+    def test_huge_sizes_refused_briefly(self, capsys, argv):
+        # the guard decides without building (q+1)^(d(k+1)) or (q+1)^d,
+        # which here has up to 3*10^7 digits
+        code, out, err = run(capsys, *argv)
+        assert code == 5 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 150
+        assert "guard" in err and "d=2, q=" in err
+
     def test_bad_q_list(self, capsys):
         code, _, err = run(capsys, "lattice", "--q-list", "1,x")
         assert code == 3
@@ -238,8 +267,13 @@ class TestSample:
         code, _, err = run(capsys, "sample", "k2", "--n", "0", "--seed", "1")
         assert code == 3
 
-    def test_repeated_scales_give_no_slope(self, capsys):
-        code, out, err = run(capsys, "sample", "k3", "--n", "100", "--seed", "1",
+    def test_repeated_scales_give_no_slope(self, capsys, monkeypatch):
+        # refused before any tuple is drawn
+        def no_draw(*args, **kwargs):
+            raise AssertionError("tuples drawn for a refused scale list")
+
+        monkeypatch.setattr(cli, "sample_framework_tuples", no_draw)
+        code, out, err = run(capsys, "sample", "k3", "--n", "1000000", "--seed", "1",
                              "--scales", "5,5,5")
         assert code == 3
         assert out == ""
@@ -279,6 +313,20 @@ class TestDeterminism:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+    @pytest.mark.parametrize("argv, sha1", [
+        # the slope and the Euler residual line, at d = 2
+        (("sample", "k4", "--n", "20000", "--seed", "1", "--scales", "1,2,3,4"),
+         "6c3df1cbbaffa3d33e264b159b2b562db573c5fd"),
+        # d = 9, where the edge lengths come from np.linalg.norm
+        (("sample", "path-5", "--d", "9", "--n", "5000", "--seed", "2", "--scales", "1,2,3"),
+         "bac99b4315908eb790fe54f88e915e28a440bb7b"),
+    ])
+    def test_sample_stdout_pinned(self, capsys, argv, sha1):
+        # sha1 of the stdout recorded before the column-at-a-time kernels
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha1(out.encode("utf-8")).hexdigest() == sha1
 
     def test_different_seed_differs(self, capsys):
         _, first, _ = run(capsys, "sample", "k2", "--n", "500", "--seed", "1")

@@ -109,6 +109,125 @@ def covering_reference(cloud, eps):
     return len(np.unique(np.floor(a / eps).astype(np.int64), axis=0))
 
 
+def covering_packed_reference(cloud, eps):
+    """Reference: covering_count as it was before keys were built per
+    column, with the full scaled and cell arrays and its own copy of the
+    row keys."""
+    a = np.asarray(cloud, dtype=float)
+    if a.ndim == 1:
+        a = a[:, None]
+    if a.size == 0:
+        raise ValueError("empty cloud")
+    with np.errstate(over="ignore"):
+        scaled = a / eps
+    lo, hi = scaled.min(), scaled.max()
+    if not (-2 ** 63 < lo and hi < 2 ** 63):
+        if not np.isfinite(a).all():
+            raise ValueError("cloud has a non-finite entry")
+        raise ValueError(
+            f"eps={eps!r} gives cell indices beyond the int64 range "
+            f"(|x/eps| up to {max(-lo, hi):.3g}, limit 2^63)")
+    cells = np.floor(scaled).astype(np.int64)
+    keys = np.zeros(len(cells), dtype=np.int64)
+    size = 1
+    for j in range(cells.shape[1]):
+        lo, hi = int(cells[:, j].min()), int(cells[:, j].max())
+        col, span = cells[:, j] - lo, hi - lo + 1
+        if size * span > 2 ** 63:
+            keys, size = experiments._dense_rank(keys)
+            if size * span > 2 ** 63:
+                col, span = experiments._dense_rank(col)
+        keys *= span
+        keys += col
+        size *= span
+    return len(np.unique(keys))
+
+
+def distance_images_reference(g, tuples):
+    """Reference: one np.linalg.norm per edge, as distance_images computed
+    the lengths before the per-axis kernel."""
+    pts = np.asarray(tuples, dtype=float)
+    if not g.edges:
+        return np.zeros((pts.shape[0], 0))
+    cols = [np.linalg.norm(pts[:, i - 1] - pts[:, j - 1], axis=1) for i, j in g.edges]
+    return np.stack(cols, axis=1)
+
+
+def k4_euler_residuals_reference(tuples):
+    """Reference: k4_euler_residuals as whole-array expressions, before it
+    was written with in-place column operations."""
+    pts = np.asarray(tuples, dtype=float)
+
+    def dist(a, b):
+        return np.linalg.norm(pts[:, a] - pts[:, b], axis=1)
+
+    t12, t13, t14 = dist(0, 1), dist(0, 2), dist(0, 3)
+    t23, t24, t34 = dist(1, 2), dist(1, 3), dist(2, 3)
+    diagonal = pts[:, 2] - pts[:, 0]
+
+    def cross2(a, b):
+        return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+
+    side2 = cross2(diagonal, pts[:, 1] - pts[:, 0])
+    side4 = cross2(diagonal, pts[:, 3] - pts[:, 0])
+    convex = side2 * side4 < 0
+    cos_theta = np.clip((t12 ** 2 + t13 ** 2 - t23 ** 2) / (2 * t12 * t13), -1.0, 1.0)
+    cos_psi = np.clip((t13 ** 2 + t34 ** 2 - t14 ** 2) / (2 * t13 * t34), -1.0, 1.0)
+    sin_theta = np.sqrt(1.0 - cos_theta ** 2)
+    sin_psi = np.sqrt(1.0 - cos_psi ** 2)
+    cos_gap = np.where(convex,
+                       cos_theta * cos_psi + sin_theta * sin_psi,
+                       cos_theta * cos_psi - sin_theta * sin_psi)
+    square = t23 ** 2 + t14 ** 2 - t13 ** 2 + 2 * t12 * t34 * cos_gap
+    predicted = np.sqrt(np.maximum(square, 0.0))
+    return np.abs(predicted - t24) / np.where(t24 > 0, t24, 1.0)
+
+
+def same_bits(a, b):
+    """Equal shape and equal float64 bit patterns, NaNs and signed zeros
+    included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def framework_tuples(draw):
+    """(graph, tuples): N tuples of n points in R^d for d = 1..9, so both
+    branches of the edge-length kernel run, with coordinates of a drawn
+    magnitude (squares that underflow to subnormals or overflow to inf
+    included) and some points repeated, so that lengths can be zero."""
+    n_tuples = draw(st.integers(0, 40))
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 9))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    scale = draw(st.sampled_from([1.0, 1e-160, 1e160, 2.0 ** 30]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    tuples = rng.uniform(-scale, scale, size=(n_tuples, n, d))
+    if n > 1 and draw(st.booleans()):
+        tuples[:, 1] = tuples[:, 0]
+    return make_graph(n, edges), tuples
+
+
+def degenerate_k4_tuples(rng):
+    """Plane 4-tuples on which the Euler formula meets rounding or division
+    by zero: collinear points, coincident points (t24 = 0, or t12 = 0),
+    points a rounding error off a line, and tiny and huge configurations."""
+    base = rng.random((200, 4, 2))
+    collinear = np.zeros((200, 4, 2))
+    collinear[:, :, 0] = rng.random((200, 4))
+    collinear[:, :, 1] = 0.5 * collinear[:, :, 0]
+    near_line = collinear + rng.uniform(-1e-15, 1e-15, size=collinear.shape)
+    coincident_24 = base.copy()
+    coincident_24[:, 3] = coincident_24[:, 1]
+    coincident_12 = base.copy()
+    coincident_12[:, 1] = coincident_12[:, 0]
+    flat_triangle = base.copy()
+    flat_triangle[:, 2] = flat_triangle[:, 0] + 1e-9 * (base[:, 2] - base[:, 0])
+    return np.concatenate((base, collinear, near_line, coincident_24, coincident_12,
+                           flat_triangle, 1e-150 * base, 1e150 * base))
+
+
 @st.composite
 def clouds(draw):
     """Point clouds with negative coordinates and repeated points: n rows
@@ -188,6 +307,17 @@ class TestK4Residuals:
         quads = np.array([random_convex_quad(rng) for _ in range(50)])
         assert float(k4_euler_residuals(quads).max()) < 1e-9
 
+    def test_matches_formula_reference(self):
+        rng = random.Random(809)
+        quads = np.array([random_convex_quad(rng) for _ in range(100)]
+                         + [random_reflex_quad(rng) for _ in range(100)])
+        np_rng = np.random.default_rng(810)
+        for tuples in (np_rng.random((5000, 4, 2)), quads, degenerate_k4_tuples(np_rng)):
+            with np.errstate(all="ignore"):
+                want = k4_euler_residuals_reference(tuples)
+                got = k4_euler_residuals(tuples)
+            assert same_bits(got, want)
+
 
 class TestCongruenceCounts:
     @pytest.mark.parametrize("d,q,k,want", [
@@ -243,6 +373,24 @@ class TestCongruenceCounts:
         with pytest.raises(EnumerationLimitError):
             congruence_class_counts(2, 50, 3)
         assert issubclass(EnumerationLimitError, ValueError)
+
+    def test_enumeration_guard_boundary(self, monkeypatch):
+        # d = 2, q = 2, k = 1: 3^4 = 81 tuples
+        monkeypatch.setattr(experiments, "ENUMERATION_LIMIT", 81)
+        assert congruence_class_counts(2, 2, 1) == (6, 6)
+        monkeypatch.setattr(experiments, "ENUMERATION_LIMIT", 80)
+        with pytest.raises(EnumerationLimitError,
+                           match=r"d=2, q=2, k=1 exceed the enumeration guard of 80$"):
+            congruence_class_counts(2, 2, 1)
+
+    @pytest.mark.parametrize("d, q, k", [(2, 1, 10 ** 8), (2, 10 ** 30, 1), (10 ** 6, 1, 1)])
+    def test_enumeration_guard_builds_no_power(self, d, q, k):
+        # (q+1)^(d(k+1)) has up to 6*10^7 digits here; the guard must
+        # refuse without computing it, with a short message
+        with pytest.raises(EnumerationLimitError) as exc:
+            congruence_class_counts(d, q, k)
+        assert len(str(exc.value)) < 150
+        assert f"d={d}, q={q}, k={k}" in str(exc.value)
 
     def test_validation(self):
         for bad in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
@@ -334,6 +482,16 @@ class TestLatticeSet:
         with pytest.raises(EnumerationLimitError):
             build_lattice_set(2, 4000, 1.0)
 
+    def test_point_guard_boundary(self, monkeypatch):
+        monkeypatch.setattr(experiments, "LATTICE_POINT_LIMIT", 25)
+        assert len(build_lattice_set(2, 4, 1.0).points) == 25
+        monkeypatch.setattr(experiments, "LATTICE_POINT_LIMIT", 24)
+        with pytest.raises(EnumerationLimitError, match=r"d=2, q=4 exceed the guard of 24$"):
+            build_lattice_set(2, 4, 1.0)
+        with pytest.raises(EnumerationLimitError) as exc:
+            build_lattice_set(2, 10 ** 40, 1.0)
+        assert len(str(exc.value)) < 150
+
     def test_s_range(self):
         with pytest.raises(ValueError, match="s must lie"):
             build_lattice_set(2, 2, 2.0)
@@ -410,6 +568,15 @@ class TestSampling:
         with pytest.raises(ValueError):
             distance_images(complete_graph(3), np.zeros((4, 2, 2)))
 
+    @settings(max_examples=200, deadline=None)
+    @given(framework_tuples())
+    def test_distance_images_match_norm_reference(self, case):
+        g, tuples = case
+        with np.errstate(over="ignore", under="ignore"):
+            got = distance_images(g, tuples)
+            want = distance_images_reference(g, tuples)
+        assert same_bits(got, want)
+
     def test_sample_distance_set_composition(self):
         g = path_graph(3)
         sampler = UnitCubeSampler(2)
@@ -449,7 +616,8 @@ class TestCovering:
     @settings(max_examples=200, deadline=None)
     @given(clouds(), st.sampled_from([1.0, 0.5, 0.3, 2.0 ** -4, 2.0 ** -10]))
     def test_matches_row_unique(self, cloud, eps):
-        assert covering_count(cloud, eps) == covering_reference(cloud, eps)
+        want = covering_reference(cloud, eps)
+        assert covering_count(cloud, eps) == want == covering_packed_reference(cloud, eps)
 
     def test_overflowing_key_matches_row_unique(self, monkeypatch):
         # column spans of 2^24 + 1 and 2^40 cells: packed without ranks,
@@ -489,6 +657,23 @@ class TestCovering:
             covering_count(np.array([-(2.0 ** 63)]), 1.0)
         edge = np.nextafter(2.0 ** 63, 0)
         assert covering_count(np.array([-edge, 0.0, edge]), 1.0) == 3
+
+    @pytest.mark.parametrize("cloud, eps", [
+        (np.array([[0.1, 0.2], [0.3, math.nan]]), 0.5),
+        (np.array([[1e300, 0.2], [0.3, math.inf]]), 0.5),
+        (np.array([[0.5, 1e300], [-1e301, 0.2]]), 2.0 ** -64),
+        (np.array([[3.0, 0.0], [0.0, -(2.0 ** 70)]]), 1.0),
+        (np.array([0.1, 0.5, 1.0]), 2.0 ** -64),
+        (np.array([[0.5, 1e300]]), 1e-300),
+    ])
+    def test_error_text_unchanged(self, cloud, eps):
+        # the first failing column need not hold the largest |x / eps| or
+        # the non-finite entry; the message still describes the whole cloud
+        with pytest.raises(ValueError) as want:
+            covering_packed_reference(cloud, eps)
+        with pytest.raises(ValueError) as got:
+            covering_count(cloud, eps)
+        assert str(got.value) == str(want.value)
 
 
 class TestBoxDimension:
