@@ -54,7 +54,7 @@ from .graphs import (
     spanning_tree,
     star_graph,
 )
-from .linalg import RowSpace, exact_rank_int, float_rank, rational_kernel_basis
+from .linalg import RowSpace, exact_rank_int, float_rank
 from .rigidity import (
     DependentEdgeSetError,
     EdgeBasis,

@@ -28,6 +28,7 @@ from .experiments import (
     LatticeSampler,
     UnitCubeSampler,
     build_lattice_set,
+    check_enumeration,
     check_sample_size,
     check_scales,
     congruence_class_counts,
@@ -180,6 +181,9 @@ def cmd_lattice(args) -> None:
     if args.s is not None:
         for q in qs:
             contents[q] = repr(hausdorff_content_bound(args.d, q, args.k, args.s))
+    # every q is guarded before any is enumerated
+    for q in qs:
+        check_enumeration(args.d, q, args.k)
     lines = ["q,classes,classes_labeled,count_bound,content_bound"]
     for q in qs:
         unlabeled, labeled = congruence_class_counts(args.d, q, args.k)
@@ -212,9 +216,17 @@ def cmd_sample(args) -> None:
     # refused here, not by the fit, so that a bad list costs no draw
     scales = check_scales([2.0 ** -e for e in exponents])
     tuples = sample_framework_tuples(sampler, g.n_vertices, args.n, args.seed)
-    residual = None
+    residual = degenerate = None
     if args.d == 2 and g.n_vertices == 4 and g.n_edges == 6:
-        residual = float(k4_euler_residuals(tuples).max())
+        import numpy as np
+
+        residuals = k4_euler_residuals(tuples)
+        # a degenerate tuple (coincident points) has no residual: NaN
+        finite = residuals[np.isfinite(residuals)]
+        degenerate = residuals.size - finite.size
+        if finite.size:
+            residual = float(finite.max())
+        del residuals, finite
     cloud = distance_images(g, tuples)
     # the tuples are the largest array; the fit needs only the cloud
     del tuples
@@ -226,6 +238,8 @@ def cmd_sample(args) -> None:
     ]
     if residual is not None:
         lines.append(f"# max_euler_residual={repr(residual)}")
+    if degenerate:
+        lines.append(f"# degenerate_tuples={degenerate}")
     lines.append("eps,count")
     for eps, count in zip(estimate.scales, estimate.counts):
         lines.append(f"{repr(eps)},{count}")

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +20,8 @@ LATTICE_POINT_LIMIT = 10 ** 7
 # coordinates (times the ternary digits each for the Cantor sampler) plus
 # the distance columns; 5*10^7 int64 or float64 entries are 400 MB.
 SAMPLE_ENTRY_LIMIT = 5 * 10 ** 7
+# log of the largest float, less a margin for the rounding of logarithms
+_LOG_FLOAT_MAX = math.log(sys.float_info.max) - 1e-9
 
 
 class EnumerationLimitError(ValueError):
@@ -196,6 +199,11 @@ def k4_euler_residuals(tuples) -> np.ndarray:
     at rounding level for every sample: the six pairwise distances of a
     4-point plane configuration always lie on this hypersurface, which is why
     the distance set of K4 in R^2 has measure zero in R^6.
+
+    A degenerate tuple, with p1 = p2, p1 = p3 or p3 = p4, leaves an angle of
+    the identity undefined, and its residual is NaN. That has probability
+    zero under a continuous sampler, but discrete ones (a shallow Cantor
+    set, a coarse lattice) draw such tuples.
     """
     pts = np.asarray(tuples, dtype=float)
     if pts.ndim != 3 or pts.shape[1] != 4 or pts.shape[2] != 2:
@@ -220,8 +228,8 @@ def k4_euler_residuals(tuples) -> np.ndarray:
     side2 *= side4
     convex = side2 < 0
     del side2, side4
-    # clip guards rounding on almost-degenerate samples; exact degeneracy has
-    # probability zero under any continuous sampler
+    # clip guards rounding on almost-degenerate samples; a zero side length
+    # divides 0 by 0 here, silently, and leaves NaN
     cos_theta, cos_psi = np.empty(n), np.empty(n)
     for cos, (a, b, c) in ((cos_theta, (t12, t13, t23)), (cos_psi, (t13, t34, t14))):
         # (a^2 + b^2 - c^2) / (2 a b)
@@ -230,7 +238,8 @@ def k4_euler_residuals(tuples) -> np.ndarray:
         cos -= np.square(c, out=tmp)
         np.multiply(2, a, out=tmp)
         tmp *= b
-        cos /= tmp
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cos /= tmp
         np.clip(cos, -1.0, 1.0, out=cos)
     sin_theta, sin_psi = np.empty(n), tmp  # sin_psi takes over tmp's buffer
     for sin, cos in ((sin_theta, cos_theta), (sin_psi, cos_psi)):
@@ -275,6 +284,18 @@ def _power_exceeds(base: int, exponent: int, limit: int) -> bool:
     return False
 
 
+def check_enumeration(d: int, q: int, k: int) -> None:
+    """Refuse a lattice instance before enumerating it: ValueError unless
+    d, q, k >= 1, EnumerationLimitError when its (q+1)^(d(k+1)) tuples
+    exceed ENUMERATION_LIMIT."""
+    if d < 1 or q < 1 or k < 1:
+        raise ValueError("d, q, k must all be >= 1")
+    if _power_exceeds(q + 1, d * (k + 1), ENUMERATION_LIMIT):
+        raise EnumerationLimitError(
+            f"(q+1)^(d(k+1)) tuples for d={d}, q={q}, k={k} exceed "
+            f"the enumeration guard of {ENUMERATION_LIMIT}")
+
+
 def congruence_class_counts(d: int, q: int, k: int) -> tuple[int, int]:
     """(unlabeled, labeled) congruence-class counts of (k+1)-tuples on the
     grid {0..q}^d, via exact integer squared-distance invariants.
@@ -288,12 +309,7 @@ def congruence_class_counts(d: int, q: int, k: int) -> tuple[int, int]:
     _LATTICE_CHUNK_ENTRIES int64 entries; the base-(q+1) digits of an index
     are the coordinates of its k+1 points.
     """
-    if d < 1 or q < 1 or k < 1:
-        raise ValueError("d, q, k must all be >= 1")
-    if _power_exceeds(q + 1, d * (k + 1), ENUMERATION_LIMIT):
-        raise EnumerationLimitError(
-            f"(q+1)^(d(k+1)) tuples for d={d}, q={q}, k={k} exceed "
-            f"the enumeration guard of {ENUMERATION_LIMIT}")
+    check_enumeration(d, q, k)
     n_tuples = (q + 1) ** (d * (k + 1))
     pairs = list(itertools.combinations(range(k + 1), 2))
     radix = d * q * q + 1  # every squared distance lies in [0, d q^2]
@@ -326,7 +342,8 @@ def hausdorff_content_bound(d: int, q: int, k: int, s: float) -> float:
     of the distance set of the q-lattice neighborhood set.
 
     Decreasing in q exactly when s < d - C(d,2)/k, which is how thresholds
-    below that exponent are defeated.
+    below that exponent are defeated. A q or a bound beyond the float range
+    raises ValueError.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
@@ -334,6 +351,14 @@ def hausdorff_content_bound(d: int, q: int, k: int, s: float) -> float:
         raise ValueError("q and k must be >= 1")
     _check_s_range(d, s)
     exponent = d * k - (d / s) * (d * k - d * (d - 1) / 2)
+    # decided on logarithms, so that neither float(q) nor the power is
+    # attempted out of range
+    log_q = math.log(q)
+    if log_q > _LOG_FLOAT_MAX:
+        raise ValueError("q is beyond the float range of the content bound")
+    if exponent * log_q > _LOG_FLOAT_MAX:
+        raise ValueError(f"content bound q^{exponent:.6g} at q={q:.6g} "
+                         f"is beyond the float range")
     return float(q) ** exponent
 
 

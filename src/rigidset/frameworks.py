@@ -14,7 +14,7 @@ from typing import Union
 import numpy as np
 
 from .graphs import Graph
-from .linalg import exact_rank_int, rational_kernel_basis
+from .linalg import RowSpace, exact_rank_int
 
 Scalar = Union[int, Fraction, float]
 
@@ -165,8 +165,10 @@ def rigidity_matrix(g: Graph, x: Configuration) -> RigidityMatrix:
 
 def infinitesimal_motions(g: Graph, x: Configuration) -> list[tuple[tuple, ...]]:
     """Basis of the kernel of the rigidity matrix, as per-vertex velocity
-    tuples. Exact configurations get an exact rational basis; floating ones
-    use an SVD null space with relative tolerance 1e-9."""
+    tuples. When every matrix entry is exact (an exact configuration, or a
+    floating one whose edges have only zero coordinate differences) the
+    basis is the exact rational one of RowSpace.kernel; otherwise it is an
+    SVD null space with relative tolerance 1e-9."""
     mat = rigidity_matrix(g, x)
     d, n = x.d, x.n_points
 
@@ -174,7 +176,10 @@ def infinitesimal_motions(g: Graph, x: Configuration) -> list[tuple[tuple, ...]]
         return tuple(tuple(vec[v * d + t] for t in range(d)) for v in range(n))
 
     if mat.is_exact:
-        return [reshape(vec) for vec in rational_kernel_basis(mat.entries, mat.n_cols)]
+        space = RowSpace(mat.n_cols)
+        for row in mat.entries:
+            space.add(row)
+        return [reshape(vec) for vec in space.kernel()]
     a = mat.as_numpy()
     if a.shape[0] == 0:
         return [reshape(vec) for vec in np.eye(mat.n_cols)]

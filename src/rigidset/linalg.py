@@ -10,9 +10,9 @@ rounding can flip an outcome. Given a prime modulus p, the same walk runs on
 residues mod p against pivot rows normalised to lead with 1, so no entry
 exceeds p. The rank mod p of an integer matrix never exceeds its rank over
 Q, and rows independent mod p are independent over Q. exact_rank_int is a
-batch call of the same routine. Rational Gauss-Jordan is kept only for
-kernel bases, where rational output is needed. A floating SVD rank is
-provided for cross-checks only.
+batch call of the same routine, and RowSpace.kernel reads the standard
+kernel basis off the same basis over Q. A floating SVD rank is provided for
+cross-checks only.
 """
 
 from __future__ import annotations
@@ -172,6 +172,37 @@ class RowSpace:
         self._basis[lead] = reduced
         return True
 
+    def kernel(self) -> list[tuple[Fraction, ...]]:
+        """Kernel basis over Q: one vector per free column, in ascending
+        order, with 1 at that column and 0 at every other free column (the
+        standard special solutions).
+
+        The set of leading columns of an echelon basis depends only on the
+        row space, so the free columns are those of the reduced row echelon
+        form, and fixing the free entries fixes the rest. Each basis row
+        leads at its lowest column, and its other entries lie at free
+        columns or at higher leading columns; going from the highest leading
+        column down, v[lead] = -sum(row[c] * v[c]) / row[lead] solves that
+        row. These are the vectors Gauss-Jordan elimination returns. An
+        empty space gives the identity basis.
+        """
+        if self.modulus is not None:
+            raise ValueError("kernel() is defined over Q only, not modulo a prime")
+        basis = self._basis
+        leads = sorted(basis, reverse=True)
+        vectors = []
+        for free in range(self.n_cols):
+            if free in basis:
+                continue
+            vec = [Fraction(0)] * self.n_cols
+            vec[free] = Fraction(1)
+            for lead in leads:
+                row = basis[lead]
+                total = sum(v * vec[c] for c, v in row.items() if c != lead and vec[c])
+                vec[lead] = Fraction(-total, row[lead])
+            vectors.append(tuple(vec))
+        return vectors
+
 
 def exact_rank_int(rows, n_cols: int, modulus: int | None = None) -> int:
     """Exact rank of a matrix of ints/Fractions; rejects floats.
@@ -225,47 +256,6 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def rational_kernel_basis(rows, n_cols: int) -> list[tuple[Fraction, ...]]:
-    """Kernel basis of a rational matrix via Gauss-Jordan elimination.
-
-    One basis vector per free column, carrying a 1 in the free position (the
-    standard special solutions). An empty matrix yields the identity basis.
-    """
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][c]
-        mat[r] = [v / inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    pivot_set = set(pivot_cols)
-    basis = []
-    for free_col in range(n_cols):
-        if free_col in pivot_set:
-            continue
-        vec = [Fraction(0)] * n_cols
-        vec[free_col] = Fraction(1)
-        for row_idx, pc in enumerate(pivot_cols):
-            vec[pc] = -mat[row_idx][free_col]
-        basis.append(tuple(vec))
-    return basis
 
 
 def float_rank(matrix, rel_tol: float = 1e-9) -> int:

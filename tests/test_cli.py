@@ -1,6 +1,8 @@
 import hashlib
 import json
+import warnings
 
+import numpy as np
 import pytest
 
 from rigidset import cli, experiments, rigidity
@@ -202,6 +204,23 @@ class TestLattice:
         code, _, err = run(capsys, "lattice", "--q-list", "1,x")
         assert code == 3
 
+    def test_content_bound_beyond_float_range(self, capsys):
+        code, out, err = run(capsys, "lattice", "--d", "10", "--q-list", "10000000000",
+                             "--k", "1", "--s", "9.99")
+        assert code == 3 and out == ""
+        assert err == "error: content bound q^45.035 at q=1e+10 is beyond the float range\n"
+
+    def test_every_q_guarded_before_enumeration(self, capsys, monkeypatch):
+        def no_count(*args, **kwargs):
+            raise AssertionError("a q enumerated before the guard saw the whole list")
+
+        monkeypatch.setattr(cli, "congruence_class_counts", no_count)
+        code, out, err = run(capsys, "lattice", "--d", "3", "--k", "1",
+                             "--q-list", "8,8,8,8,200")
+        assert code == 5 and out == ""
+        assert err == ("error: (q+1)^(d(k+1)) tuples for d=3, q=200, k=1 exceed "
+                       "the enumeration guard of 100000000\n")
+
     def test_s_checked_before_enumeration(self, capsys):
         # the range error must win even when the q would also trip the guard
         code, _, err = run(capsys, "lattice", "--d", "2", "--q-list", "50",
@@ -225,6 +244,35 @@ class TestSample:
         assert code == 0
         line = next(l for l in out.splitlines() if l.startswith("# max_euler_residual="))
         assert float(line.split("=")[1]) < 1e-9
+
+    def test_degenerate_tuples_counted(self, capsys):
+        # the Cantor set of depth 1 has 4 points, so most tuples repeat one;
+        # their residuals are undefined, and no warning may reach stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "sample", "k4", "--sampler", "cantor", "--depth", "1",
+                                 "--n", "100", "--seed", "1", "--scales", "1,2")
+        assert code == 0 and err == ""
+        assert out.splitlines() == [
+            "# sample k4 d=2 sampler=cantor n=100 seed=1",
+            "# scales=1,2",
+            "# slope=1.18057224564182",
+            "# max_euler_residual=1.4048949503631344e-08",
+            "# degenerate_tuples=58",
+            "eps,count",
+            "0.5,15",
+            "0.25,34",
+        ]
+
+    def test_all_tuples_degenerate(self, capsys, monkeypatch):
+        def coincident(sampler, n_points, n_samples, seed):
+            return np.zeros((n_samples, n_points, 2))
+
+        monkeypatch.setattr(cli, "sample_framework_tuples", coincident)
+        code, out, _ = run(capsys, "sample", "k4", "--n", "7", "--seed", "1", "--scales", "1,2")
+        assert code == 0
+        assert "max_euler_residual" not in out
+        assert "# degenerate_tuples=7\neps,count\n" in out
 
     def test_no_euler_line_off_plane(self, capsys):
         code, out, _ = run(capsys, "sample", "k4", "--d", "3", "--n", "100", "--seed", "1")

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from rigidset.experiments import (
     LatticeSampler,
     UnitCubeSampler,
     build_lattice_set,
+    check_enumeration,
     congruence_class_counts,
     covering_count,
     distance_images,
@@ -318,6 +320,19 @@ class TestK4Residuals:
                 got = k4_euler_residuals(tuples)
             assert same_bits(got, want)
 
+    def test_degenerate_tuples_give_nan_silently(self):
+        # rows 1-3 repeat a point that leaves an angle undefined; row 4
+        # repeats p2 as p4, which the formula still handles
+        tuples = np.random.default_rng(812).random((5, 4, 2))
+        tuples[4, 3] = tuples[4, 1]
+        for row, (a, b) in enumerate(((0, 1), (0, 2), (2, 3)), start=1):
+            tuples[row, b] = tuples[row, a]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            residuals = k4_euler_residuals(tuples)
+        assert np.isfinite(residuals[[0, 4]]).all()
+        assert np.isnan(residuals[1:4]).all()
+
 
 class TestCongruenceCounts:
     @pytest.mark.parametrize("d,q,k,want", [
@@ -377,11 +392,13 @@ class TestCongruenceCounts:
     def test_enumeration_guard_boundary(self, monkeypatch):
         # d = 2, q = 2, k = 1: 3^4 = 81 tuples
         monkeypatch.setattr(experiments, "ENUMERATION_LIMIT", 81)
+        check_enumeration(2, 2, 1)
         assert congruence_class_counts(2, 2, 1) == (6, 6)
         monkeypatch.setattr(experiments, "ENUMERATION_LIMIT", 80)
-        with pytest.raises(EnumerationLimitError,
-                           match=r"d=2, q=2, k=1 exceed the enumeration guard of 80$"):
-            congruence_class_counts(2, 2, 1)
+        for refused in (check_enumeration, congruence_class_counts):
+            with pytest.raises(EnumerationLimitError,
+                               match=r"d=2, q=2, k=1 exceed the enumeration guard of 80$"):
+                refused(2, 2, 1)
 
     @pytest.mark.parametrize("d, q, k", [(2, 1, 10 ** 8), (2, 10 ** 30, 1), (10 ** 6, 1, 1)])
     def test_enumeration_guard_builds_no_power(self, d, q, k):
@@ -396,6 +413,8 @@ class TestCongruenceCounts:
         for bad in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
             with pytest.raises(ValueError):
                 congruence_class_counts(*bad)
+            with pytest.raises(ValueError, match="must all be >= 1"):
+                check_enumeration(*bad)
 
     @pytest.mark.parametrize("d,q,k", LOOP_CASES)
     def test_matches_loop(self, d, q, k):
@@ -452,6 +471,27 @@ class TestContentBound:
             hausdorff_content_bound(2, 2, 1, 2.0)
         with pytest.raises(ValueError, match="s must lie"):
             hausdorff_content_bound(2, 2, 1, 2.5)
+
+    @pytest.mark.parametrize("d, q, k, s", [
+        (10, 10 ** 10, 1, 9.99),  # the bound is about 10^450
+        (2, 10 ** 309, 1, 1.5),  # q itself is no float
+        (2, 10 ** 4000, 1, 1.0),  # exponent 0, but float(q) overflows
+        (2, 10 ** 309, 2, 1.0),  # exponent -2, but float(q) overflows
+    ])
+    def test_beyond_float_range_refused(self, d, q, k, s):
+        with pytest.raises(ValueError, match="float range") as exc:
+            hausdorff_content_bound(d, q, k, s)
+        assert len(str(exc.value)) < 80
+
+    def test_float_range_edge(self):
+        # q^(2/3) stays finite for every q below the float maximum
+        assert hausdorff_content_bound(2, 10 ** 308, 1, 1.5) == pytest.approx(1e308 ** (2 / 3))
+        # below the float range the bound rounds to 0.0: q^-2 = 10^-400
+        assert hausdorff_content_bound(2, 10 ** 200, 2, 1.0) == 0.0
+        # exponent 3: (10^102)^3 = 10^306 is finite, (10^103)^3 is not
+        assert hausdorff_content_bound(3, 10 ** 102, 1, 2.25) == pytest.approx(1e306)
+        with pytest.raises(ValueError, match="float range"):
+            hausdorff_content_bound(3, 10 ** 103, 1, 2.25)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -24,6 +24,7 @@ from rigidset.frameworks import (
 )
 from rigidset.graphs import complete_graph, make_graph, path_graph
 from rigidset.linalg import float_rank
+from test_linalg import gauss_jordan_kernel
 
 UNIT_SQUARE = make_config([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -180,6 +181,40 @@ class TestInfinitesimalMotions:
     def test_path_has_extra_motion(self):
         x = make_config([(0, 0), (1, 0), (1, 1)])
         assert len(infinitesimal_motions(path_graph(3), x)) == 4
+
+    @staticmethod
+    def reference_motions(g, x):
+        mat = rigidity_matrix(g, x)
+        d = x.d
+        return [tuple(vec[v * d:(v + 1) * d] for v in range(x.n_points))
+                for vec in gauss_jordan_kernel(mat.entries, mat.n_cols)]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_complete_graphs_match_reference(self, d):
+        rng = random.Random(40 + d)
+        for n in range(2, 13):
+            x = random_exact_config(rng, d, n)
+            g = complete_graph(n)
+            assert infinitesimal_motions(g, x) == self.reference_motions(g, x)
+
+    @pytest.mark.parametrize("points", [
+        [(0, 0), (1, 0), (2, 0), (0, 1)],  # three collinear points
+        [(Fraction(1, 2), 0), (1, Fraction(2, 3)), (Fraction(-3, 4), Fraction(5, 7)),
+         (0, Fraction(1, 3))],
+    ])
+    def test_special_configurations_match_reference(self, points):
+        g, x = complete_graph(4), make_config(points)
+        assert infinitesimal_motions(g, x) == self.reference_motions(g, x)
+
+    @pytest.mark.parametrize("g", [make_graph(3, [(1, 2)]), make_graph(3, [])])
+    def test_float_zero_differences_take_exact_route(self, g):
+        # zero differences are stored as int 0, so the matrix is exact and
+        # the basis is the rational one, though the points are floats
+        x = make_config([(0.5, 1.5), (0.5, 1.5), (2.0, 0.25)])
+        motions = infinitesimal_motions(g, x)
+        assert motions == self.reference_motions(g, x)
+        assert len(motions) == 6
+        assert all(type(c) is Fraction for m in motions for vel in m for c in vel)
 
 
 class TestCongruence:

@@ -12,7 +12,6 @@ from rigidset.linalg import (
     exact_rank_int,
     float_rank,
     integerize_row,
-    rational_kernel_basis,
 )
 from rigidset.rigidity import _witness_modulus
 
@@ -35,6 +34,52 @@ def fraction_rank(rows, n_cols):
         if rank == len(mat):
             break
     return rank
+
+
+def gauss_jordan_kernel(rows, n_cols):
+    """Reference kernel basis: dense Gauss-Jordan elimination over Fraction,
+    one vector per free column with a 1 in the free position (the standard
+    special solutions). An empty matrix yields the identity basis."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivot_cols = []
+    r = 0
+    for c in range(n_cols):
+        piv = None
+        for i in range(r, len(mat)):
+            if mat[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = mat[r][c]
+        mat[r] = [v / inv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    pivot_set = set(pivot_cols)
+    basis = []
+    for free_col in range(n_cols):
+        if free_col in pivot_set:
+            continue
+        vec = [Fraction(0)] * n_cols
+        vec[free_col] = Fraction(1)
+        for row_idx, pc in enumerate(pivot_cols):
+            vec[pc] = -mat[row_idx][free_col]
+        basis.append(tuple(vec))
+    return basis
+
+
+def row_space_kernel(rows, n_cols):
+    space = RowSpace(n_cols)
+    for row in rows:
+        space.add(row)
+    return space.kernel()
 
 
 def random_int_matrix(rng, n_rows, n_cols, inner=None):
@@ -371,36 +416,65 @@ class TestModularRank:
 
 
 class TestRationalKernelBasis:
+    """RowSpace.kernel, against the Gauss-Jordan reference above."""
+
     def test_frozen_line(self):
-        basis = rational_kernel_basis([[1, 2, 3]], 3)
+        basis = row_space_kernel([[1, 2, 3]], 3)
         assert len(basis) == 2
         for vec in basis:
             assert vec[0] + 2 * vec[1] + 3 * vec[2] == 0
 
     def test_empty_matrix_gives_identity(self):
-        basis = rational_kernel_basis([], 3)
+        basis = row_space_kernel([], 3)
         assert len(basis) == 3
         assert basis[0][0] == 1 and basis[1][1] == 1 and basis[2][2] == 1
 
     def test_full_rank_square(self):
-        assert rational_kernel_basis([[1, 0], [0, 1]], 2) == []
+        assert row_space_kernel([[1, 0], [0, 1]], 2) == []
 
     def test_rank_nullity_and_membership(self):
         rng = random.Random(828)
         for _ in range(40):
             n_rows, n_cols = rng.randint(1, 7), rng.randint(1, 7)
             mat = random_int_matrix(rng, n_rows, n_cols, inner=rng.randint(0, 4))
-            basis = rational_kernel_basis(mat, n_cols)
+            basis = row_space_kernel(mat, n_cols)
             assert len(basis) == n_cols - fraction_rank(mat, n_cols)
             for vec in basis:
                 for row in mat:
                     assert sum(Fraction(a) * b for a, b in zip(row, vec)) == 0
 
     def test_fraction_entries(self):
-        basis = rational_kernel_basis([[Fraction(1, 2), Fraction(1, 3)]], 2)
+        basis = row_space_kernel([[Fraction(1, 2), Fraction(1, 3)]], 2)
         assert len(basis) == 1
         vec = basis[0]
         assert Fraction(1, 2) * vec[0] + Fraction(1, 3) * vec[1] == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_gauss_jordan(self, data):
+        n_cols = data.draw(st.integers(1, 8))
+        entry = st.integers(-5, 5) | st.fractions(-3, 3, max_denominator=4) | st.just(0)
+        rows = data.draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols),
+                                  max_size=6))
+        # zero rows and combinations of earlier rows, at drawn positions
+        for _ in range(data.draw(st.integers(0, 3))):
+            if rows and data.draw(st.booleans()):
+                a, b = (data.draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+                f = data.draw(st.fractions(-2, 2, max_denominator=3))
+                extra = [f * x + y for x, y in zip(rows[a], rows[b])]
+            else:
+                extra = [0] * n_cols
+            rows.insert(data.draw(st.integers(0, len(rows))), extra)
+        basis = row_space_kernel(rows, n_cols)
+        expected = gauss_jordan_kernel(rows, n_cols)
+        assert basis == expected
+        assert all(type(v) is Fraction for vec in basis for v in vec)
+
+    def test_refused_modulo_a_prime(self):
+        space = RowSpace(3, _witness_modulus(1))
+        space.add([1, 2, 3])
+        with pytest.raises(ValueError, match="over Q only"):
+            space.kernel()
 
 
 class TestFloatRank:
