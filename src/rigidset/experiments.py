@@ -8,14 +8,12 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .graphs import Graph
 
 ENUMERATION_LIMIT = 10 ** 8
-LATTICE_POINT_LIMIT = 10 ** 7
 # At most this many array entries are allocated for one sample: the sampled
 # coordinates (times the ternary digits each for the Cantor sampler) plus
 # the distance columns; 5*10^7 int64 or float64 entries are 400 MB.
@@ -296,6 +294,14 @@ def check_enumeration(d: int, q: int, k: int) -> None:
             f"the enumeration guard of {ENUMERATION_LIMIT}")
 
 
+def _grid_digits(index: np.ndarray, q: int, n_digits: int):
+    """The n_digits base-(q+1) digits of each entry of an int64 array, least
+    significant first; `index` is divided down in place."""
+    for _ in range(n_digits):
+        yield index % (q + 1)
+        index //= q + 1
+
+
 def congruence_class_counts(d: int, q: int, k: int) -> tuple[int, int]:
     """(unlabeled, labeled) congruence-class counts of (k+1)-tuples on the
     grid {0..q}^d, via exact integer squared-distance invariants.
@@ -317,10 +323,8 @@ def congruence_class_counts(d: int, q: int, k: int) -> tuple[int, int]:
     unlabeled = labeled = None
     for start in range(0, n_tuples, chunk):
         rest = np.arange(start, min(start + chunk, n_tuples), dtype=np.int64)
-        coords = []  # coords[v * d + axis] is that coordinate of point v
-        for _ in range(d * (k + 1)):
-            coords.append(rest % (q + 1))
-            rest //= q + 1
+        # coords[v * d + axis] is that coordinate of point v
+        coords = list(_grid_digits(rest, q, d * (k + 1)))
         dists = np.empty((rest.size, len(pairs)), dtype=np.int64)
         for col, (a, b) in enumerate(pairs):
             dists[:, col] = sum((coords[a * d + axis] - coords[b * d + axis]) ** 2
@@ -366,14 +370,15 @@ def hausdorff_content_bound(d: int, q: int, k: int, s: float) -> float:
 class LatticeSet:
     """The scaled lattice (1/q)(Z^d in [0,q]^d) with its neighborhood radius
     q^(-d/s): the union of radius-balls around the points is the set whose
-    distance sets the lattice experiments probe. (q+1)^d points; for s < d
-    and q large the radius drops below the 1/(2q) packing distance, so the
-    balls become disjoint."""
+    distance sets the lattice experiments probe. (q+1)^d points, not stored:
+    point i is the base-(q+1) digits of i over q, the most significant on
+    axis 0 as in itertools.product(range(q+1), repeat=d). For s < d and q
+    large the radius drops below the 1/(2q) packing distance, so the balls
+    become disjoint."""
 
     d: int
     q: int
     s: float
-    points: tuple[tuple[Fraction, ...], ...]
     radius: float
 
 
@@ -383,14 +388,11 @@ def build_lattice_set(d: int, q: int, s: float) -> LatticeSet:
     if q < 1:
         raise ValueError("q must be >= 1")
     _check_s_range(d, s)
-    if _power_exceeds(q + 1, d, LATTICE_POINT_LIMIT):
+    # a point index is drawn by rng.integers, whose high must fit int64
+    if _power_exceeds(q + 1, d, _KEY_LIMIT):
         raise EnumerationLimitError(f"(q+1)^d lattice points for d={d}, q={q} exceed "
-                                    f"the guard of {LATTICE_POINT_LIMIT}")
-    pts = tuple(
-        tuple(Fraction(c, q) for c in coords)
-        for coords in itertools.product(range(q + 1), repeat=d))
-    return LatticeSet(d=d, q=q, s=float(s), points=pts,
-                      radius=float(q) ** (-d / float(s)))
+                                    f"the int64 index guard of 2^63")
+    return LatticeSet(d=d, q=q, s=float(s), radius=float(q) ** (-d / float(s)))
 
 
 class UnitCubeSampler:
@@ -406,22 +408,24 @@ class UnitCubeSampler:
 
 
 class LatticeSampler:
-    """Uniform over a lattice neighborhood set: a uniformly chosen lattice
-    point plus a uniform offset in the radius ball."""
+    """Uniform over a lattice neighborhood set: a uniform point index, decoded
+    into its grid point, plus a uniform offset in the radius ball."""
 
     def __init__(self, lattice: LatticeSet):
         self.lattice = lattice
         self.d = lattice.d
-        self._centers = np.array([[float(c) for c in p] for p in lattice.points])
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        d = self.d
-        idx = rng.integers(0, len(self._centers), size=count)
+        d, q = self.d, self.lattice.q
+        idx = rng.integers(0, (q + 1) ** d, size=count)
+        # offsets and centers are summed in place: no second (count, d) array
         normals = rng.normal(size=(count, d))
         norms = np.linalg.norm(normals, axis=1, keepdims=True)
-        directions = normals / np.where(norms > 0, norms, 1.0)
-        radii = self.lattice.radius * rng.random(count) ** (1.0 / d)
-        return self._centers[idx] + directions * radii[:, None]
+        normals /= np.where(norms > 0, norms, 1.0)
+        normals *= self.lattice.radius * rng.random((count, 1)) ** (1.0 / d)
+        for axis, digit in zip(range(d - 1, -1, -1), _grid_digits(idx, q, d)):
+            normals[:, axis] += digit / q
+        return normals
 
 
 class CantorSampler:
@@ -541,9 +545,14 @@ class CoveringEstimate:
 
 
 def check_scales(scales) -> tuple[float, ...]:
-    """The scales as a tuple of floats; ValueError unless at least two of
-    them are distinct, the fewest a slope can be fitted to."""
+    """The scales as a tuple of floats; ValueError unless every one is
+    positive and at least two of them are distinct, the fewest a slope can
+    be fitted to."""
     scales = tuple(float(e) for e in scales)
+    for eps in scales:
+        if not eps > 0:
+            raise ValueError(f"scale {eps!r} is not positive "
+                             f"(2^-e underflows to 0.0 for every e >= 1075)")
     if len(set(scales)) < 2:
         raise ValueError("need at least two distinct scales to fit a slope")
     return scales

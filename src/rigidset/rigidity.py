@@ -58,6 +58,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .frameworks import (
@@ -153,18 +154,24 @@ def sample_generic_config(d: int, n_vertices: int, seed: int) -> Configuration:
 
 
 def exact_rank(matrix, modulus: int | None = None) -> int:
-    """Exact rank of a RigidityMatrix or row iterable.
+    """Exact rank of a RigidityMatrix or an iterable of dense rows.
 
     Entries must be ints or Fractions; floating input is rejected because a
     rounded entry would make the certificate worthless (RowSpace rejects
     it). With modulus None the rank is over Q; with a prime modulus it is
     the rank mod that prime of the integerized rows, which never exceeds
-    the rank over Q.
+    the rank over Q. A sparse {column: value} row raises ValueError: its
+    column count cannot be read off it, so such rows go to RowSpace or
+    exact_rank_int with the count given.
     """
     if isinstance(matrix, RigidityMatrix):
         rows, n_cols = matrix.entries, matrix.n_cols
     else:
-        rows = [tuple(r) for r in matrix]
+        rows = list(matrix)
+        if any(isinstance(r, Mapping) for r in rows):
+            raise ValueError("exact_rank takes dense rows; rank sparse {column: value} "
+                             "rows with RowSpace or exact_rank_int, which take n_cols")
+        rows = [tuple(r) for r in rows]
         n_cols = len(rows[0]) if rows else 0
     return exact_rank_int(rows, n_cols, modulus)
 

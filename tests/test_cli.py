@@ -284,6 +284,32 @@ class TestSample:
                            "--q", "3", "--s", "1.5", "--n", "500", "--seed", "2")
         assert code == 0
 
+    @pytest.mark.parametrize("argv, digest", [
+        (("sample", "k4", "--sampler", "lattice", "--q", "7", "--s", "1.5",
+          "--n", "5000", "--seed", "1", "--scales", "1,2,3"),
+         "ffe510c1c4d332e9cc6e4c70b9e685c4541a7fc0"),
+        (("sample", "k3", "--d", "3", "--sampler", "lattice", "--q", "20", "--s", "2.0",
+          "--n", "5000", "--seed", "3", "--scales", "2,3,4"),
+         "04313cfb119504737273558287a5332901b762b8"),
+        (("sample", "path-4", "--d", "5", "--sampler", "lattice", "--q", "6", "--s", "3.0",
+          "--n", "5000", "--seed", "4", "--scales", "2,3,4"),
+         "5e5a1648bba4bf3d30559bd97e9ab865f79451a3"),
+    ])
+    def test_lattice_sampler_output_pinned(self, capsys, argv, digest):
+        # sha1 of stdout as computed when the sampler still held the grid as
+        # a stored array of Fraction-built centers; decoding indices into
+        # digits must not move a bit
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha1(out.encode()).hexdigest() == digest
+
+    def test_lattice_sampler_large_q(self, capsys):
+        # 10^12 grid points: the sampler draws indices and stores no points
+        code, out, err = run(capsys, "sample", "k4", "--sampler", "lattice", "--q", "1000000",
+                             "--s", "1.5", "--n", "100", "--seed", "1", "--scales", "1,2")
+        assert code == 0 and err == ""
+        assert out.startswith("# sample k4 d=2 sampler=lattice n=100 seed=1\n")
+
     def test_lattice_sampler_needs_q_and_s(self, capsys):
         code, _, err = run(capsys, "sample", "k2", "--sampler", "lattice",
                            "--n", "100", "--seed", "2")
@@ -327,6 +353,19 @@ class TestSample:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "two distinct scales" in err
+
+    @pytest.mark.parametrize("scales", ["1,1100", "1080,1100"])
+    def test_underflowed_scale_refused(self, capsys, monkeypatch, scales):
+        # 2^-e is 0.0 for every e >= 1075; refused before any tuple is drawn
+        def no_draw(*args, **kwargs):
+            raise AssertionError("tuples drawn for a refused scale list")
+
+        monkeypatch.setattr(cli, "sample_framework_tuples", no_draw)
+        code, out, err = run(capsys, "sample", "k4", "--n", "1000", "--seed", "1",
+                             "--scales", scales)
+        assert code == 3 and out == ""
+        assert err == "error: scale 0.0 is not positive " \
+                      "(2^-e underflows to 0.0 for every e >= 1075)\n"
 
     @pytest.mark.parametrize("extra, entries", [
         (("--n", "10"), 50),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -14,6 +15,7 @@ from rigidset.experiments import (
     CantorSampler,
     EnumerationLimitError,
     LatticeSampler,
+    LatticeSet,
     UnitCubeSampler,
     build_lattice_set,
     check_enumeration,
@@ -28,6 +30,35 @@ from rigidset.experiments import (
     sample_framework_tuples,
 )
 from rigidset.graphs import complete_graph, make_graph, path_graph
+
+
+def reference_lattice_points(d, q):
+    """The grid (1/q){0..q}^d as a tuple of Fraction points in the order of
+    itertools.product, the form in which LatticeSet once stored it."""
+    return tuple(tuple(Fraction(c, q) for c in coords)
+                 for coords in itertools.product(range(q + 1), repeat=d))
+
+
+def reference_lattice_draw(lattice, rng, count):
+    """LatticeSampler.draw as it was with the grid held as a float array of
+    centers; the sampler must give the same bits."""
+    centers = np.array([[float(c) for c in p]
+                        for p in reference_lattice_points(lattice.d, lattice.q)])
+    d = lattice.d
+    idx = rng.integers(0, len(centers), size=count)
+    normals = rng.normal(size=(count, d))
+    norms = np.linalg.norm(normals, axis=1, keepdims=True)
+    directions = normals / np.where(norms > 0, norms, 1.0)
+    radii = lattice.radius * rng.random(count) ** (1.0 / d)
+    return centers[idx] + directions * radii[:, None]
+
+
+def drawn_centers(lattice, count=2000, seed=0):
+    """The distinct points a radius-0 copy of the lattice set draws, sorted;
+    with count far above the point count every point is drawn."""
+    flat = dataclasses.replace(lattice, radius=0.0)
+    draws = LatticeSampler(flat).draw(np.random.default_rng(seed), count)
+    return sorted(set(map(tuple, draws.tolist())))
 
 
 def pairwise_distance(p, q):
@@ -503,15 +534,18 @@ class TestContentBound:
 class TestLatticeSet:
     def test_frozen_small(self):
         ls = build_lattice_set(2, 2, 1.0)
-        assert len(ls.points) == 9
+        assert [f.name for f in dataclasses.fields(LatticeSet)] == ["d", "q", "s", "radius"]
         assert ls.radius == pytest.approx(1 / 4)
-        assert all(isinstance(c, Fraction) for p in ls.points for c in p)
-        assert (Fraction(1, 2), Fraction(1, 2)) in ls.points
-        assert all(0 <= c <= 1 for p in ls.points for c in p)
+        points = drawn_centers(ls)
+        assert len(points) == 9
+        assert (0.5, 0.5) in points
+        assert all(0 <= c <= 1 for p in points for c in p)
+        assert points == sorted(tuple(float(c) for c in p)
+                                for p in reference_lattice_points(2, 2))
 
     def test_frozen_q4(self):
         ls = build_lattice_set(2, 4, 1.0)
-        assert len(ls.points) == 25
+        assert len(drawn_centers(ls)) == 25
         assert ls.radius == pytest.approx(1 / 16)
 
     def test_radius_formula(self):
@@ -519,15 +553,30 @@ class TestLatticeSet:
         assert ls.radius == pytest.approx(4 ** (-3 / 2.5), rel=1e-12)
 
     def test_point_guard(self):
+        # (q+1)^d is the high of rng.integers, which must fit int64; a q
+        # the old 10^7 point guard refused now draws
         with pytest.raises(EnumerationLimitError):
-            build_lattice_set(2, 4000, 1.0)
+            build_lattice_set(2, 3037000499, 1.0)
+        ls = build_lattice_set(2, 4000, 1.0)
+        draws = LatticeSampler(ls).draw(np.random.default_rng(1), 100)
+        assert draws.shape == (100, 2)
+        centers = np.round(draws * 4000) / 4000
+        assert np.linalg.norm(draws - centers, axis=1).max() <= ls.radius + 1e-12
 
-    def test_point_guard_boundary(self, monkeypatch):
-        monkeypatch.setattr(experiments, "LATTICE_POINT_LIMIT", 25)
-        assert len(build_lattice_set(2, 4, 1.0).points) == 25
-        monkeypatch.setattr(experiments, "LATTICE_POINT_LIMIT", 24)
-        with pytest.raises(EnumerationLimitError, match=r"d=2, q=4 exceed the guard of 24$"):
-            build_lattice_set(2, 4, 1.0)
+    def test_point_guard_boundary(self):
+        # decided by multiplying up to 2^63, so no test allocates (q+1)^d
+        # points; each accepted size draws
+        for d, q, s in ((2, 3037000498, 1.5),  # 3037000499^2 < 2^63
+                        (63, 1, 40.0)):        # 2^63, the largest high rng.integers takes
+            ls = build_lattice_set(d, q, s)
+            draws = LatticeSampler(ls).draw(np.random.default_rng(5), 50)
+            assert draws.shape == (50, d) and np.isfinite(draws).all()
+            assert draws.min() >= -ls.radius and draws.max() <= 1 + ls.radius
+        for d, q, s in ((2, 3037000499, 1.5),  # 3037000500^2 > 2^63
+                        (64, 1, 40.0)):
+            with pytest.raises(EnumerationLimitError,
+                               match=rf"d={d}, q={q} exceed the int64 index guard of 2\^63$"):
+                build_lattice_set(d, q, s)
         with pytest.raises(EnumerationLimitError) as exc:
             build_lattice_set(2, 10 ** 40, 1.0)
         assert len(str(exc.value)) < 150
@@ -549,9 +598,23 @@ class TestSamplers:
         sampler = LatticeSampler(ls)
         rng = np.random.default_rng(2)
         draws = sampler.draw(rng, 400)
-        centers = np.array([[float(c) for c in p] for p in ls.points])
+        centers = np.array([[float(c) for c in p] for p in reference_lattice_points(2, 2)])
         dists = np.linalg.norm(draws[:, None, :] - centers[None, :, :], axis=2)
         assert dists.min(axis=1).max() <= ls.radius + 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_lattice_draw_matches_stored_grid(self, data):
+        # the digit decode gives the bits of the draw from a stored grid
+        d = data.draw(st.integers(2, 4))
+        q = data.draw(st.integers(1, 12).filter(lambda q: (q + 1) ** d <= 20000))
+        s = data.draw(st.floats(d / 2, d, exclude_max=True))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        count = data.draw(st.integers(1, 600))
+        ls = build_lattice_set(d, q, s)
+        draws = LatticeSampler(ls).draw(np.random.default_rng(seed), count)
+        expected = reference_lattice_draw(ls, np.random.default_rng(seed), count)
+        assert np.array_equal(draws, expected)
 
     def test_cantor_digits(self):
         rng = np.random.default_rng(3)
@@ -746,6 +809,12 @@ class TestBoxDimension:
             fit_box_dimension(np.array([1.0, 2.0]), [0.5])
         with pytest.raises(ValueError, match="two distinct scales"):
             fit_box_dimension(np.array([1.0, 2.0]), [0.5, 0.5, 0.5])
+
+    def test_nonpositive_scales_refused(self):
+        # 2.0 ** -1100 underflows to 0.0; refused before any count
+        for scales in ([0.5, 2.0 ** -1100], [2.0 ** -1080, 2.0 ** -1100], [0.5, -0.25]):
+            with pytest.raises(ValueError, match="is not positive"):
+                fit_box_dimension(np.array([1.0, 2.0]), scales)
 
     def test_estimate_fields(self):
         est = fit_box_dimension(np.array([0.1, 0.9]), [0.5, 0.25])

@@ -167,6 +167,13 @@ class TestExactRank:
         assert exact_rank([(1, 0), (0, 1)]) == 2
         assert exact_rank([]) == 0
 
+    def test_sparse_rows_refused(self):
+        # tuple() of a {column: value} row keeps only its keys, which gave
+        # rank 1 here; the true rank is 2
+        for rows in ([{0: 1}, {1: 2}], [(1, 0), {1: 2}]):
+            with pytest.raises(ValueError, match="RowSpace or exact_rank_int"):
+                exact_rank(rows)
+
     def test_float_matrix_rejected(self):
         floaty = make_config([(0.0, 0.0), (1.0, 0.0)])
         with pytest.raises(ValueError, match="exact"):
