@@ -229,8 +229,8 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 def _is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n < 2^64.
 
-    Cached, because every RowSpace checks its modulus and one call can build
-    thousands of them with the same prime (one per graph component)."""
+    Cached, because every RowSpace checks its modulus, and a generic_rank
+    call builds one RowSpace per witness with the same prime."""
     if n < 2:
         return False
     for q in _SMALL_PRIMES:

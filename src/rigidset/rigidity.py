@@ -2,10 +2,12 @@
 minimally rigid completion, all through randomized witness certificates.
 
 Each decision here ranks the rigidity matrix at a random integer witness by
-elimination modulo a random prime p (RowSpace in F_p mode). Ranks of
+elimination modulo a random prime p (RowSpace in F_p mode), through one
+greedy scan (_scan) that adds the edges' sparse rows in order, keeps those
+that grow the rank, and stops at a target no rank can exceed. Ranks of
 configurations the caller supplies are exact over Q: exact_rank with its
-default modulus, is_framework_inf_rigid, and the frameworks module's
-is_general_position and infinitesimal_motions.
+default modulus, is_framework_inf_rigid (the same scan over Q), and the
+frameworks module's is_general_position and infinitesimal_motions.
 
 Whatever the witness and p, three guarantees hold. The rank mod p at the
 witness is at most the rank over Q there, which is at most the generic rank
@@ -42,6 +44,10 @@ below 3.04e-4. generic_rank takes the maximum over `samples` witnesses
 sharing one p: it falls short only if no witness reaches r over Q, or if p
 divides M at the first witness that does (fixed by the witnesses alone), so
 with probability at most (r/(2^21+1))^samples plus the prime term once.
+It stops drawing at the first witness that reaches min(m, the required
+edge count), m the edge count: no witness can exceed that cap, so such a
+witness already gives the maximum over all `samples` of them. `samples` is
+thus the most witnesses drawn, and the bound is unchanged.
 analyze reads every rank off one max_independent_subset basis of the whole
 graph, so it falls short with at most that basis's probability,
 r/(2^21+1) + 60 floor(r (22 + log2(2d)/2) / 61) / 2^61, where r is the
@@ -64,11 +70,11 @@ from dataclasses import dataclass
 from .frameworks import (
     Configuration,
     RigidityMatrix,
+    _check_counts,
     config_to_obj,
-    rigidity_matrix,
     rigidity_row,
 )
-from .graphs import Graph, complete_graph, make_graph
+from .graphs import Graph, make_graph
 from .linalg import RowSpace, _is_prime, exact_rank_int
 
 COORDINATE_BOUND = 2 ** 20
@@ -119,6 +125,9 @@ class GenericCertificate:
 
     agreed_rank is the maximum over `samples` witnesses drawn from the given
     seed of the rank mod p, one prime p drawn from the same seed for all of
+    them. Drawing stops at the first witness that reaches min(m, the
+    required edge count), m the edge count, as none can exceed it, so
+    `samples` is the most witnesses drawn and the maximum is over all of
     them. The rank mod p never exceeds the rank over Q at the witness, which
     never exceeds the generic rank r, so this certifies a lower bound on r.
     agreed_rank < r with probability at most (r/(2^21+1))^samples (each
@@ -188,14 +197,31 @@ def _witness_modulus(seed: int) -> int:
             return p
 
 
+def _scan(space: RowSpace, edges, x: Configuration, target: int) -> list:
+    """The greedy scan every rank decision here runs: add each edge's
+    rigidity row at x to the space in order, and return the edges whose rows
+    grew its rank. It stops once space.rank == target; with target at least
+    the rank the rows can reach, no later edge could grow it."""
+    kept = []
+    for edge in edges:
+        if space.rank == target:
+            break
+        if space.add(rigidity_row(edge, x)):
+            kept.append(edge)
+    return kept
+
+
 def generic_rank(g: Graph, d: int, seed: int,
                  samples: int = DEFAULT_WITNESSES) -> tuple[int, GenericCertificate]:
     """Generic rigidity-matroid rank with its certificate.
 
-    Maximum of the rank mod p over `samples` random integer witnesses, with
-    one prime p drawn from the seed for all of them; the max is
-    order-independent, so the result is deterministic per seed. See
-    GenericCertificate for the failure bound.
+    Maximum of the rank mod p over up to `samples` random integer witnesses,
+    with one prime p drawn from the seed for all of them, each ranked by the
+    greedy scan of the graph's edges. Drawing stops at the first witness
+    that reaches min(n_edges, required_edge_count(d, n)), since no witness
+    can exceed that, so the result is the maximum over all `samples`
+    witnesses and is deterministic per seed. See GenericCertificate for the
+    failure bound.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -204,7 +230,11 @@ def generic_rank(g: Graph, d: int, seed: int,
     best = 0
     for _ in range(samples):
         x = sample_generic_config(d, g.n_vertices, rng.randrange(2 ** 32))
-        best = max(best, exact_rank(rigidity_matrix(g, x), modulus))
+        cap = min(g.n_edges, required_edge_count(d, g.n_vertices))
+        space = RowSpace(d * g.n_vertices, modulus)
+        best = max(best, len(_scan(space, g.edges, x, cap)))
+        if best == cap:
+            break
     return best, GenericCertificate(seed=seed, samples=samples, agreed_rank=best)
 
 
@@ -240,37 +270,24 @@ def is_independent(g: Graph, subset, d: int, seed: int) -> bool:
     return rank == sub.n_edges
 
 
-def max_independent_subset(g: Graph, d: int, seed: int, scan_order=None) -> EdgeBasis:
+def max_independent_subset(g: Graph, d: int, seed: int) -> EdgeBasis:
     """Greedy basis of the graph's edges in the generic rigidity matroid.
 
-    Scans edges lexicographically (or in the given permutation of them) at a
-    single random integer witness, keeping each edge whose row grows the
-    rank mod p. Greedy on a matroid yields a maximum independent set, so the
-    result's size equals the generic rank whenever the witness is generic
-    and p divides none of its minors; the size is invariant under the scan
-    order, the edge set itself need not be. The scan stops once
-    required_edge_count(d, n) edges are kept: no rank exceeds it, so no
-    later edge could be kept. The kept edges are always independent (rows
-    independent mod p are independent over Q). The size falls short of the
-    generic rank r with probability at most r/(2^21+1) plus
-    60 floor(r (22 + log2(2d)/2) / 61) / 2^61 (see the module docstring).
+    Scans edges lexicographically at a single random integer witness,
+    keeping each edge whose row grows the rank mod p. Greedy on a matroid
+    yields a maximum independent set, so the result's size equals the
+    generic rank whenever the witness is generic and p divides none of its
+    minors. The scan stops once required_edge_count(d, n) edges are kept: no
+    rank exceeds it, so no later edge could be kept. The kept edges are
+    always independent (rows independent mod p are independent over Q). The
+    size falls short of the generic rank r with probability at most
+    r/(2^21+1) plus 60 floor(r (22 + log2(2d)/2) / 61) / 2^61 (see the
+    module docstring).
     """
     witness = sample_generic_config(d, g.n_vertices, seed)
-    if scan_order is None:
-        order = g.edges
-    else:
-        order = [tuple(sorted(e)) for e in scan_order]
-        if sorted(order) != list(g.edges):
-            raise ValueError("scan_order must be a permutation of the graph's edges")
     space = RowSpace(d * g.n_vertices, _witness_modulus(seed))
-    target = required_edge_count(d, g.n_vertices)
-    kept = []
-    for edge in order:
-        if space.add(rigidity_row(edge, witness)):
-            kept.append(edge)
-            if len(kept) == target:
-                break
-    return EdgeBasis(edges=tuple(sorted(kept)), witness=witness, rank=len(kept))
+    kept = _scan(space, g.edges, witness, required_edge_count(d, g.n_vertices))
+    return EdgeBasis(edges=tuple(kept), witness=witness, rank=len(kept))
 
 
 def is_framework_inf_rigid(g: Graph, x: Configuration) -> bool:
@@ -278,15 +295,21 @@ def is_framework_inf_rigid(g: Graph, x: Configuration) -> bool:
 
     Kernel equality with the complete graph, decided by rank equality: the
     complete graph's motions are always motions of (g, x), so the kernels
-    agree exactly when the ranks do. Exact configurations only.
+    agree exactly when the ranks do. Both ranks come from one greedy scan
+    over Q: g's edges first, then the complete graph's on the same space,
+    rigid exactly when the second scan keeps no edge. The scans stop at
+    required_edge_count(d, n), which no rank at any configuration exceeds,
+    since such a rank is at most the generic rank. Exact configurations
+    only.
     """
     if not x.is_exact:
         raise ValueError("is_framework_inf_rigid requires an exact configuration")
-    rank_g = exact_rank(rigidity_matrix(g, x))
-    if g.n_vertices < 2:
-        return True
-    rank_complete = exact_rank(rigidity_matrix(complete_graph(g.n_vertices), x))
-    return rank_g == rank_complete
+    _check_counts(g, x)
+    n = g.n_vertices
+    space = RowSpace(x.d * n)
+    target = required_edge_count(x.d, n)
+    _scan(space, g.edges, x, target)
+    return not _scan(space, itertools.combinations(range(1, n + 1), 2), x, target)
 
 
 def is_generically_rigid(g: Graph, d: int, seed: int) -> bool:
@@ -321,22 +344,14 @@ def minimal_rigid_completion(g: Graph, d: int, seed: int) -> Graph:
     n = g.n_vertices
     witness = sample_generic_config(d, n, seed)
     space = RowSpace(d * n, _witness_modulus(seed))
-    for edge in g.edges:
-        if not space.add(rigidity_row(edge, witness)):
-            raise DependentEdgeSetError(
-                "dependent edges: the input edge set is not independent, "
-                "so it has no minimally rigid completion")
     target = required_edge_count(d, n)
-    edges = list(g.edges)
-    if space.rank < target:
-        present = set(g.edges)
-        for edge in itertools.combinations(range(1, n + 1), 2):
-            if edge in present:
-                continue
-            if space.add(rigidity_row(edge, witness)):
-                edges.append(edge)
-                if space.rank == target:
-                    break
+    if len(_scan(space, g.edges, witness, target)) < g.n_edges:
+        raise DependentEdgeSetError(
+            "dependent edges: the input edge set is not independent, "
+            "so it has no minimally rigid completion")
+    present = set(g.edges)
+    candidates = (e for e in itertools.combinations(range(1, n + 1), 2) if e not in present)
+    edges = list(g.edges) + _scan(space, candidates, witness, target)
     if space.rank != target:
         raise RuntimeError(
             "witness configuration failed to certify the rigid rank; "

@@ -30,7 +30,9 @@ from rigidset.experiments import (
     sample_framework_tuples,
 )
 from rigidset.frameworks import infinitesimal_motions, is_general_position
+from rigidset import rigidity
 from rigidset.graphs import complete_graph, double_banana, make_graph
+from rigidset.linalg import RowSpace
 from rigidset.rigidity import (
     DependentEdgeSetError,
     generic_rank,
@@ -263,14 +265,20 @@ def test_criterion_10_threshold_table_plane():
 
 
 def test_criterion_11_greedy_basis_order_invariance():
+    # max_independent_subset scans the edges in lexicographic order; the same
+    # greedy scan at its witness and prime, in a shuffled order, must keep as
+    # many edges
     rng = random.Random(1111)
     failures = []
     for g, d in ((complete_graph(4), 2), (double_banana(), 3)):
-        base = max_independent_subset(g, d, seed=31).rank
+        basis = max_independent_subset(g, d, seed=31)
+        base = basis.rank
+        target = required_edge_count(d, g.n_vertices)
         for _ in range(20):
             order = list(g.edges)
             rng.shuffle(order)
-            size = max_independent_subset(g, d, seed=31, scan_order=order).rank
+            space = RowSpace(d * g.n_vertices, rigidity._witness_modulus(31))
+            size = len(rigidity._scan(space, order, basis.witness, target))
             if size != base:
                 failures.append((g.n_vertices, d, size, base))
     ok = not failures

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_linalg import fraction_rank
 
 from rigidset.frameworks import make_config, rigidity_matrix, rigidity_row, rigidity_rows
@@ -17,11 +19,12 @@ from rigidset.graphs import (
     path_graph,
     star_graph,
 )
-from rigidset.linalg import _is_prime, float_rank
+from rigidset.linalg import RowSpace, _is_prime, float_rank
 from rigidset.rigidity import (
     COORDINATE_BOUND,
     MODULUS_LOW,
     DependentEdgeSetError,
+    GenericCertificate,
     exact_rank,
     generic_rank,
     is_framework_inf_rigid,
@@ -88,6 +91,41 @@ def reference_greedy(n, d, seed, start, candidates):
     return kept
 
 
+def reference_generic_rank(g, d, seed, samples=5, modulus=None):
+    """Dense reference for generic_rank: the max of
+    exact_rank(rigidity_matrix(g, x), p) over all `samples` witnesses of the
+    seed's stream, with the seed's prime unless one is given."""
+    if modulus is None:
+        modulus = _witness_modulus(seed)
+    rng = random.Random(seed)
+    best = 0
+    for _ in range(samples):
+        x = sample_generic_config(d, g.n_vertices, rng.randrange(2 ** 32))
+        best = max(best, exact_rank(rigidity_matrix(g, x), modulus))
+    return best, GenericCertificate(seed=seed, samples=samples, agreed_rank=best)
+
+
+def reference_inf_rigid(g, x):
+    """Dense reference for is_framework_inf_rigid: two exact ranks over Q,
+    of g and of K_n at x."""
+    rank_g = exact_rank(rigidity_matrix(g, x))
+    if g.n_vertices < 2:
+        return True
+    return rank_g == exact_rank(rigidity_matrix(complete_graph(g.n_vertices), x))
+
+
+@st.composite
+def small_graphs(draw, max_n=9):
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    if not pairs:
+        return make_graph(n, [])
+    # the density is drawn first, so sparse, dense and complete graphs all occur
+    density = draw(st.sampled_from([0.2, 0.5, 0.8, 1.0]))
+    keep = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    return make_graph(n, [e for e, u in zip(pairs, keep) if u < density])
+
+
 class TestSampleGenericConfig:
     def test_deterministic(self):
         assert sample_generic_config(3, 5, 42) == sample_generic_config(3, 5, 42)
@@ -144,8 +182,13 @@ class TestWitnessModulus:
         monkeypatch.setattr(rigidity, "_witness_modulus", counting)
         monkeypatch.setattr(rigidity, "sample_generic_config", counting_witness)
         forest = make_graph(12, [(1, 2), (2, 3), (4, 5), (6, 7), (7, 8), (6, 8), (9, 10)])
+        # K5 in R^3 reaches min(10, 9) = 9 and the path min(4, 9) = 4 at
+        # their first witness, so no more are drawn; the double banana's rank
+        # 17 stays below min(18, 18), so all five are
         for call, n_witnesses in ((lambda: thresholds.analyze(forest, 2, 3), 1),
-                                  (lambda: generic_rank(complete_graph(5), 3, 3), 5),
+                                  (lambda: generic_rank(complete_graph(5), 3, 3), 1),
+                                  (lambda: generic_rank(path_graph(5), 3, 3), 1),
+                                  (lambda: generic_rank(double_banana(), 3, 3), 5),
                                   (lambda: max_independent_subset(complete_graph(5), 2, 3), 1),
                                   (lambda: minimal_rigid_completion(path_graph(5), 2, 3), 1)):
             calls.clear()
@@ -330,26 +373,17 @@ class TestMaxIndependentSubset:
             assert max_independent_subset(g, 2, seed).rank == generic_rank(g, 2, seed)[0]
 
     def test_scan_order_changes_nothing_in_size(self):
+        # the same greedy scan at the basis's witness and prime, in a
+        # shuffled order, keeps as many edges
         g = double_banana()
-        base = max_independent_subset(g, 3, seed=11).rank
+        basis = max_independent_subset(g, 3, seed=11)
         rng = random.Random(4)
         for _ in range(5):
             order = list(g.edges)
             rng.shuffle(order)
-            assert max_independent_subset(g, 3, seed=11, scan_order=order).rank == base
-
-    def test_scan_order_accepts_reversed_pairs(self):
-        g = complete_graph(3)
-        order = [(2, 1), (3, 2), (3, 1)]
-        assert max_independent_subset(g, 2, seed=1, scan_order=order).rank == 3
-
-    def test_bad_scan_order(self):
-        g = complete_graph(3)
-        with pytest.raises(ValueError, match="permutation"):
-            max_independent_subset(g, 2, seed=1, scan_order=[(1, 2)])
-        with pytest.raises(ValueError, match="permutation"):
-            max_independent_subset(g, 2, seed=1,
-                                   scan_order=[(1, 2), (1, 3), (2, 3), (1, 2)])
+            space = RowSpace(3 * g.n_vertices, _witness_modulus(11))
+            kept = rigidity._scan(space, order, basis.witness, required_edge_count(3, 8))
+            assert len(kept) == basis.rank
 
     @pytest.mark.parametrize("d, modulus", [(2, 3), (2, 5), (3, 3), (3, 7)])
     def test_small_modulus_keeps_only_independent_edges(self, monkeypatch, d, modulus):
@@ -425,6 +459,83 @@ class TestFrameworkRigidity:
         x = make_config([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
         with pytest.raises(ValueError, match="exact"):
             is_framework_inf_rigid(complete_graph(3), x)
+
+
+class TestAgainstDenseRoute:
+    """generic_rank and is_framework_inf_rigid run the greedy scan, which
+    stops early; the references rank full dense matrices with exact_rank."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=small_graphs(), d=st.integers(2, 4), samples=st.integers(1, 5),
+           seed=st.integers(-2 ** 40, 2 ** 40))
+    def test_generic_rank_and_predicates(self, g, d, samples, seed):
+        rank, cert = generic_rank(g, d, seed, samples)
+        want, want_cert = reference_generic_rank(g, d, seed, samples)
+        assert (rank, cert.to_json()) == (want, want_cert.to_json())
+        full, _ = reference_generic_rank(g, d, seed)
+        rigid = full == required_edge_count(d, g.n_vertices)
+        assert is_generically_rigid(g, d, seed) == rigid
+        assert is_minimally_rigid(g, d, seed) == (
+            rigid and g.n_edges == required_edge_count(d, g.n_vertices))
+        subset = g.edges[::2]
+        sub_rank, _ = reference_generic_rank(make_graph(g.n_vertices, subset), d, seed)
+        assert is_independent(g, subset, d, seed) == (sub_rank == len(subset))
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=small_graphs(), d=st.integers(2, 4), samples=st.integers(1, 5),
+           seed=st.integers(0, 2 ** 32), modulus=st.sampled_from([2, 3, 5, 7]))
+    def test_generic_rank_with_tiny_primes(self, g, d, samples, seed, modulus):
+        # a tiny prime divides many minors, so witnesses often fall short and
+        # the rank depends on which witnesses are drawn and where drawing stops
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rigidity, "_witness_modulus", lambda _seed: modulus)
+            rank, cert = generic_rank(g, d, seed, samples)
+        want, want_cert = reference_generic_rank(g, d, seed, samples, modulus)
+        assert (rank, cert.to_json()) == (want, want_cert.to_json())
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_complete_graphs_and_banana(self, d):
+        for n in range(2, 10):
+            for samples in (1, 5):
+                got = generic_rank(complete_graph(n), d, 7, samples)
+                want = reference_generic_rank(complete_graph(n), d, 7, samples)
+                assert (got[0], got[1].to_json()) == (want[0], want[1].to_json())
+        for samples in range(1, 6):
+            got = generic_rank(double_banana(), d, 3, samples)
+            want = reference_generic_rank(double_banana(), d, 3, samples)
+            assert (got[0], got[1].to_json()) == (want[0], want[1].to_json())
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), g=small_graphs(max_n=7), d=st.integers(2, 3))
+    def test_inf_rigid_on_special_configurations(self, data, g, d):
+        # coordinates in a tiny range make coincident and collinear points common
+        coordinate = st.one_of(st.integers(-2, 2),
+                               st.fractions(-2, 2, max_denominator=3))
+        points = data.draw(st.lists(st.lists(coordinate, min_size=d, max_size=d),
+                                    min_size=g.n_vertices, max_size=g.n_vertices))
+        x = make_config(points, d)
+        assert is_framework_inf_rigid(g, x) == reference_inf_rigid(g, x)
+
+    @pytest.mark.parametrize("points", [
+        [(0, 0), (1, 0), (2, 0), (5, 0)],                  # collinear
+        [(0, 0), (0, 0), (1, 2), (3, 1)],                  # two coincide
+        [(1, 1)] * 4,                                      # all coincide
+        [(Fraction(1, 2), 0), (0, Fraction(1, 3)), (1, 1), (Fraction(-2, 7), 5)],
+        [(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)],      # collinear in R^3
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)],      # coplanar in R^3
+    ])
+    def test_inf_rigid_named_configurations(self, points):
+        x = make_config(points)
+        for g in (complete_graph(4), make_graph(4, complete_graph(4).edges[:5]),
+                  path_graph(4), make_graph(4, [])):
+            assert is_framework_inf_rigid(g, x) == reference_inf_rigid(g, x)
+
+    def test_inf_rigid_count_mismatch_refused(self):
+        for g, points in ((complete_graph(3), [(0, 0), (1, 0), (0, 1), (1, 1)]),
+                          (complete_graph(4), [(0, 0), (1, 0), (0, 1)]),
+                          (make_graph(1, []), [(0, 0), (1, 0)])):
+            with pytest.raises(ValueError, match="vertices but configuration has"):
+                is_framework_inf_rigid(g, make_config(points))
 
 
 class TestGenericRigidity:
