@@ -25,7 +25,6 @@ from .experiments import (
 from .frameworks import (
     Configuration,
     Isometry,
-    RigidityMatrix,
     apply_isometry,
     config_from_json,
     config_to_json,
@@ -35,7 +34,6 @@ from .frameworks import (
     is_general_position,
     make_config,
     random_isometry,
-    rigidity_matrix,
     squared_distance_map,
 )
 from .graphs import (
@@ -54,7 +52,7 @@ from .graphs import (
     spanning_tree,
     star_graph,
 )
-from .linalg import RowSpace, exact_rank_int, float_rank
+from .linalg import RowSpace, exact_rank_int
 from .rigidity import (
     DependentEdgeSetError,
     EdgeBasis,

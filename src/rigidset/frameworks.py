@@ -1,5 +1,6 @@
 """Point configurations in R^d and framework-level machinery: distance maps,
-the rigidity matrix, congruence and general-position tests, isometries."""
+sparse rigidity-matrix rows and the kernel of their span, congruence and
+general-position tests, isometries."""
 
 from __future__ import annotations
 
@@ -69,39 +70,6 @@ def make_config(points, d: int | None = None) -> Configuration:
     return Configuration(d, pts)
 
 
-@dataclass(frozen=True)
-class RigidityMatrix:
-    """Jacobian of the squared-distance map.
-
-    One row per edge in lexicographic edge order; column block j holds the d
-    coordinates of vertex j. The row for edge (i, j) carries 2(x_i - x_j) in
-    block i, the negation in block j, zeros elsewhere, so every row sums to
-    zero blockwise (translation invariance).
-    """
-
-    d: int
-    n_vertices: int
-    edges: tuple[tuple[int, int], ...]
-    entries: tuple[tuple[Scalar, ...], ...]
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def n_cols(self) -> int:
-        return self.d * self.n_vertices
-
-    @property
-    def is_exact(self) -> bool:
-        return all(_is_exact(v) for row in self.entries for v in row)
-
-    def as_numpy(self) -> np.ndarray:
-        if not self.entries:
-            return np.zeros((0, self.n_cols), dtype=float)
-        return np.array([[float(v) for v in row] for row in self.entries], dtype=float)
-
-
 def _check_counts(g: Graph, x: Configuration):
     if g.n_vertices != x.n_points:
         raise ValueError(
@@ -151,40 +119,35 @@ def rigidity_rows(edges, x: Configuration) -> list[tuple]:
     return rows
 
 
-def rigidity_matrix(g: Graph, x: Configuration) -> RigidityMatrix:
-    """Rigidity matrix of the framework (g, x).
-
-    The factor 2 from differentiating the squared map is kept; it changes no
-    rank or kernel. A coincident edge pair produces a zero row: the map is
-    defined there but not smooth, so conclusions at such points are not
-    generic statements.
-    """
-    _check_counts(g, x)
-    return RigidityMatrix(x.d, g.n_vertices, g.edges, tuple(rigidity_rows(g.edges, x)))
-
-
 def infinitesimal_motions(g: Graph, x: Configuration) -> list[tuple[tuple, ...]]:
     """Basis of the kernel of the rigidity matrix, as per-vertex velocity
-    tuples. When every matrix entry is exact (an exact configuration, or a
+    tuples. When every row entry is exact (an exact configuration, or a
     floating one whose edges have only zero coordinate differences) the
     basis is the exact rational one of RowSpace.kernel; otherwise it is an
-    SVD null space with relative tolerance 1e-9."""
-    mat = rigidity_matrix(g, x)
+    SVD null space with relative tolerance 1e-9.
+
+    The factor 2 of rigidity_row changes no kernel. A coincident edge pair
+    gives a zero row: the squared-distance map is not smooth there, so
+    conclusions at such points are not generic statements.
+    """
+    _check_counts(g, x)
     d, n = x.d, x.n_points
+    rows = [rigidity_row(e, x) for e in g.edges]
 
     def reshape(vec):
         return tuple(tuple(vec[v * d + t] for t in range(d)) for v in range(n))
 
-    if mat.is_exact:
-        space = RowSpace(mat.n_cols)
-        for row in mat.entries:
+    if all(_is_exact(v) for row in rows for v in row.values()):
+        space = RowSpace(d * n)
+        for row in rows:
             space.add(row)
         return [reshape(vec) for vec in space.kernel()]
-    a = mat.as_numpy()
-    if a.shape[0] == 0:
-        return [reshape(vec) for vec in np.eye(mat.n_cols)]
+    a = np.zeros((len(rows), d * n))
+    for i, row in enumerate(rows):
+        for col, value in row.items():
+            a[i, col] = value
     _, singular, vh = np.linalg.svd(a)
-    rank = int(np.sum(singular > 1e-9 * singular[0])) if singular.size else 0
+    rank = int(np.sum(singular > 1e-9 * singular[0]))
     return [reshape([float(v) for v in vec]) for vec in vh[rank:]]
 
 
@@ -312,7 +275,10 @@ def _scalar_from_obj(v):
     if isinstance(v, (int, float)):
         return v
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            raise ValueError(f"bad coordinate {v!r}") from None
     raise ValueError(f"bad coordinate {v!r}")
 
 
@@ -323,8 +289,12 @@ def config_to_obj(x: Configuration) -> dict:
 def config_from_obj(obj) -> Configuration:
     if not isinstance(obj, dict) or "d" not in obj or "points" not in obj:
         raise ValueError('configuration JSON needs "d" and "points" keys')
-    points = tuple(tuple(_scalar_from_obj(v) for v in p) for p in obj["points"])
-    return Configuration(int(obj["d"]), points)
+    points = obj["points"]
+    if (not isinstance(points, (list, tuple))
+            or not all(isinstance(p, (list, tuple)) for p in points)):
+        raise ValueError('"points" must be a list of coordinate lists')
+    # Configuration refuses a d that is not an int >= 2 (a bool is below 2)
+    return Configuration(obj["d"], tuple(tuple(_scalar_from_obj(v) for v in p) for p in points))
 
 
 def config_to_json(x: Configuration) -> str:

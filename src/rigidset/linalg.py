@@ -11,8 +11,7 @@ residues mod p against pivot rows normalised to lead with 1, so no entry
 exceeds p. The rank mod p of an integer matrix never exceeds its rank over
 Q, and rows independent mod p are independent over Q. exact_rank_int is a
 batch call of the same routine, and RowSpace.kernel reads the standard
-kernel basis off the same basis over Q. A floating SVD rank is provided for
-cross-checks only.
+kernel basis off the same basis over Q.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd
-
-import numpy as np
 
 
 def _integerize(items) -> list[tuple[int, int]]:
@@ -257,13 +254,3 @@ def _is_prime(n: int) -> bool:
             return False
     return True
 
-
-def float_rank(matrix, rel_tol: float = 1e-9) -> int:
-    """Numerical rank: singular values above rel_tol times the largest."""
-    a = np.asarray(matrix, dtype=float)
-    if a.size == 0:
-        return 0
-    singular = np.linalg.svd(a, compute_uv=False)
-    if singular.size == 0 or singular[0] == 0.0:
-        return 0
-    return int(np.sum(singular > rel_tol * singular[0]))

@@ -69,7 +69,6 @@ from dataclasses import dataclass
 
 from .frameworks import (
     Configuration,
-    RigidityMatrix,
     _check_counts,
     config_to_obj,
     rigidity_row,
@@ -163,7 +162,7 @@ def sample_generic_config(d: int, n_vertices: int, seed: int) -> Configuration:
 
 
 def exact_rank(matrix, modulus: int | None = None) -> int:
-    """Exact rank of a RigidityMatrix or an iterable of dense rows.
+    """Exact rank of an iterable of dense rows, such as rigidity_rows gives.
 
     Entries must be ints or Fractions; floating input is rejected because a
     rounded entry would make the certificate worthless (RowSpace rejects
@@ -173,15 +172,12 @@ def exact_rank(matrix, modulus: int | None = None) -> int:
     column count cannot be read off it, so such rows go to RowSpace or
     exact_rank_int with the count given.
     """
-    if isinstance(matrix, RigidityMatrix):
-        rows, n_cols = matrix.entries, matrix.n_cols
-    else:
-        rows = list(matrix)
-        if any(isinstance(r, Mapping) for r in rows):
-            raise ValueError("exact_rank takes dense rows; rank sparse {column: value} "
-                             "rows with RowSpace or exact_rank_int, which take n_cols")
-        rows = [tuple(r) for r in rows]
-        n_cols = len(rows[0]) if rows else 0
+    rows = list(matrix)
+    if any(isinstance(r, Mapping) for r in rows):
+        raise ValueError("exact_rank takes dense rows; rank sparse {column: value} "
+                         "rows with RowSpace or exact_rank_int, which take n_cols")
+    rows = [tuple(r) for r in rows]
+    n_cols = len(rows[0]) if rows else 0
     return exact_rank_int(rows, n_cols, modulus)
 
 

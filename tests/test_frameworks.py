@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -19,11 +20,11 @@ from rigidset.frameworks import (
     is_general_position,
     make_config,
     random_isometry,
-    rigidity_matrix,
+    rigidity_row,
+    rigidity_rows,
     squared_distance_map,
 )
 from rigidset.graphs import complete_graph, make_graph, path_graph
-from rigidset.linalg import float_rank
 from test_linalg import gauss_jordan_kernel
 
 UNIT_SQUARE = make_config([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -35,6 +36,30 @@ def random_exact_config(rng, d, n):
 
 def random_float_config(rng, d, n):
     return make_config([tuple(rng.uniform(-2, 2) for _ in range(d)) for _ in range(n)])
+
+
+def float_matrix(g, x):
+    """The rigidity matrix at x as a float array, (0, d*n) when g has no edge."""
+    rows = rigidity_rows(g.edges, x)
+    return np.array(rows, dtype=float).reshape(len(rows), x.d * x.n_points)
+
+
+@st.composite
+def small_frameworks(draw, kind):
+    """A graph on 1..7 vertices with a configuration in R^2 or R^3 whose
+    coordinates are ints, Fractions or floats; "coincident" points come from
+    a pool of two, so many edges join equal points."""
+    n, d = draw(st.integers(1, 7)), draw(st.integers(2, 3))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    coord = {"int": st.integers(-3, 3),
+             "fraction": st.fractions(-2, 2, max_denominator=4),
+             "coincident": st.integers(-1, 1),
+             "float": st.integers(-10, 10).map(lambda k: k / 3)}[kind]
+    point = st.tuples(*[coord] * d)
+    if kind == "coincident" or (kind == "float" and draw(st.booleans())):
+        point = st.sampled_from(draw(st.lists(point, min_size=2, max_size=2)))
+    return make_graph(n, edges), make_config([draw(point) for _ in range(n)])
 
 
 class TestConfiguration:
@@ -88,16 +113,17 @@ class TestDistanceMaps:
 class TestRigidityMatrix:
     def test_k2_frozen_row(self):
         x = make_config([(0, 0), (1, 0)])
-        mat = rigidity_matrix(complete_graph(2), x)
-        assert mat.entries == ((-2, 0, 2, 0),)
-        assert mat.n_rows == 1 and mat.n_cols == 4
+        assert rigidity_rows(complete_graph(2).edges, x) == [(-2, 0, 2, 0)]
 
     def test_shape_and_edge_order(self):
         g = complete_graph(4)
-        mat = rigidity_matrix(g, UNIT_SQUARE)
-        assert mat.n_rows == 6
-        assert mat.n_cols == 8
-        assert mat.edges == g.edges
+        rows = rigidity_rows(g.edges, UNIT_SQUARE)
+        assert len(rows) == 6
+        assert all(len(row) == 8 for row in rows)
+        # one row per edge, in the order the edges are given
+        for edge, row in zip(g.edges, rows):
+            assert {c: v for c, v in enumerate(row) if v} == rigidity_row(edge, UNIT_SQUARE)
+        assert rigidity_rows(g.edges[::-1], UNIT_SQUARE) == rows[::-1]
 
     def test_blockwise_row_sums_vanish(self):
         rng = random.Random(5)
@@ -105,7 +131,7 @@ class TestRigidityMatrix:
             d, n = rng.randint(2, 4), rng.randint(2, 6)
             g = complete_graph(n)
             x = random_exact_config(rng, d, n)
-            for row in rigidity_matrix(g, x).entries:
+            for row in rigidity_rows(g.edges, x):
                 for t in range(d):
                     assert sum(row[v * d + t] for v in range(n)) == 0
 
@@ -115,7 +141,7 @@ class TestRigidityMatrix:
         rng = random.Random(11)
         g = complete_graph(4)
         x = random_float_config(rng, 2, 4)
-        mat = rigidity_matrix(g, x).as_numpy()
+        mat = float_matrix(g, x)
         vel = np.array([rng.uniform(-1, 1) for _ in range(8)])
         h = 1e-7
         moved = make_config([
@@ -126,9 +152,10 @@ class TestRigidityMatrix:
         assert np.allclose(mat @ vel, numeric, atol=1e-5)
 
     def test_exactness_tracks_input(self):
-        assert rigidity_matrix(complete_graph(4), UNIT_SQUARE).is_exact
+        edges = complete_graph(4).edges
+        assert all(type(v) is int for row in rigidity_rows(edges, UNIT_SQUARE) for v in row)
         floaty = make_config([(0.0, 0), (1, 0), (1, 1), (0, 1)])
-        assert not rigidity_matrix(complete_graph(4), floaty).is_exact
+        assert any(type(v) is float for row in rigidity_rows(edges, floaty) for v in row)
 
 
 class TestInfinitesimalMotions:
@@ -145,10 +172,10 @@ class TestInfinitesimalMotions:
     def test_motions_annihilate_rows(self):
         x = make_config([(0, 0), (3, 1), (1, 4)])
         g = complete_graph(3)
-        mat = rigidity_matrix(g, x)
+        rows = rigidity_rows(g.edges, x)
         for motion in infinitesimal_motions(g, x):
             flat = [c for vel in motion for c in vel]
-            for row in mat.entries:
+            for row in rows:
                 assert sum(Fraction(a) * b for a, b in zip(row, flat)) == 0
 
     def test_translations_always_present(self):
@@ -161,7 +188,8 @@ class TestInfinitesimalMotions:
         basis = [[c for vel in m for c in vel] for m in motions]
         for t in range(3):
             translation = [1 if i % 3 == t else 0 for i in range(15)]
-            assert float_rank(basis + [translation]) == len(basis)
+            a = np.array(basis + [translation], dtype=float)
+            assert np.linalg.matrix_rank(a, rtol=1e-9) == len(basis)
 
     def test_float_route_matches_exact_dimension(self):
         g = complete_graph(4)
@@ -169,14 +197,21 @@ class TestInfinitesimalMotions:
         floaty = make_config([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
         motions = infinitesimal_motions(g, floaty)
         assert len(motions) == exact_dim == 3
-        mat = rigidity_matrix(g, floaty).as_numpy()
+        mat = float_matrix(g, floaty)
         for m in motions:
             flat = np.array([c for vel in m for c in vel])
             assert np.allclose(mat @ flat, 0, atol=1e-9)
 
     def test_edgeless_graph_full_kernel(self):
+        # no row at all is an exact matrix, even at float points: the basis is
+        # the Fraction identity
         g = make_graph(3, [])
-        assert len(infinitesimal_motions(g, make_config([(0, 0), (1, 0), (0, 1)]))) == 6
+        identity = [tuple(tuple(Fraction(int(v * 2 + t == k)) for t in range(2))
+                          for v in range(3)) for k in range(6)]
+        for points in ([(0, 0), (1, 0), (0, 1)], [(0.0, 0.5), (1.5, 0.0), (0.25, 1.0)]):
+            motions = infinitesimal_motions(g, make_config(points))
+            assert motions == identity
+            assert all(type(c) is Fraction for m in motions for vel in m for c in vel)
 
     def test_path_has_extra_motion(self):
         x = make_config([(0, 0), (1, 0), (1, 1)])
@@ -184,10 +219,9 @@ class TestInfinitesimalMotions:
 
     @staticmethod
     def reference_motions(g, x):
-        mat = rigidity_matrix(g, x)
         d = x.d
         return [tuple(vec[v * d:(v + 1) * d] for v in range(x.n_points))
-                for vec in gauss_jordan_kernel(mat.entries, mat.n_cols)]
+                for vec in gauss_jordan_kernel(rigidity_rows(g.edges, x), d * x.n_points)]
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_complete_graphs_match_reference(self, d):
@@ -205,6 +239,29 @@ class TestInfinitesimalMotions:
     def test_special_configurations_match_reference(self, points):
         g, x = complete_graph(4), make_config(points)
         assert infinitesimal_motions(g, x) == self.reference_motions(g, x)
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "coincident"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_exact_frameworks_match_reference(self, kind, data):
+        g, x = data.draw(small_frameworks(kind))
+        assert infinitesimal_motions(g, x) == self.reference_motions(g, x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_frameworks("float"))
+    def test_float_frameworks_annihilate_rows(self, framework):
+        g, x = framework
+        motions = infinitesimal_motions(g, x)
+        rows = rigidity_rows(g.edges, x)
+        if all(type(v) is int for row in rows for v in row):
+            # only zero differences: the exact route
+            assert motions == self.reference_motions(g, x)
+            return
+        mat = float_matrix(g, x)
+        assert len(motions) == x.d * x.n_points - np.linalg.matrix_rank(mat, rtol=1e-9)
+        for m in motions:
+            assert all(type(c) is float for vel in m for c in vel)
+            assert np.allclose(mat @ np.array([c for vel in m for c in vel]), 0, atol=1e-9)
 
     @pytest.mark.parametrize("g", [make_graph(3, [(1, 2)]), make_graph(3, [])])
     def test_float_zero_differences_take_exact_route(self, g):
@@ -342,8 +399,8 @@ class TestIsometries:
         x = random_exact_config(rng, 2, 4)
         y = apply_isometry(x, random_isometry(2, iso_seed, exact=True))
         g = complete_graph(4)
-        rank_x = float_rank(rigidity_matrix(g, x).as_numpy())
-        rank_y = float_rank(rigidity_matrix(g, y).as_numpy())
+        rank_x = np.linalg.matrix_rank(float_matrix(g, x), rtol=1e-9)
+        rank_y = np.linalg.matrix_rank(float_matrix(g, y), rtol=1e-9)
         assert rank_x == rank_y
 
 
@@ -363,9 +420,17 @@ class TestConfigJson:
         assert '"points": [[2, "1/2"]]' in text
 
     def test_bad_documents(self):
-        with pytest.raises(ValueError):
-            config_from_json('{"d": 2}')
-        with pytest.raises(ValueError):
-            config_from_json('{"d": 2, "points": [[1, true]]}')
-        with pytest.raises(ValueError):
-            config_from_json('[]')
+        for text in [
+            '{"d": 2}',
+            '{"d": 2, "points": [[1, true]]}',
+            '[]',
+            '{"d": 2.9, "points": [[0, 0]]}',  # was truncated to d = 2
+            '{"d": "2", "points": [[0, 0]]}',
+            '{"d": true, "points": [[0, 0]]}',
+            '{"d": 2, "points": 5}',
+            '{"d": 2, "points": [5]}',
+            '{"d": 2, "points": [[0, "1/0"]]}',
+            '{"d": 2, "points": [[0, "x"]]}',
+        ]:
+            with pytest.raises(ValueError):
+                config_from_json(text)

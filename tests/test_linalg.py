@@ -10,7 +10,6 @@ from rigidset.linalg import (
     RowSpace,
     _is_prime,
     exact_rank_int,
-    float_rank,
     integerize_row,
 )
 from rigidset.rigidity import _witness_modulus
@@ -277,7 +276,8 @@ def prime_flags(limit):
 # entries in [-5, 5] and at most 6 x 6: every nonzero singular value of such
 # an integer matrix of rank r is at least sigma_1^(1-r) (the product of the
 # nonzero ones is a root of a sum of squared integer minors, so >= 1), and
-# sigma_1 <= 30, so sigma_r / sigma_1 >= 30^-6 > 1e-9 and float_rank is exact
+# sigma_1 <= 30, so sigma_r / sigma_1 >= 30^-6 > 1e-9 and an SVD rank with
+# relative tolerance 1e-9 is exact
 small_int_matrices = st.integers(1, 6).flatmap(lambda n_cols: st.lists(
     st.lists(st.integers(-5, 5), min_size=n_cols, max_size=n_cols),
     min_size=1, max_size=6))
@@ -336,7 +336,7 @@ class TestModularRank:
     def test_drawn_prime_matches_fraction_and_svd(self, mat, seed):
         n_cols = len(mat[0])
         rank = exact_rank_int(mat, n_cols, _witness_modulus(seed))
-        assert rank == fraction_rank(mat, n_cols) == float_rank(mat)
+        assert rank == fraction_rank(mat, n_cols) == np.linalg.matrix_rank(mat, rtol=1e-9)
 
     def test_low_rank_products(self):
         rng = random.Random(159)
@@ -476,20 +476,3 @@ class TestRationalKernelBasis:
         with pytest.raises(ValueError, match="over Q only"):
             space.kernel()
 
-
-class TestFloatRank:
-    def test_agrees_with_exact_on_int_matrices(self):
-        rng = random.Random(441)
-        for _ in range(40):
-            n_rows, n_cols = rng.randint(1, 8), rng.randint(1, 8)
-            mat = random_int_matrix(rng, n_rows, n_cols, inner=rng.randint(0, 5))
-            assert float_rank(mat) == exact_rank_int(mat, n_cols)
-
-    def test_empty(self):
-        assert float_rank(np.zeros((0, 4))) == 0
-        assert float_rank(np.zeros((4, 4))) == 0
-
-    def test_near_dependent_row_counted_at_tolerance(self):
-        mat = [[1.0, 0.0], [1.0, 1e-6]]
-        assert float_rank(mat) == 2
-        assert float_rank(mat, rel_tol=1e-3) == 1

@@ -4,12 +4,13 @@ import random
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_linalg import fraction_rank
 
-from rigidset.frameworks import make_config, rigidity_matrix, rigidity_row, rigidity_rows
+from rigidset.frameworks import make_config, rigidity_row, rigidity_rows
 from rigidset import rigidity, thresholds
 from rigidset.graphs import (
     MAX_VERTICES,
@@ -19,7 +20,7 @@ from rigidset.graphs import (
     path_graph,
     star_graph,
 )
-from rigidset.linalg import RowSpace, _is_prime, float_rank
+from rigidset.linalg import RowSpace, _is_prime
 from rigidset.rigidity import (
     COORDINATE_BOUND,
     MODULUS_LOW,
@@ -93,7 +94,7 @@ def reference_greedy(n, d, seed, start, candidates):
 
 def reference_generic_rank(g, d, seed, samples=5, modulus=None):
     """Dense reference for generic_rank: the max of
-    exact_rank(rigidity_matrix(g, x), p) over all `samples` witnesses of the
+    exact_rank(rigidity_rows(g.edges, x), p) over all `samples` witnesses of the
     seed's stream, with the seed's prime unless one is given."""
     if modulus is None:
         modulus = _witness_modulus(seed)
@@ -101,17 +102,17 @@ def reference_generic_rank(g, d, seed, samples=5, modulus=None):
     best = 0
     for _ in range(samples):
         x = sample_generic_config(d, g.n_vertices, rng.randrange(2 ** 32))
-        best = max(best, exact_rank(rigidity_matrix(g, x), modulus))
+        best = max(best, exact_rank(rigidity_rows(g.edges, x), modulus))
     return best, GenericCertificate(seed=seed, samples=samples, agreed_rank=best)
 
 
 def reference_inf_rigid(g, x):
     """Dense reference for is_framework_inf_rigid: two exact ranks over Q,
     of g and of K_n at x."""
-    rank_g = exact_rank(rigidity_matrix(g, x))
+    rank_g = exact_rank(rigidity_rows(g.edges, x))
     if g.n_vertices < 2:
         return True
-    return rank_g == exact_rank(rigidity_matrix(complete_graph(g.n_vertices), x))
+    return rank_g == exact_rank(rigidity_rows(complete_graph(g.n_vertices).edges, x))
 
 
 @st.composite
@@ -200,11 +201,11 @@ class TestWitnessModulus:
 
 class TestExactRank:
     def test_k4_unit_square(self):
-        assert exact_rank(rigidity_matrix(complete_graph(4), UNIT_SQUARE)) == 5
+        assert exact_rank(rigidity_rows(complete_graph(4).edges, UNIT_SQUARE)) == 5
 
     def test_collinear_triangle_drops_rank(self):
         x = make_config([(0, 0), (1, 0), (2, 0)])
-        assert exact_rank(rigidity_matrix(complete_graph(3), x)) == 2
+        assert exact_rank(rigidity_rows(complete_graph(3).edges, x)) == 2
 
     def test_row_iterable_accepted(self):
         assert exact_rank([(1, 0), (0, 1)]) == 2
@@ -220,12 +221,12 @@ class TestExactRank:
     def test_float_matrix_rejected(self):
         floaty = make_config([(0.0, 0.0), (1.0, 0.0)])
         with pytest.raises(ValueError, match="exact"):
-            exact_rank(rigidity_matrix(complete_graph(2), floaty))
+            exact_rank(rigidity_rows(complete_graph(2).edges, floaty))
         with pytest.raises(ValueError, match="exact"):
-            exact_rank(rigidity_matrix(complete_graph(2), floaty), _witness_modulus(1))
+            exact_rank(rigidity_rows(complete_graph(2).edges, floaty), _witness_modulus(1))
 
     def test_modulus_rank_bounded_by_rational_rank(self):
-        mat = rigidity_matrix(complete_graph(4), UNIT_SQUARE)
+        mat = rigidity_rows(complete_graph(4).edges, UNIT_SQUARE)
         for p in (2, 3, 5, 7):
             assert exact_rank(mat, p) <= 5
         assert exact_rank(mat, _witness_modulus(4)) == 5
@@ -237,8 +238,9 @@ class TestExactRank:
         for _ in range(20):
             g = random_graph(rng, rng.randint(2, 6), 0.7)
             x = sample_generic_config(2, g.n_vertices, rng.randrange(2 ** 32))
-            mat = rigidity_matrix(g, x)
-            assert exact_rank(mat) == float_rank(mat.as_numpy())
+            rows = rigidity_rows(g.edges, x)
+            a = np.array(rows, dtype=float).reshape(len(rows), 2 * g.n_vertices)
+            assert exact_rank(rows) == np.linalg.matrix_rank(a, rtol=1e-9)
 
 
 class TestRigidityRow:
