@@ -1,6 +1,7 @@
 """Point configurations in R^d and framework-level machinery: distance maps,
 sparse rigidity-matrix rows and the kernel of their span, congruence and
-general-position tests, isometries."""
+general-position tests, isometries. Every coordinate is an int or a
+Fraction, so each decision here is exact."""
 
 from __future__ import annotations
 
@@ -12,12 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-import numpy as np
-
 from .graphs import Graph
 from .linalg import RowSpace, exact_rank_int
 
-Scalar = Union[int, Fraction, float]
+Scalar = Union[int, Fraction]
 
 
 def _is_exact(value) -> bool:
@@ -26,12 +25,8 @@ def _is_exact(value) -> bool:
 
 @dataclass(frozen=True)
 class Configuration:
-    """A tuple of points in R^d.
-
-    Scalars are ints/Fractions (exact) or floats; a single float entry makes
-    the whole configuration floating. Exact configurations admit exact rank
-    and congruence decisions.
-    """
+    """A tuple of points in R^d with int or Fraction coordinates; floats,
+    NaN and infinities included, are refused."""
 
     d: int
     points: tuple[tuple[Scalar, ...], ...]
@@ -45,19 +40,12 @@ class Configuration:
             if len(p) != self.d:
                 raise ValueError(f"point {p!r} does not have dimension {self.d}")
             for v in p:
-                if not (_is_exact(v) or isinstance(v, float)):
-                    raise ValueError(f"bad coordinate {v!r}")
+                if not _is_exact(v):
+                    raise ValueError(f"bad coordinate {v!r}: coordinates are ints or Fractions")
 
     @property
     def n_points(self) -> int:
         return len(self.points)
-
-    @property
-    def is_exact(self) -> bool:
-        return all(_is_exact(v) for p in self.points for v in p)
-
-    def as_numpy(self) -> np.ndarray:
-        return np.array([[float(v) for v in p] for p in self.points], dtype=float)
 
 
 def make_config(points, d: int | None = None) -> Configuration:
@@ -77,7 +65,7 @@ def _check_counts(g: Graph, x: Configuration):
 
 
 def squared_distance_map(g: Graph, x: Configuration) -> list:
-    """Squared edge lengths in lexicographic edge order; exact on exact input."""
+    """Squared edge lengths in lexicographic edge order, exact."""
     _check_counts(g, x)
     out = []
     for i, j in g.edges:
@@ -121,10 +109,7 @@ def rigidity_rows(edges, x: Configuration) -> list[tuple]:
 
 def infinitesimal_motions(g: Graph, x: Configuration) -> list[tuple[tuple, ...]]:
     """Basis of the kernel of the rigidity matrix, as per-vertex velocity
-    tuples. When every row entry is exact (an exact configuration, or a
-    floating one whose edges have only zero coordinate differences) the
-    basis is the exact rational one of RowSpace.kernel; otherwise it is an
-    SVD null space with relative tolerance 1e-9.
+    tuples: the exact rational basis of RowSpace.kernel.
 
     The factor 2 of rigidity_row changes no kernel. A coincident edge pair
     gives a zero row: the squared-distance map is not smooth there, so
@@ -132,49 +117,30 @@ def infinitesimal_motions(g: Graph, x: Configuration) -> list[tuple[tuple, ...]]
     """
     _check_counts(g, x)
     d, n = x.d, x.n_points
-    rows = [rigidity_row(e, x) for e in g.edges]
-
-    def reshape(vec):
-        return tuple(tuple(vec[v * d + t] for t in range(d)) for v in range(n))
-
-    if all(_is_exact(v) for row in rows for v in row.values()):
-        space = RowSpace(d * n)
-        for row in rows:
-            space.add(row)
-        return [reshape(vec) for vec in space.kernel()]
-    a = np.zeros((len(rows), d * n))
-    for i, row in enumerate(rows):
-        for col, value in row.items():
-            a[i, col] = value
-    _, singular, vh = np.linalg.svd(a)
-    rank = int(np.sum(singular > 1e-9 * singular[0]))
-    return [reshape([float(v) for v in vec]) for vec in vh[rank:]]
+    space = RowSpace(d * n)
+    for e in g.edges:
+        space.add(rigidity_row(e, x))
+    return [tuple(tuple(vec[v * d + t] for t in range(d)) for v in range(n))
+            for vec in space.kernel()]
 
 
 def _all_pairs(n: int):
     return itertools.combinations(range(n), 2)
 
 
-def is_congruent(x: Configuration, y: Configuration, rel_tol: float = 1e-9) -> bool:
+def is_congruent(x: Configuration, y: Configuration) -> bool:
     """Do all pairwise distances agree?
 
     Equivalent to the existence of an isometry (reflections included) taking
-    x to y pointwise. Exact equality of squared distances when both
-    configurations are exact; relative tolerance on distances otherwise.
+    x to y pointwise. Decided by exact equality of squared distances.
     """
     if x.d != y.d or x.n_points != y.n_points:
         raise ValueError("configurations must share dimension and point count")
-    exact = x.is_exact and y.is_exact
     for a, b in _all_pairs(x.n_points):
         sq_x = sum((u - v) ** 2 for u, v in zip(x.points[a], x.points[b]))
         sq_y = sum((u - v) ** 2 for u, v in zip(y.points[a], y.points[b]))
-        if exact:
-            if Fraction(sq_x) != Fraction(sq_y):
-                return False
-        else:
-            du, dv = math.sqrt(sq_x), math.sqrt(sq_y)
-            if abs(du - dv) > rel_tol * max(du, dv):
-                return False
+        if sq_x != sq_y:
+            return False
     return True
 
 
@@ -185,8 +151,6 @@ def is_general_position(x: Configuration) -> bool:
     suffices to test subsets of size min(n, d+1): smaller subsets of an
     affinely independent set are affinely independent.
     """
-    if not x.is_exact:
-        raise ValueError("is_general_position needs an exact configuration")
     size = min(x.n_points, x.d + 1)
     for subset in itertools.combinations(x.points, size):
         rows = [(1,) + tuple(p) for p in subset]
@@ -204,26 +168,20 @@ class Isometry:
 
 
 def _is_orthogonal(matrix) -> bool:
-    """True when Q Q^T = I, exactly for exact entries, else to 1e-9."""
+    """True when Q Q^T = I exactly."""
     d = len(matrix)
-    exact = all(_is_exact(v) for row in matrix for v in row)
-    for i in range(d):
-        for j in range(d):
-            dot = sum(matrix[i][t] * matrix[j][t] for t in range(d))
-            want = 1 if i == j else 0
-            if exact:
-                if Fraction(dot) != want:
-                    return False
-            elif abs(dot - want) > 1e-9:
-                return False
-    return True
+    return all(sum(matrix[i][t] * matrix[j][t] for t in range(d)) == (1 if i == j else 0)
+               for i in range(d) for j in range(d))
 
 
 def apply_isometry(x: Configuration, iso: Isometry) -> Configuration:
-    """Pointwise image Q p + b. Rejects non-orthogonal matrix parts."""
+    """Pointwise image Q p + b. Rejects non-exact entries and non-orthogonal
+    matrix parts."""
     matrix, shift = iso.matrix, iso.translation
     if len(matrix) != x.d or any(len(row) != x.d for row in matrix) or len(shift) != x.d:
         raise ValueError(f"isometry shape does not match dimension {x.d}")
+    if not all(_is_exact(v) for v in itertools.chain(shift, *matrix)):
+        raise ValueError("isometry entries must be ints or Fractions")
     if not _is_orthogonal(matrix):
         raise ValueError("matrix part is not orthogonal")
     new_points = []
@@ -233,53 +191,36 @@ def apply_isometry(x: Configuration, iso: Isometry) -> Configuration:
     return Configuration(x.d, tuple(new_points))
 
 
-def random_isometry(d: int, seed: int, exact: bool = False) -> Isometry:
-    """Random isometry of R^d, reflections allowed.
-
-    exact=True yields a signed permutation matrix with an integer translation
-    (orthogonal in exact arithmetic); otherwise a dense orthogonal matrix from
-    a QR factorization with a uniform float translation.
-    """
+def random_isometry(d: int, seed: int) -> Isometry:
+    """Random isometry of R^d, reflections allowed: a seeded signed
+    permutation matrix with an integer translation."""
     if d < 2:
         raise ValueError("d must be >= 2")
-    if exact:
-        rng = random.Random(seed)
-        perm = list(range(d))
-        rng.shuffle(perm)
-        signs = [rng.choice((-1, 1)) for _ in range(d)]
-        matrix = tuple(
-            tuple(signs[r] if perm[r] == c else 0 for c in range(d)) for r in range(d))
-        shift = tuple(rng.randint(-10, 10) for _ in range(d))
-        return Isometry(matrix, shift)
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.normal(size=(d, d)))
-    q = q * np.where(np.diag(r) < 0, -1.0, 1.0)
-    matrix = tuple(tuple(float(v) for v in row) for row in q)
-    shift = tuple(float(v) for v in rng.uniform(-1.0, 1.0, size=d))
+    rng = random.Random(seed)
+    perm = list(range(d))
+    rng.shuffle(perm)
+    signs = [rng.choice((-1, 1)) for _ in range(d)]
+    matrix = tuple(
+        tuple(signs[r] if perm[r] == c else 0 for c in range(d)) for r in range(d))
+    shift = tuple(rng.randint(-10, 10) for _ in range(d))
     return Isometry(matrix, shift)
 
 
 def _scalar_to_obj(v):
-    if isinstance(v, bool):
-        raise ValueError("boolean is not a coordinate")
-    if isinstance(v, int) or isinstance(v, float):
-        return v
-    if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    raise ValueError(f"bad coordinate {v!r}")
+    if isinstance(v, Fraction) and v.denominator != 1:
+        return f"{v.numerator}/{v.denominator}"
+    return int(v)
 
 
 def _scalar_from_obj(v):
-    if isinstance(v, bool):
-        raise ValueError("boolean is not a coordinate")
-    if isinstance(v, (int, float)):
+    """A JSON coordinate: an int as it is, a string as Fraction parses it
+    ("1/2", "0.5"); Configuration refuses anything else, JSON floats included."""
+    if not isinstance(v, str):
         return v
-    if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except ZeroDivisionError:
-            raise ValueError(f"bad coordinate {v!r}") from None
-    raise ValueError(f"bad coordinate {v!r}")
+    try:
+        return Fraction(v)
+    except ZeroDivisionError:
+        raise ValueError(f"bad coordinate {v!r}") from None
 
 
 def config_to_obj(x: Configuration) -> dict:

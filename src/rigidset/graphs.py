@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import operator
 import re
 from dataclasses import dataclass
 
@@ -17,6 +18,17 @@ MAX_EDGES = 10 ** 6
 
 class GraphFormatError(ValueError):
     """Graph JSON does not match the expected schema."""
+
+
+def _as_int(value, what: str) -> int:
+    """value as a Python int; numpy ints pass, bools, floats and strings
+    raise ValueError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -32,11 +44,19 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if not isinstance(self.n_vertices, int) or self.n_vertices < 1:
-            raise ValueError(f"n_vertices must be a positive integer, got {self.n_vertices!r}")
+        n = _as_int(self.n_vertices, "n_vertices")
+        if n < 1:
+            raise ValueError(f"n_vertices must be a positive integer, got {n!r}")
+        object.__setattr__(self, "n_vertices", n)
         prev = None
         for edge in self.edges:
             i, j = edge
+            if type(i) is not int or type(j) is not int:
+                # numpy ints and the like: store Python ints, then check again
+                object.__setattr__(self, "edges", tuple(
+                    (_as_int(a, "vertex label"), _as_int(b, "vertex label"))
+                    for a, b in self.edges))
+                return self.__post_init__()
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
             if not (1 <= i < j <= self.n_vertices):
@@ -82,22 +102,24 @@ class PruneTrace:
 
 def make_graph(n_vertices: int, edges) -> Graph:
     """Canonical Graph: pairs normalized to (min, max), duplicates dropped,
-    edge list sorted lexicographically."""
+    edge list sorted lexicographically. The vertex count and labels must be
+    integers (numpy ints pass); bools and floats raise ValueError."""
+    n_vertices = _as_int(n_vertices, "n_vertices")
     canon = set()
     for edge in edges:
         try:
             i, j = edge
         except (TypeError, ValueError):
             raise ValueError(f"edge {edge!r} is not a vertex pair") from None
-        i, j = int(i), int(j)
+        i, j = _as_int(i, "vertex label"), _as_int(j, "vertex label")
         if i == j:
             raise ValueError(f"self-loop at vertex {i}")
         if i > j:
             i, j = j, i
-        if i < 1 or j > int(n_vertices):
+        if i < 1 or j > n_vertices:
             raise ValueError(f"edge ({i},{j}) out of range for {n_vertices} vertices")
         canon.add((i, j))
-    return Graph(int(n_vertices), tuple(sorted(canon)))
+    return Graph(n_vertices, tuple(sorted(canon)))
 
 
 def connected_components(g: Graph) -> list[tuple[Graph, dict[int, int]]]:

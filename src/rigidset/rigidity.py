@@ -295,11 +295,8 @@ def is_framework_inf_rigid(g: Graph, x: Configuration) -> bool:
     over Q: g's edges first, then the complete graph's on the same space,
     rigid exactly when the second scan keeps no edge. The scans stop at
     required_edge_count(d, n), which no rank at any configuration exceeds,
-    since such a rank is at most the generic rank. Exact configurations
-    only.
+    since such a rank is at most the generic rank.
     """
-    if not x.is_exact:
-        raise ValueError("is_framework_inf_rigid requires an exact configuration")
     _check_counts(g, x)
     n = g.n_vertices
     space = RowSpace(x.d * n)

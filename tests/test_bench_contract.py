@@ -2,17 +2,20 @@
 it finds by name in the package. A metric whose function is renamed or
 deleted drops out of the benchmark's result line, and so does one whose
 size hook cannot read the call's arguments or result, or an import time
-that `import rigidset` no longer shows. These tests check all three; they
-read perfbench and change nothing there."""
+that `import rigidset` no longer shows. A value that is not finite makes
+the result line unreadable too. These tests check all of that; they read
+perfbench and change nothing there."""
 
 import importlib
+import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 @pytest.fixture
@@ -60,8 +63,12 @@ def test_every_size_hook_reads_its_call(perfbench):
                  "experiments.congruence_class_counts"):
         assert tracer.stats[name][2] >= 1, name
     assert tracer.absent == set()
-    _, absent = metrics.per_layer_values(tracer.to_obj())
+    values, absent = metrics.per_layer_values(tracer.to_obj())
     assert absent == []
+    assert all(math.isfinite(v) for v in values.values()), values
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        declared = [m["name"] for m in json.load(fh)["per_layer"]]
+    assert sorted([*values, *metrics.EXTRA_PER_LAYER]) == sorted(declared)
 
 
 def test_import_times_report_rigidset_and_numpy(perfbench, tmp_path):

@@ -34,8 +34,27 @@ def random_exact_config(rng, d, n):
     return make_config([tuple(rng.randint(-50, 50) for _ in range(d)) for _ in range(n)])
 
 
-def random_float_config(rng, d, n):
-    return make_config([tuple(rng.uniform(-2, 2) for _ in range(d)) for _ in range(n)])
+def givens(d, a, b, sign):
+    """Exact rotation of R^d in the (a, b) coordinate plane by the angle with
+    cosine 3/5 and sine 4/5 (-4/5 when sign is -1): a Pythagorean triple."""
+    m = [[Fraction(int(r == c)) for c in range(d)] for r in range(d)]
+    m[a][a] = m[b][b] = Fraction(3, 5)
+    m[b][a] = Fraction(4 * sign, 5)
+    m[a][b] = -m[b][a]
+    return m
+
+
+def dense_isometry(d, seed):
+    """random_isometry's signed permutation composed with one Givens rotation
+    in every coordinate plane, and a rational shift: an exact isometry whose
+    matrix part has no zero entry."""
+    rng = random.Random(seed)
+    q = [list(row) for row in random_isometry(d, seed).matrix]
+    for a, b in itertools.combinations(range(d), 2):
+        rot = givens(d, a, b, rng.choice((-1, 1)))
+        q = [[sum(rot[r][t] * q[t][c] for t in range(d)) for c in range(d)] for r in range(d)]
+    shift = tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(d))
+    return Isometry(tuple(map(tuple, q)), shift)
 
 
 def float_matrix(g, x):
@@ -47,17 +66,16 @@ def float_matrix(g, x):
 @st.composite
 def small_frameworks(draw, kind):
     """A graph on 1..7 vertices with a configuration in R^2 or R^3 whose
-    coordinates are ints, Fractions or floats; "coincident" points come from
-    a pool of two, so many edges join equal points."""
+    coordinates are ints or Fractions; "coincident" points come from a pool
+    of two, so many edges join equal points."""
     n, d = draw(st.integers(1, 7)), draw(st.integers(2, 3))
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     coord = {"int": st.integers(-3, 3),
              "fraction": st.fractions(-2, 2, max_denominator=4),
-             "coincident": st.integers(-1, 1),
-             "float": st.integers(-10, 10).map(lambda k: k / 3)}[kind]
+             "coincident": st.integers(-1, 1)}[kind]
     point = st.tuples(*[coord] * d)
-    if kind == "coincident" or (kind == "float" and draw(st.booleans())):
+    if kind == "coincident":
         point = st.sampled_from(draw(st.lists(point, min_size=2, max_size=2)))
     return make_graph(n, edges), make_config([draw(point) for _ in range(n)])
 
@@ -76,13 +94,16 @@ class TestConfiguration:
             Configuration(2, ((0, True),))
 
     def test_exactness(self):
-        assert make_config([(0, 0), (Fraction(1, 2), 3)]).is_exact
-        assert not make_config([(0, 0), (0.5, 3)]).is_exact
+        assert make_config([(0, 0), (Fraction(1, 2), 3)]).points[1][0] == Fraction(1, 2)
+        for bad in (0.5, 3.0, math.nan, math.inf, -math.inf, np.float64(1.0)):
+            with pytest.raises(ValueError, match="ints or Fractions"):
+                make_config([(0, 0), (bad, 3)])
 
     def test_as_numpy(self):
-        arr = UNIT_SQUARE.as_numpy()
-        assert arr.shape == (4, 2)
-        assert arr[2, 0] == 1.0
+        # the float view of a configuration, Fraction coordinates included
+        arr = np.array(make_config([(0, Fraction(1, 4)), (1, 2)]).points, dtype=float)
+        assert arr.shape == (2, 2)
+        assert arr.tolist() == [[0.0, 0.25], [1.0, 2.0]]
 
     def test_make_config_infers_dimension(self):
         x = make_config([(1, 2, 3), (4, 5, 6)])
@@ -136,26 +157,28 @@ class TestRigidityMatrix:
                     assert sum(row[v * d + t] for v in range(n)) == 0
 
     def test_row_derivative_identity(self):
-        # the row of edge (i, j) dotted with a velocity equals the first-order
-        # change of the squared edge length along that velocity
+        # the row of edge (i, j) dotted with a velocity u is the first-order
+        # change of the squared edge length along u, exactly:
+        # |x_ij + h u_ij|^2 - |x_ij|^2 = h (row . u) + h^2 |u_ij|^2
         rng = random.Random(11)
         g = complete_graph(4)
-        x = random_float_config(rng, 2, 4)
-        mat = float_matrix(g, x)
-        vel = np.array([rng.uniform(-1, 1) for _ in range(8)])
-        h = 1e-7
+        x = random_exact_config(rng, 2, 4)
+        vel = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(8)]
+        h = Fraction(1, 7)
         moved = make_config([
             tuple(c + h * vel[2 * v + t] for t, c in enumerate(p))
             for v, p in enumerate(x.points)])
-        numeric = (np.array(squared_distance_map(g, moved))
-                   - np.array(squared_distance_map(g, x))) / h
-        assert np.allclose(mat @ vel, numeric, atol=1e-5)
+        before, after = squared_distance_map(g, x), squared_distance_map(g, moved)
+        for (i, j), row, b, a in zip(g.edges, rigidity_rows(g.edges, x), before, after):
+            du = [vel[2 * (i - 1) + t] - vel[2 * (j - 1) + t] for t in range(2)]
+            first = sum(r * u for r, u in zip(row, vel))
+            assert a - b == h * first + h ** 2 * sum(u * u for u in du)
 
     def test_exactness_tracks_input(self):
         edges = complete_graph(4).edges
         assert all(type(v) is int for row in rigidity_rows(edges, UNIT_SQUARE) for v in row)
-        floaty = make_config([(0.0, 0), (1, 0), (1, 1), (0, 1)])
-        assert any(type(v) is float for row in rigidity_rows(edges, floaty) for v in row)
+        halves = make_config([(Fraction(1, 2), 0), (1, 0), (1, 1), (0, 1)])
+        assert any(type(v) is Fraction for row in rigidity_rows(edges, halves) for v in row)
 
 
 class TestInfinitesimalMotions:
@@ -191,24 +214,13 @@ class TestInfinitesimalMotions:
             a = np.array(basis + [translation], dtype=float)
             assert np.linalg.matrix_rank(a, rtol=1e-9) == len(basis)
 
-    def test_float_route_matches_exact_dimension(self):
-        g = complete_graph(4)
-        exact_dim = len(infinitesimal_motions(g, UNIT_SQUARE))
-        floaty = make_config([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
-        motions = infinitesimal_motions(g, floaty)
-        assert len(motions) == exact_dim == 3
-        mat = float_matrix(g, floaty)
-        for m in motions:
-            flat = np.array([c for vel in m for c in vel])
-            assert np.allclose(mat @ flat, 0, atol=1e-9)
-
     def test_edgeless_graph_full_kernel(self):
-        # no row at all is an exact matrix, even at float points: the basis is
-        # the Fraction identity
+        # no row at all: the basis is the Fraction identity at any points
         g = make_graph(3, [])
         identity = [tuple(tuple(Fraction(int(v * 2 + t == k)) for t in range(2))
                           for v in range(3)) for k in range(6)]
-        for points in ([(0, 0), (1, 0), (0, 1)], [(0.0, 0.5), (1.5, 0.0), (0.25, 1.0)]):
+        half = Fraction(1, 2)
+        for points in ([(0, 0), (1, 0), (0, 1)], [(0, half), (3 * half, 0), (half / 2, 1)]):
             motions = infinitesimal_motions(g, make_config(points))
             assert motions == identity
             assert all(type(c) is Fraction for m in motions for vel in m for c in vel)
@@ -248,30 +260,19 @@ class TestInfinitesimalMotions:
         assert infinitesimal_motions(g, x) == self.reference_motions(g, x)
 
     @settings(max_examples=60, deadline=None)
-    @given(small_frameworks("float"))
-    def test_float_frameworks_annihilate_rows(self, framework):
-        g, x = framework
+    @given(data=st.data())
+    def test_float_route_matches_exact_dimension(self, data):
+        # the float route, numpy's SVD rank of the float matrix, is the
+        # independent reference for the dimension of the exact kernel
+        g, x = data.draw(small_frameworks(data.draw(st.sampled_from(
+            ["int", "fraction", "coincident"]))))
         motions = infinitesimal_motions(g, x)
+        assert len(motions) == x.d * x.n_points - np.linalg.matrix_rank(
+            float_matrix(g, x), rtol=1e-9)
         rows = rigidity_rows(g.edges, x)
-        if all(type(v) is int for row in rows for v in row):
-            # only zero differences: the exact route
-            assert motions == self.reference_motions(g, x)
-            return
-        mat = float_matrix(g, x)
-        assert len(motions) == x.d * x.n_points - np.linalg.matrix_rank(mat, rtol=1e-9)
         for m in motions:
-            assert all(type(c) is float for vel in m for c in vel)
-            assert np.allclose(mat @ np.array([c for vel in m for c in vel]), 0, atol=1e-9)
-
-    @pytest.mark.parametrize("g", [make_graph(3, [(1, 2)]), make_graph(3, [])])
-    def test_float_zero_differences_take_exact_route(self, g):
-        # zero differences are stored as int 0, so the matrix is exact and
-        # the basis is the rational one, though the points are floats
-        x = make_config([(0.5, 1.5), (0.5, 1.5), (2.0, 0.25)])
-        motions = infinitesimal_motions(g, x)
-        assert motions == self.reference_motions(g, x)
-        assert len(motions) == 6
-        assert all(type(c) is Fraction for m in motions for vel in m for c in vel)
+            flat = [c for vel in m for c in vel]
+            assert all(sum(a * b for a, b in zip(row, flat)) == 0 for row in rows)
 
 
 class TestCongruence:
@@ -295,13 +296,6 @@ class TestCongruence:
         y = make_config([(0, 0), (Fraction(10 ** 12) + 1, 0)])
         assert not is_congruent(x, y)
 
-    def test_float_tolerance(self):
-        x = make_config([(0.0, 0.0), (1.0, 0.0)])
-        y = make_config([(0.0, 0.0), (1.0 + 1e-12, 0.0)])
-        assert is_congruent(x, y)
-        z = make_config([(0.0, 0.0), (1.0 + 1e-6, 0.0)])
-        assert not is_congruent(x, z)
-
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             is_congruent(make_config([(0, 0)]), make_config([(0, 0, 0)]))
@@ -312,8 +306,8 @@ class TestCongruence:
         rng = random.Random(47)
         for _ in range(10):
             x = random_exact_config(rng, 2, 4)
-            y = apply_isometry(x, random_isometry(2, rng.randrange(2 ** 30), exact=True))
-            z = apply_isometry(y, random_isometry(2, rng.randrange(2 ** 30), exact=True))
+            y = apply_isometry(x, random_isometry(2, rng.randrange(2 ** 30)))
+            z = apply_isometry(y, dense_isometry(2, rng.randrange(2 ** 30)))
             assert is_congruent(x, x)
             assert is_congruent(x, y) and is_congruent(y, x)
             assert is_congruent(x, z)
@@ -343,7 +337,8 @@ class TestGeneralPosition:
         assert not is_general_position(make_config([(1, 2, 3), (1, 2, 3)]))
 
     def test_float_rejected(self):
-        with pytest.raises(ValueError, match="exact"):
+        # refused already when the configuration is built
+        with pytest.raises(ValueError, match="ints or Fractions"):
             is_general_position(make_config([(0.0, 0.0), (1.0, 0.0)]))
 
     def test_random_integer_configs_generic(self):
@@ -359,49 +354,67 @@ class TestIsometries:
         g = complete_graph(5)
         for seed in range(10):
             x = random_exact_config(rng, 3, 5)
-            iso = random_isometry(3, seed, exact=True)
-            y = apply_isometry(x, iso)
-            assert y.is_exact
+            y = apply_isometry(x, random_isometry(3, seed))
+            assert all(type(c) is int for p in y.points for c in p)
             assert squared_distance_map(g, x) == squared_distance_map(g, y)
 
-    def test_float_isometry_preserves_distances(self):
+    def test_dense_isometry_preserves_distances(self):
         rng = random.Random(88)
         g = complete_graph(4)
-        x = random_float_config(rng, 3, 4)
-        y = apply_isometry(x, random_isometry(3, 123))
-        assert np.allclose(distance_map(g, x), distance_map(g, y), rtol=1e-9)
+        for seed in range(5):
+            x = random_exact_config(rng, 3, 4)
+            y = apply_isometry(x, dense_isometry(3, seed))
+            assert squared_distance_map(g, x) == squared_distance_map(g, y)
+            assert distance_map(g, x) == distance_map(g, y)
+            assert is_congruent(x, y)
 
     def test_orthogonal_matrix_parts(self):
-        for seed in range(5):
-            iso = random_isometry(3, seed)
-            q = np.array(iso.matrix)
-            assert np.allclose(q @ q.T, np.eye(3), atol=1e-9)
-            assert abs(abs(np.linalg.det(q)) - 1) < 1e-9
+        for d, seed in itertools.product((2, 3, 4), range(5)):
+            for iso in (random_isometry(d, seed), dense_isometry(d, seed)):
+                q = iso.matrix
+                assert all(sum(q[i][t] * q[j][t] for t in range(d)) == (i == j)
+                           for i in range(d) for j in range(d))
+                assert abs(round(np.linalg.det(np.array(q, dtype=float)))) == 1
+            assert all(v for row in dense_isometry(d, seed).matrix for v in row)
+            perm = random_isometry(d, seed)
+            assert sorted(abs(v) for row in perm.matrix for v in row) == [0] * (d * d - d) + [1] * d
+            assert all(type(v) is int for v in perm.translation)
 
     def test_non_orthogonal_rejected(self):
         shear = Isometry(((1, 1), (0, 1)), (0, 0))
         with pytest.raises(ValueError, match="orthogonal"):
             apply_isometry(UNIT_SQUARE, shear)
 
+    @pytest.mark.parametrize("iso", [
+        Isometry(((0.6, -0.8), (0.8, 0.6)), (0, 0)),
+        Isometry(((1, 0), (0, 1)), (0.5, 0)),
+        Isometry(((1, 0), (0, 1)), (math.nan, 0)),
+        Isometry(((math.inf, 0), (0, 1)), (0, 0)),
+    ])
+    def test_non_exact_entries_rejected(self, iso):
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            apply_isometry(UNIT_SQUARE, iso)
+
     def test_shape_mismatch_rejected(self):
-        iso3 = random_isometry(3, 0, exact=True)
+        iso3 = random_isometry(3, 0)
         with pytest.raises(ValueError, match="shape"):
             apply_isometry(UNIT_SQUARE, iso3)
 
     def test_deterministic_per_seed(self):
         assert random_isometry(3, 42) == random_isometry(3, 42)
-        assert random_isometry(3, 42, exact=True) == random_isometry(3, 42, exact=True)
+        assert random_isometry(3, 42) != random_isometry(3, 43)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
     def test_rank_invariant_under_exact_isometry(self, config_seed, iso_seed):
         rng = random.Random(config_seed)
         x = random_exact_config(rng, 2, 4)
-        y = apply_isometry(x, random_isometry(2, iso_seed, exact=True))
         g = complete_graph(4)
         rank_x = np.linalg.matrix_rank(float_matrix(g, x), rtol=1e-9)
-        rank_y = np.linalg.matrix_rank(float_matrix(g, y), rtol=1e-9)
-        assert rank_x == rank_y
+        for iso in (random_isometry(2, iso_seed), dense_isometry(2, iso_seed)):
+            y = apply_isometry(x, iso)
+            assert np.linalg.matrix_rank(float_matrix(g, y), rtol=1e-9) == rank_x
+            assert len(infinitesimal_motions(g, y)) == len(infinitesimal_motions(g, x))
 
 
 class TestConfigJson:
@@ -409,10 +422,17 @@ class TestConfigJson:
         x = make_config([(Fraction(1, 3), -2), (7, Fraction(5))])
         y = config_from_json(config_to_json(x))
         assert y == x
-        assert y.is_exact
 
     def test_round_trip_float(self):
-        x = make_config([(0.25, -1.5), (3.0, 0.125)])
+        # decimal coordinates are written as strings and read exactly
+        x = config_from_json('{"d": 2, "points": [["0.25", "-1.5"], ["3.0", "0.125"]]}')
+        assert x.points == ((Fraction(1, 4), Fraction(-3, 2)), (3, Fraction(1, 8)))
+        assert config_to_json(x) == '{"d": 2, "points": [["1/4", "-3/2"], [3, "1/8"]]}'
+        assert config_from_json(config_to_json(x)) == x
+
+    def test_decimal_string_round_trip(self):
+        x = config_from_json('{"d": 2, "points": [["0.5", 0]]}')
+        assert x.points == ((Fraction(1, 2), 0),)
         assert config_from_json(config_to_json(x)) == x
 
     def test_whole_fractions_stored_as_ints(self):
@@ -434,3 +454,15 @@ class TestConfigJson:
         ]:
             with pytest.raises(ValueError):
                 config_from_json(text)
+
+    @pytest.mark.parametrize("text", [
+        '{"d": 2, "points": [[NaN, 0], [1, Infinity], [0, 1]]}',
+        '{"d": 2, "points": [[0, -Infinity]]}',
+        '{"d": 2, "points": [[0.5, 0]]}',
+        '{"d": 2, "points": [[1.0, 0]]}',
+        '{"d": 2, "points": [[0, "nan"]]}',
+        '{"d": 2, "points": [[0, "inf"]]}',
+    ])
+    def test_float_coordinates_refused(self, text):
+        with pytest.raises(ValueError):
+            config_from_json(text)

@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,6 +154,31 @@ class TestGraph:
             make_graph(3, [(1, 2, 3)])
         with pytest.raises(ValueError):
             make_graph(3, [(2, 2)])
+
+    @pytest.mark.parametrize("n, edges", [
+        (3, [(1.9, 3)]),
+        (2.7, [(1, 2)]),
+        (3, [(True, 3)]),
+        (True, []),
+        (3.0, []),
+        ("3", []),
+        (3, [(1, "2")]),
+        (3, [(np.float64(1.0), 2)]),
+        (3, [(np.True_, 2)]),
+    ])
+    def test_non_integer_counts_and_labels_refused(self, n, edges):
+        with pytest.raises(ValueError, match="must be an integer"):
+            make_graph(n, edges)
+        with pytest.raises(ValueError, match="must be an integer"):
+            Graph(n, tuple(tuple(e) for e in edges))
+
+    def test_numpy_ints_stored_as_python_ints(self):
+        for g in (make_graph(np.int64(3), [(np.int32(3), np.int64(1))]),
+                  Graph(np.int64(3), ((np.int64(1), np.int32(3)),))):
+            assert g == Graph(3, ((1, 3),))
+            assert type(g.n_vertices) is int
+            assert all(type(v) is int for e in g.edges for v in e)
+            assert graph_to_json(g) == '{"vertices": 3, "edges": [[1, 3]]}'
 
     def test_degree_and_neighbors(self):
         g = make_graph(4, [(1, 2), (1, 3), (2, 3), (3, 4)])

@@ -135,7 +135,7 @@ class TestSampleGenericConfig:
     def test_shape_and_bounds(self):
         x = sample_generic_config(4, 6, 0)
         assert x.d == 4 and x.n_points == 6
-        assert x.is_exact
+        assert all(type(c) is int for p in x.points for c in p)
         assert all(abs(c) <= COORDINATE_BOUND for p in x.points for c in p)
 
 
@@ -219,11 +219,12 @@ class TestExactRank:
                 exact_rank(rows)
 
     def test_float_matrix_rejected(self):
-        floaty = make_config([(0.0, 0.0), (1.0, 0.0)])
+        # K2's row at (0, 0), (1, 0), in floats
+        floaty = [(-2.0, 0.0, 2.0, 0.0)]
         with pytest.raises(ValueError, match="exact"):
-            exact_rank(rigidity_rows(complete_graph(2).edges, floaty))
+            exact_rank(floaty)
         with pytest.raises(ValueError, match="exact"):
-            exact_rank(rigidity_rows(complete_graph(2).edges, floaty), _witness_modulus(1))
+            exact_rank(floaty, _witness_modulus(1))
 
     def test_modulus_rank_bounded_by_rational_rank(self):
         mat = rigidity_rows(complete_graph(4).edges, UNIT_SQUARE)
@@ -359,7 +360,7 @@ class TestMaxIndependentSubset:
         basis = max_independent_subset(complete_graph(4), 2, seed=7)
         assert basis.edges == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4))
         assert basis.rank == 5
-        assert basis.witness.is_exact
+        assert all(type(c) is int for p in basis.witness.points for c in p)
 
     def test_banana_drops_one_edge(self):
         basis = max_independent_subset(double_banana(), 3, seed=7)
@@ -458,9 +459,10 @@ class TestFrameworkRigidity:
         assert not is_framework_inf_rigid(cycle, UNIT_SQUARE)
 
     def test_float_rejected(self):
-        x = make_config([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-        with pytest.raises(ValueError, match="exact"):
-            is_framework_inf_rigid(complete_graph(3), x)
+        # refused already when the configuration is built
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            is_framework_inf_rigid(complete_graph(3),
+                                   make_config([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]))
 
 
 class TestAgainstDenseRoute:
