@@ -259,11 +259,23 @@ class TestInfinitesimalMotions:
         g, x = data.draw(small_frameworks(kind))
         assert infinitesimal_motions(g, x) == self.reference_motions(g, x)
 
+    def test_float_route_matches_exact_dimension(self):
+        # numpy's SVD rank of the float matrix is the independent reference
+        # for the dimension of the exact kernel, and the exact basis
+        # annihilates the float matrix too
+        g = complete_graph(4)
+        motions = infinitesimal_motions(g, UNIT_SQUARE)
+        mat = float_matrix(g, UNIT_SQUARE)
+        assert len(motions) == 8 - np.linalg.matrix_rank(mat, rtol=1e-9) == 3
+        for m in motions:
+            flat = np.array([c for vel in m for c in vel], dtype=float)
+            assert np.allclose(mat @ flat, 0, atol=1e-9)
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_float_route_matches_exact_dimension(self, data):
-        # the float route, numpy's SVD rank of the float matrix, is the
-        # independent reference for the dimension of the exact kernel
+    def test_float_frameworks_annihilate_rows(self, data):
+        # the kernel dimension matches numpy's SVD rank of the float matrix,
+        # and every basis vector annihilates every exact row
         g, x = data.draw(small_frameworks(data.draw(st.sampled_from(
             ["int", "fraction", "coincident"]))))
         motions = infinitesimal_motions(g, x)
