@@ -93,7 +93,7 @@ def _load_graph(source: str) -> Graph:
 
 def _emit(args, text: str, manifest: RunManifest, file_text: str | None = None):
     sys.stdout.write(text)
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text if file_text is None else file_text)
         with open(args.output + ".manifest.json", "w", encoding="utf-8") as fh:
@@ -101,7 +101,7 @@ def _emit(args, text: str, manifest: RunManifest, file_text: str | None = None):
 
 
 def _manifest(args, command: str, parameters: dict, input_sha1: str | None = None) -> RunManifest:
-    outputs = (args.output,) if getattr(args, "output", None) else ()
+    outputs = (args.output,) if args.output else ()
     return RunManifest(
         command=command,
         parameters=parameters,
@@ -201,9 +201,7 @@ def _build_sampler(args):
         if args.q is None or args.s is None:
             raise ValueError("the lattice sampler needs --q and --s")
         return LatticeSampler(build_lattice_set(args.d, args.q, args.s))
-    if args.sampler == "cantor":
-        return CantorSampler(args.d, depth=args.depth)
-    raise ValueError(f"unknown sampler {args.sampler!r}")
+    return CantorSampler(args.d, depth=args.depth)
 
 
 def cmd_sample(args) -> None:

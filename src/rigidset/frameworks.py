@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -17,6 +18,12 @@ from .graphs import Graph
 from .linalg import RowSpace, exact_rank_int
 
 Scalar = Union[int, Fraction]
+
+# Fraction writes a decimal exponent out in full ("1e1000000" is a
+# million-digit integer), so a JSON coordinate's exponent is bounded; the
+# digits before it are bounded by Python's int digit limit, also 4300.
+_MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
 def _is_exact(value) -> bool:
@@ -214,9 +221,15 @@ def _scalar_to_obj(v):
 
 def _scalar_from_obj(v):
     """A JSON coordinate: an int as it is, a string as Fraction parses it
-    ("1/2", "0.5"); Configuration refuses anything else, JSON floats included."""
+    ("1/2", "0.5"); Configuration refuses anything else, JSON floats included.
+    A decimal exponent beyond _MAX_DECIMAL_EXPONENT raises ValueError."""
     if not isinstance(v, str):
         return v
+    exponent = _EXPONENT.search(v)
+    digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
+    # the length test first: int() refuses strings past Python's digit limit
+    if len(digits) > len(str(_MAX_DECIMAL_EXPONENT)) or int(digits or 0) > _MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"bad coordinate {v!r}: decimal exponent beyond {_MAX_DECIMAL_EXPONENT}")
     try:
         return Fraction(v)
     except ZeroDivisionError:

@@ -48,19 +48,19 @@ class Graph:
         if n < 1:
             raise ValueError(f"n_vertices must be a positive integer, got {n!r}")
         object.__setattr__(self, "n_vertices", n)
+        edges = self.edges
+        if not all(type(i) is int and type(j) is int for i, j in edges):
+            # numpy ints and the like: store Python ints
+            edges = tuple((_as_int(i, "vertex label"), _as_int(j, "vertex label"))
+                          for i, j in edges)
+            object.__setattr__(self, "edges", edges)
         prev = None
-        for edge in self.edges:
+        for edge in edges:
             i, j = edge
-            if type(i) is not int or type(j) is not int:
-                # numpy ints and the like: store Python ints, then check again
-                object.__setattr__(self, "edges", tuple(
-                    (_as_int(a, "vertex label"), _as_int(b, "vertex label"))
-                    for a, b in self.edges))
-                return self.__post_init__()
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
-            if not (1 <= i < j <= self.n_vertices):
-                raise ValueError(f"edge {edge} out of range for {self.n_vertices} vertices")
+            if not 1 <= i < j <= n:
+                raise ValueError(f"edge ({i},{j}) out of range for {n} vertices")
             if prev is not None and edge <= prev:
                 raise ValueError("edges must be strictly ascending; use make_graph to canonicalize")
             prev = edge
@@ -101,10 +101,9 @@ class PruneTrace:
 
 
 def make_graph(n_vertices: int, edges) -> Graph:
-    """Canonical Graph: pairs normalized to (min, max), duplicates dropped,
-    edge list sorted lexicographically. The vertex count and labels must be
-    integers (numpy ints pass); bools and floats raise ValueError."""
-    n_vertices = _as_int(n_vertices, "n_vertices")
+    """Canonical Graph: labels read as integers (numpy ints pass; bools and
+    floats raise ValueError), pairs normalized to (min, max), duplicates
+    dropped, edge list sorted lexicographically. Graph checks the result."""
     canon = set()
     for edge in edges:
         try:
@@ -112,13 +111,7 @@ def make_graph(n_vertices: int, edges) -> Graph:
         except (TypeError, ValueError):
             raise ValueError(f"edge {edge!r} is not a vertex pair") from None
         i, j = _as_int(i, "vertex label"), _as_int(j, "vertex label")
-        if i == j:
-            raise ValueError(f"self-loop at vertex {i}")
-        if i > j:
-            i, j = j, i
-        if i < 1 or j > n_vertices:
-            raise ValueError(f"edge ({i},{j}) out of range for {n_vertices} vertices")
-        canon.add((i, j))
+        canon.add((i, j) if i < j else (j, i))
     return Graph(n_vertices, tuple(sorted(canon)))
 
 
@@ -148,11 +141,12 @@ def connected_components(g: Graph) -> list[tuple[Graph, dict[int, int]]]:
         verts.sort()
         members.append(verts)
     relabels = [{v: idx for idx, v in enumerate(verts, start=1)} for verts in members]
+    # relabels preserve vertex order, so each edge list stays canonical
     edge_lists: list[list[tuple[int, int]]] = [[] for _ in members]
     for i, j in g.edges:
         c = comp_of[i]
         edge_lists[c].append((relabels[c][i], relabels[c][j]))
-    return [(make_graph(len(verts), edges), relabel)
+    return [(Graph(len(verts), tuple(edges)), relabel)
             for verts, edges, relabel in zip(members, edge_lists, relabels)]
 
 
@@ -214,8 +208,11 @@ def prune_degree_one(g: Graph) -> PruneTrace:
             heapq.heappush(candidates, nbr)
     alive = sorted(adj)
     relabel = {v: idx for idx, v in enumerate(alive, start=1)}
+    # the relabel preserves vertex order, so the edges stay canonical; a
+    # list, since tuple() of a generator grows a large tuple by resizing,
+    # which raised peak memory
     edges = [(relabel[i], relabel[j]) for i, j in g.edges if i in relabel and j in relabel]
-    return PruneTrace(tuple(removed), make_graph(len(alive), edges))
+    return PruneTrace(tuple(removed), Graph(len(alive), tuple(edges)))
 
 
 def complete_graph(n: int) -> Graph:
@@ -277,21 +274,13 @@ def graph_from_json(text: str) -> Graph:
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise GraphFormatError('graph JSON needs "vertices" and "edges" keys')
-    n = obj["vertices"]
     edges = obj["edges"]
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise GraphFormatError('"vertices" must be an integer')
     if not isinstance(edges, list):
         raise GraphFormatError('"edges" must be a list of [i, j] pairs')
-    _check_size("graph JSON", n, len(edges))
-    pairs = []
-    for entry in edges:
-        if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                or any(isinstance(v, bool) or not isinstance(v, int) for v in entry)):
-            raise GraphFormatError(f"bad edge entry: {entry!r}")
-        pairs.append((entry[0], entry[1]))
     try:
-        return make_graph(n, pairs)
+        n = _as_int(obj["vertices"], '"vertices"')
+        _check_size("graph JSON", n, len(edges))
+        return make_graph(n, edges)
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from exc
 

@@ -146,7 +146,7 @@ def _report_for(graph: Graph, d: int, rank: int, components=(), vertices=None) -
     k = n - 1
     maximal = required_edge_count(d, n)
     rigid = rank == maximal
-    has_isolated = any(not nbrs for nbrs in graph.adjacency().values())
+    has_isolated = len({v for edge in graph.edges for v in edge}) < n
     return ThresholdReport(
         d=d,
         n_vertices=n,

@@ -467,6 +467,20 @@ class TestConfigJson:
             with pytest.raises(ValueError):
                 config_from_json(text)
 
+    @pytest.mark.parametrize("text", ['"1e1000000"', '"1e-1000000"', '"1E4301"',
+                                      '"1e' + "9" * 5000 + '"'])
+    def test_decimal_exponent_bounded(self, text):
+        # Fraction would write these out as integers of up to a million digits
+        with pytest.raises(ValueError, match="decimal exponent"):
+            config_from_json('{"d": 2, "points": [[0, %s]]}' % text)
+
+    def test_decimals_within_bound_read_exactly(self):
+        x = config_from_json(
+            '{"d": 2, "points": [["0.5", "1/3"], ["-2.5e3", "1E-2"], ["1e4300", "1e-4300"]]}')
+        assert x.points == ((Fraction(1, 2), Fraction(1, 3)),
+                            (-2500, Fraction(1, 100)),
+                            (10 ** 4300, Fraction(1, 10 ** 4300)))
+
     @pytest.mark.parametrize("text", [
         '{"d": 2, "points": [[NaN, 0], [1, Infinity], [0, 1]]}',
         '{"d": 2, "points": [[0, -Infinity]]}',

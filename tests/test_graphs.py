@@ -172,6 +172,32 @@ class TestGraph:
         with pytest.raises(ValueError, match="must be an integer"):
             Graph(n, tuple(tuple(e) for e in edges))
 
+    @pytest.mark.parametrize("n, edges, message", [
+        (3, ((2, 2),), "self-loop at vertex 2"),
+        (3, ((1, 4),), "edge (1,4) out of range for 3 vertices"),
+        (0, ((1, 2),), "n_vertices must be a positive integer, got 0"),
+    ])
+    def test_make_graph_and_graph_refuse_alike(self, n, edges, message):
+        for build in (make_graph, Graph):
+            with pytest.raises(ValueError) as info:
+                build(n, edges)
+            assert str(info.value) == message
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1]),
+                 max_size=30),
+        st.lists(st.sampled_from([int, np.int64, np.int32, np.uint16]), min_size=1))))
+    def test_make_graph_is_graph_of_canonical_set(self, case):
+        n, pairs, kinds = case
+        # every other pair again, reversed, and labels of mixed integer types
+        listed = pairs + [(j, i) for i, j in pairs[::2]]
+        listed = [(kinds[t % len(kinds)](i), kinds[(t + 1) % len(kinds)](j))
+                  for t, (i, j) in enumerate(listed)]
+        canon = {(min(i, j), max(i, j)) for i, j in pairs}
+        assert make_graph(n, listed) == Graph(n, tuple(sorted(canon)))
+
     def test_numpy_ints_stored_as_python_ints(self):
         for g in (make_graph(np.int64(3), [(np.int32(3), np.int64(1))]),
                   Graph(np.int64(3), ((np.int64(1), np.int32(3)),))):
@@ -355,6 +381,9 @@ class TestJson:
         '{"vertices": 3, "edges": [[1, 4]]}',
         '{"vertices": 3, "edges": [[2, 2]]}',
         '{"vertices": 3, "edges": 7}',
+        '{"vertices": 3, "edges": ["12"]}',
+        '{"vertices": 3, "edges": [{"a": 1, "b": 2}]}',
+        '{"vertices": "3", "edges": [[1, 2]]}',
     ])
     def test_bad_documents(self, text):
         with pytest.raises(GraphFormatError):
