@@ -19,21 +19,13 @@ from .experiments import (
     fit_box_dimension,
     hausdorff_content_bound,
     k4_euler_residuals,
-    sample_distance_set,
     sample_framework_tuples,
 )
 from .frameworks import (
     Configuration,
-    Isometry,
-    apply_isometry,
-    config_from_json,
-    config_to_json,
-    distance_map,
     infinitesimal_motions,
-    is_congruent,
     is_general_position,
     make_config,
-    random_isometry,
     squared_distance_map,
 )
 from .graphs import (
@@ -49,7 +41,6 @@ from .graphs import (
     named_graph,
     path_graph,
     prune_degree_one,
-    spanning_tree,
     star_graph,
 )
 from .linalg import RowSpace, exact_rank_int

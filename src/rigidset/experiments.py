@@ -478,12 +478,6 @@ def distance_images(g: Graph, tuples) -> np.ndarray:
     return _edge_lengths(pts, [(i - 1, j - 1) for i, j in g.edges])
 
 
-def sample_distance_set(g: Graph, sampler, n_samples: int, seed: int) -> np.ndarray:
-    """N points of the graph's distance set in R^m: i.i.d. sampler tuples
-    mapped through the edge-length map; deterministic per seed."""
-    return distance_images(g, sample_framework_tuples(sampler, g.n_vertices, n_samples, seed))
-
-
 def covering_count(cloud, eps: float) -> int:
     """Number of occupied cells of the origin-anchored eps-grid.
 

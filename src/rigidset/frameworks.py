@@ -1,15 +1,12 @@
-"""Point configurations in R^d and framework-level machinery: distance maps,
-sparse rigidity-matrix rows and the kernel of their span, congruence and
-general-position tests, isometries. Every coordinate is an int or a
-Fraction, so each decision here is exact."""
+"""Point configurations in R^d and framework-level machinery: the squared
+distance map (two G-frameworks are equivalent when it agrees), sparse
+rigidity-matrix rows and the kernel of their span, and the general-position
+test. Every coordinate is an int or a Fraction, so each decision here is
+exact."""
 
 from __future__ import annotations
 
 import itertools
-import json
-import math
-import random
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -18,12 +15,6 @@ from .graphs import Graph
 from .linalg import RowSpace, exact_rank_int
 
 Scalar = Union[int, Fraction]
-
-# Fraction writes a decimal exponent out in full ("1e1000000" is a
-# million-digit integer), so a JSON coordinate's exponent is bounded; the
-# digits before it are bounded by Python's int digit limit, also 4300.
-_MAX_DECIMAL_EXPONENT = 4300
-_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
 def _is_exact(value) -> bool:
@@ -81,11 +72,6 @@ def squared_distance_map(g: Graph, x: Configuration) -> list:
     return out
 
 
-def distance_map(g: Graph, x: Configuration) -> list[float]:
-    """Edge lengths |x_i - x_j| in lexicographic edge order."""
-    return [math.sqrt(v) for v in squared_distance_map(g, x)]
-
-
 def rigidity_row(edge, x: Configuration) -> dict[int, Scalar]:
     """Non-zero entries of one edge's rigidity-matrix row at x, as
     {column: value}: 2(x_i - x_j) in block i and its negation in block j, so
@@ -131,26 +117,6 @@ def infinitesimal_motions(g: Graph, x: Configuration) -> list[tuple[tuple, ...]]
             for vec in space.kernel()]
 
 
-def _all_pairs(n: int):
-    return itertools.combinations(range(n), 2)
-
-
-def is_congruent(x: Configuration, y: Configuration) -> bool:
-    """Do all pairwise distances agree?
-
-    Equivalent to the existence of an isometry (reflections included) taking
-    x to y pointwise. Decided by exact equality of squared distances.
-    """
-    if x.d != y.d or x.n_points != y.n_points:
-        raise ValueError("configurations must share dimension and point count")
-    for a, b in _all_pairs(x.n_points):
-        sq_x = sum((u - v) ** 2 for u, v in zip(x.points[a], x.points[b]))
-        sq_y = sum((u - v) ** 2 for u, v in zip(y.points[a], y.points[b]))
-        if sq_x != sq_y:
-            return False
-    return True
-
-
 def is_general_position(x: Configuration) -> bool:
     """Is every subset of at most d+1 points affinely independent?
 
@@ -166,95 +132,13 @@ def is_general_position(x: Configuration) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Isometry:
-    """Orthogonal matrix plus translation: p -> Q p + b."""
-
-    matrix: tuple[tuple[Scalar, ...], ...]
-    translation: tuple[Scalar, ...]
-
-
-def _is_orthogonal(matrix) -> bool:
-    """True when Q Q^T = I exactly."""
-    d = len(matrix)
-    return all(sum(matrix[i][t] * matrix[j][t] for t in range(d)) == (1 if i == j else 0)
-               for i in range(d) for j in range(d))
-
-
-def apply_isometry(x: Configuration, iso: Isometry) -> Configuration:
-    """Pointwise image Q p + b. Rejects non-exact entries and non-orthogonal
-    matrix parts."""
-    matrix, shift = iso.matrix, iso.translation
-    if len(matrix) != x.d or any(len(row) != x.d for row in matrix) or len(shift) != x.d:
-        raise ValueError(f"isometry shape does not match dimension {x.d}")
-    if not all(_is_exact(v) for v in itertools.chain(shift, *matrix)):
-        raise ValueError("isometry entries must be ints or Fractions")
-    if not _is_orthogonal(matrix):
-        raise ValueError("matrix part is not orthogonal")
-    new_points = []
-    for p in x.points:
-        new_points.append(tuple(
-            sum(matrix[r][c] * p[c] for c in range(x.d)) + shift[r] for r in range(x.d)))
-    return Configuration(x.d, tuple(new_points))
-
-
-def random_isometry(d: int, seed: int) -> Isometry:
-    """Random isometry of R^d, reflections allowed: a seeded signed
-    permutation matrix with an integer translation."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    rng = random.Random(seed)
-    perm = list(range(d))
-    rng.shuffle(perm)
-    signs = [rng.choice((-1, 1)) for _ in range(d)]
-    matrix = tuple(
-        tuple(signs[r] if perm[r] == c else 0 for c in range(d)) for r in range(d))
-    shift = tuple(rng.randint(-10, 10) for _ in range(d))
-    return Isometry(matrix, shift)
-
-
 def _scalar_to_obj(v):
     if isinstance(v, Fraction) and v.denominator != 1:
         return f"{v.numerator}/{v.denominator}"
     return int(v)
 
 
-def _scalar_from_obj(v):
-    """A JSON coordinate: an int as it is, a string as Fraction parses it
-    ("1/2", "0.5"); Configuration refuses anything else, JSON floats included.
-    A decimal exponent beyond _MAX_DECIMAL_EXPONENT raises ValueError."""
-    if not isinstance(v, str):
-        return v
-    exponent = _EXPONENT.search(v)
-    digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
-    # the length test first: int() refuses strings past Python's digit limit
-    if len(digits) > len(str(_MAX_DECIMAL_EXPONENT)) or int(digits or 0) > _MAX_DECIMAL_EXPONENT:
-        raise ValueError(f"bad coordinate {v!r}: decimal exponent beyond {_MAX_DECIMAL_EXPONENT}")
-    try:
-        return Fraction(v)
-    except ZeroDivisionError:
-        raise ValueError(f"bad coordinate {v!r}") from None
-
-
 def config_to_obj(x: Configuration) -> dict:
+    """{"d": d, "points": [[...], ...]}, a whole coordinate as an int and any
+    other as a "p/q" string; EdgeBasis.to_json writes its witness so."""
     return {"d": x.d, "points": [[_scalar_to_obj(v) for v in p] for p in x.points]}
-
-
-def config_from_obj(obj) -> Configuration:
-    if not isinstance(obj, dict) or "d" not in obj or "points" not in obj:
-        raise ValueError('configuration JSON needs "d" and "points" keys')
-    points = obj["points"]
-    if (not isinstance(points, (list, tuple))
-            or not all(isinstance(p, (list, tuple)) for p in points)):
-        raise ValueError('"points" must be a list of coordinate lists')
-    # Configuration refuses a d that is not an int >= 2 (a bool is below 2)
-    return Configuration(obj["d"], tuple(tuple(_scalar_from_obj(v) for v in p) for p in points))
-
-
-def config_to_json(x: Configuration) -> str:
-    """Serialize to {"d": d, "points": [[...], ...]}, rationals as "p/q"."""
-    return json.dumps(config_to_obj(x))
-
-
-def config_from_json(text: str) -> Configuration:
-    return config_from_obj(json.loads(text))

@@ -8,6 +8,7 @@ import heapq
 import json
 import operator
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 # Largest graph accepted from a JSON file or a built-in name; anything larger
@@ -69,13 +70,6 @@ class Graph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return sum(1 for i, j in self.edges if v == i or v == j)
-
-    def neighbors(self, v: int) -> list[int]:
-        out = [j if i == v else i for i, j in self.edges if v == i or v == j]
-        return sorted(out)
-
     def adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {v: set() for v in range(1, self.n_vertices + 1)}
         for i, j in self.edges:
@@ -103,9 +97,14 @@ class PruneTrace:
 def make_graph(n_vertices: int, edges) -> Graph:
     """Canonical Graph: labels read as integers (numpy ints pass; bools and
     floats raise ValueError), pairs normalized to (min, max), duplicates
-    dropped, edge list sorted lexicographically. Graph checks the result."""
+    dropped, edge list sorted lexicographically. Graph checks the result.
+    A string, bytes or mapping entry is refused whole, not unpacked."""
     canon = set()
     for edge in edges:
+        # a list or tuple skips the slower Mapping check
+        if type(edge) not in (list, tuple) and isinstance(
+                edge, (str, bytes, bytearray, Mapping)):
+            raise ValueError(f"edge {edge!r} is not a vertex pair")
         try:
             i, j = edge
         except (TypeError, ValueError):
@@ -148,34 +147,6 @@ def connected_components(g: Graph) -> list[tuple[Graph, dict[int, int]]]:
         edge_lists[c].append((relabels[c][i], relabels[c][j]))
     return [(Graph(len(verts), tuple(edges)), relabel)
             for verts, edges, relabel in zip(members, edge_lists, relabels)]
-
-
-def spanning_tree(g: Graph) -> Graph:
-    """Lexicographically earliest spanning tree.
-
-    Scans edges in order and keeps each one that joins two distinct
-    components, so the kept set is the lexicographically least basis of the
-    graphic matroid. Raises on disconnected input.
-    """
-    parent = list(range(g.n_vertices + 1))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    kept = []
-    for i, j in g.edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            kept.append((i, j))
-            if len(kept) == g.n_vertices - 1:
-                break
-    if len(kept) != g.n_vertices - 1:
-        raise ValueError("graph is not connected")
-    return Graph(g.n_vertices, tuple(kept))
 
 
 def prune_degree_one(g: Graph) -> PruneTrace:

@@ -58,10 +58,10 @@ class RowSpace:
     """Incrementally grown row space of exact vectors, over Q or over F_p.
 
     Rows are {column: int} dicts of their non-zeros; the basis maps each
-    leading column to the row that leads there. add and extends take a dense
-    row of length n_cols or a {column: value} mapping. A candidate is
-    reduced against the basis rows whose leading columns it hits, popped from
-    a min-heap in ascending order.
+    leading column to the row that leads there. add takes a dense row of
+    length n_cols or a {column: value} mapping. A candidate is reduced
+    against the basis rows whose leading columns it hits, popped from a
+    min-heap in ascending order.
 
     With modulus None (the default) the rank is the rank over Q: before each
     cross-multiplication the gcd of pivot and factor is divided out of both,
@@ -151,10 +151,6 @@ class RowSpace:
             if g > 1:
                 reduced = {c: v // g for c, v in reduced.items()}
         return reduced
-
-    def extends(self, row) -> bool:
-        """Would adding this row increase the rank?"""
-        return bool(self._reduce(row))
 
     def add(self, row) -> bool:
         """Add a row; True if the rank grew."""

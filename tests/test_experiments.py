@@ -26,10 +26,9 @@ from rigidset.experiments import (
     fit_box_dimension,
     hausdorff_content_bound,
     k4_euler_residuals,
-    sample_distance_set,
     sample_framework_tuples,
 )
-from rigidset.graphs import complete_graph, make_graph, path_graph
+from rigidset.graphs import complete_graph, make_graph
 
 
 def reference_lattice_points(d, q):
@@ -680,13 +679,6 @@ class TestSampling:
             want = distance_images_reference(g, tuples)
         assert same_bits(got, want)
 
-    def test_sample_distance_set_composition(self):
-        g = path_graph(3)
-        sampler = UnitCubeSampler(2)
-        direct = sample_distance_set(g, sampler, 40, seed=5)
-        manual = distance_images(g, sample_framework_tuples(sampler, 3, 40, seed=5))
-        assert np.array_equal(direct, manual)
-
 
 class TestCovering:
     def test_single_point(self):
@@ -788,8 +780,8 @@ class TestBoxDimension:
 
     def test_cantor_distance_set_full_dimension(self):
         # the pair-distance set of the middle-thirds Cantor set fills [0,1]
-        cloud = sample_distance_set(
-            complete_graph(2), CantorSampler(1), 30000, seed=13)
+        tuples = sample_framework_tuples(CantorSampler(1), 2, 30000, seed=13)
+        cloud = distance_images(complete_graph(2), tuples)
         est = fit_box_dimension(cloud, [2.0 ** -e for e in range(3, 8)])
         assert est.slope == pytest.approx(1.0, abs=0.05)
 

@@ -179,8 +179,8 @@ class TestRowSpace:
             n_rows, n_cols = rng.randint(1, 8), rng.randint(1, 8)
             mat = random_int_matrix(rng, n_rows, n_cols, inner=rng.randint(0, 5))
             space = RowSpace(n_cols)
-            for row in mat:
-                grew = space.extends(row)
+            for k, row in enumerate(mat):
+                grew = fraction_rank(mat[:k + 1], n_cols) > fraction_rank(mat[:k], n_cols)
                 assert space.add(row) == grew
             assert space.rank == fraction_rank(mat, n_cols)
 
@@ -208,7 +208,8 @@ class TestRowSpace:
         space = RowSpace(3)
         assert space.add([1, 2, 3])
         assert not space.add([2, 4, 6])
-        assert not space.extends([-1, -2, -3])
+        assert not space.add([-1, -2, -3])
+        assert space.rank == 1
 
     def test_length_mismatch(self):
         space = RowSpace(3)
@@ -225,7 +226,6 @@ class TestRowSpace:
         dense, sparse = RowSpace(n_cols), RowSpace(n_cols)
         for row in mat:
             as_dict = {c: v for c, v in enumerate(row) if v}
-            assert dense.extends(row) == sparse.extends(as_dict)
             assert dense.add(row) == sparse.add(as_dict)
         assert dense.rank == sparse.rank == fraction_rank(mat, n_cols)
 
@@ -367,7 +367,6 @@ class TestModularRank:
         dense, sparse = RowSpace(n_cols, p), RowSpace(n_cols, p)
         for row in mat:
             as_dict = {c: v for c, v in enumerate(row) if v}
-            assert dense.extends(row) == sparse.extends(as_dict)
             assert dense.add(row) == sparse.add(as_dict)
         assert dense.rank == sparse.rank
 
@@ -378,8 +377,8 @@ class TestModularRank:
             n_rows, n_cols = rng.randint(1, 8), rng.randint(1, 8)
             mat = random_int_matrix(rng, n_rows, n_cols, inner=rng.randint(0, 5))
             space = RowSpace(n_cols, p)
-            for row in mat:
-                grew = space.extends(row)
+            for k, row in enumerate(mat):
+                grew = fraction_rank(mat[:k + 1], n_cols) > fraction_rank(mat[:k], n_cols)
                 assert space.add(row) == grew
             assert space.rank == exact_rank_int(mat, n_cols, p) == fraction_rank(mat, n_cols)
 
