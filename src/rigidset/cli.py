@@ -206,6 +206,8 @@ def _build_sampler(args):
 
 def cmd_sample(args) -> None:
     g = _load_graph(args.graph)
+    if not g.n_edges:
+        raise ValueError(f"graph {args.graph!r} has no edges, so it has no distances to sample")
     exponents = _parse_int_list(args.scales, "--scales")
     if args.n < 1:
         raise ValueError("--n must be >= 1")

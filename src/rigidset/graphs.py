@@ -265,7 +265,8 @@ def named_graph(name: str) -> Graph:
 
     Raises KeyError for names that do not match any pattern, so callers can
     fall back to reading a file, and GraphFormatError for a graph above
-    MAX_VERTICES vertices or MAX_EDGES edges, before building it.
+    MAX_VERTICES vertices or MAX_EDGES edges, before building it, or one
+    its builder refuses (k1, path-0: fewer than two vertices).
     """
     if name == "double-banana":
         return double_banana()
@@ -282,5 +283,8 @@ def named_graph(name: str) -> Graph:
                     f"built-in graph name has more than {MAX_VERTICES} vertices")
             n = int(digits or "0")
             _check_size(f"graph {name!r}", n, n_edges(n))
-            return builder(n)
+            try:
+                return builder(n)
+            except ValueError as exc:
+                raise GraphFormatError(f"graph {name!r}: {exc}") from None
     raise KeyError(name)

@@ -92,6 +92,16 @@ class TestAnalyze:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert what in err
 
+    @pytest.mark.parametrize("command", ["analyze", "complete", "sample"])
+    @pytest.mark.parametrize("name", ["k1", "k0", "path-1", "star-1"])
+    def test_too_small_name_refused(self, capsys, command, name):
+        # the builders need two vertices; a name they refuse is malformed input
+        code, out, err = run(capsys, command, name, "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: graph {name!r}: ") and err.count("\n") == 1
+        assert err.endswith("needs n >= 2\n")
+
 
 class TestComplete:
     def test_path4(self, capsys):
@@ -238,6 +248,18 @@ class TestSample:
         assert len(data) == 6
         slope_line = next(line for line in lines if line.startswith("# slope="))
         assert 0.8 < float(slope_line.split("=")[1]) < 1.1
+
+    def test_edgeless_graph_refused_before_drawing(self, capsys, monkeypatch, tmp_path):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("tuples drawn for a graph without edges")
+
+        monkeypatch.setattr(cli, "sample_framework_tuples", no_draw)
+        path = tmp_path / "edgeless.json"
+        path.write_text(graph_to_json(make_graph(3, [])))
+        code, out, err = run(capsys, "sample", str(path), "--seed", "1")
+        assert code == 3 and out == ""
+        assert err == (f"error: graph {str(path)!r} has no edges, "
+                       "so it has no distances to sample\n")
 
     def test_k4_euler_summary(self, capsys):
         code, out, _ = run(capsys, "sample", "k4", "--n", "3000", "--seed", "11")

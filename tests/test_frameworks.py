@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import oracles
 
 from rigidset.frameworks import (
     Configuration,
@@ -20,7 +21,6 @@ from rigidset.frameworks import (
     squared_distance_map,
 )
 from rigidset.graphs import complete_graph, make_graph, path_graph
-from test_linalg import gauss_jordan_kernel
 
 UNIT_SQUARE = make_config([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -78,7 +78,7 @@ def congruent(x, y):
 
 def float_matrix(g, x):
     """The rigidity matrix at x as a float array, (0, d*n) when g has no edge."""
-    rows = rigidity_rows(g.edges, x)
+    rows = oracles.rigidity_rows(g.edges, x)
     return np.array(rows, dtype=float).reshape(len(rows), x.d * x.n_points)
 
 
@@ -225,7 +225,7 @@ class TestInfinitesimalMotions:
     def test_motions_annihilate_rows(self):
         x = make_config([(0, 0), (3, 1), (1, 4)])
         g = complete_graph(3)
-        rows = rigidity_rows(g.edges, x)
+        rows = oracles.rigidity_rows(g.edges, x)
         for motion in infinitesimal_motions(g, x):
             flat = [c for vel in motion for c in vel]
             for row in rows:
@@ -263,7 +263,8 @@ class TestInfinitesimalMotions:
     def reference_motions(g, x):
         d = x.d
         return [tuple(vec[v * d:(v + 1) * d] for v in range(x.n_points))
-                for vec in gauss_jordan_kernel(rigidity_rows(g.edges, x), d * x.n_points)]
+                for vec in oracles.gauss_jordan_kernel(oracles.rigidity_rows(g.edges, x),
+                                                       d * x.n_points)]
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_complete_graphs_match_reference(self, d):
@@ -311,7 +312,7 @@ class TestInfinitesimalMotions:
         motions = infinitesimal_motions(g, x)
         assert len(motions) == x.d * x.n_points - np.linalg.matrix_rank(
             float_matrix(g, x), rtol=1e-9)
-        rows = rigidity_rows(g.edges, x)
+        rows = oracles.rigidity_rows(g.edges, x)
         for m in motions:
             flat = [c for vel in m for c in vel]
             assert all(sum(a * b for a, b in zip(row, flat)) == 0 for row in rows)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import bfs_components, prune_rescan, random_graph, relabeled_components
 
 from rigidset import graphs
 from rigidset.graphs import (
@@ -22,90 +23,6 @@ from rigidset.graphs import (
     prune_degree_one,
     star_graph,
 )
-
-
-def bfs_components(n, edges):
-    """Independent component oracle: plain BFS over an adjacency dict."""
-    adj = {v: set() for v in range(1, n + 1)}
-    for i, j in edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    seen = set()
-    out = []
-    for start in range(1, n + 1):
-        if start in seen:
-            continue
-        queue = [start]
-        seen.add(start)
-        comp = []
-        while queue:
-            v = queue.pop(0)
-            comp.append(v)
-            for w in sorted(adj[v]):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        out.append(sorted(comp))
-    return out
-
-
-def random_graph(rng, n, p):
-    edges = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1) if rng.random() < p]
-    return make_graph(n, edges)
-
-
-def components_rescan(g):
-    """Reference: connected_components as it was before the one-pass edge
-    split, rescanning every edge once per component."""
-    adj = g.adjacency()
-    seen = set()
-    comps = []
-    for start in range(1, g.n_vertices + 1):
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        verts = []
-        while stack:
-            v = stack.pop()
-            verts.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        verts.sort()
-        relabel = {v: idx for idx, v in enumerate(verts, start=1)}
-        edges = [(relabel[i], relabel[j]) for i, j in g.edges if i in relabel]
-        comps.append((make_graph(len(verts), edges), relabel))
-    return comps
-
-
-def prune_rescan(g):
-    """Reference: prune_degree_one as it was before the candidate heap,
-    rescanning the sorted adjacency for the lowest removable vertex after
-    every removal. Returns (removed vertices, remaining graph)."""
-    adj = g.adjacency()
-    if any(not nbrs for nbrs in adj.values()):
-        raise ValueError("isolated vertex present")
-    removed = []
-    while True:
-        victim = None
-        for v in sorted(adj):
-            if len(adj[v]) == 1:
-                nbr = next(iter(adj[v]))
-                if len(adj[nbr]) >= 2:
-                    victim = v
-                    break
-        if victim is None:
-            break
-        nbr = next(iter(adj[victim]))
-        adj[nbr].discard(victim)
-        del adj[victim]
-        removed.append(victim)
-    alive = sorted(adj)
-    relabel = {v: idx for idx, v in enumerate(alive, start=1)}
-    edges = [(relabel[i], relabel[j]) for i, j in g.edges if i in relabel and j in relabel]
-    return tuple(removed), make_graph(len(alive), edges)
 
 
 @st.composite
@@ -254,7 +171,7 @@ class TestComponents:
     @settings(max_examples=150, deadline=None)
     @given(graphs_with_tails())
     def test_matches_rescan_reference(self, g):
-        assert connected_components(g) == components_rescan(g)
+        assert connected_components(g) == relabeled_components(g)
 
 
 class TestPrune:
@@ -403,6 +320,11 @@ class TestNamedGraph:
     @pytest.mark.parametrize("name", ["k", "K4", "path4", "banana", "graph.json", ""])
     def test_unknown_names(self, name):
         with pytest.raises(KeyError):
+            named_graph(name)
+
+    @pytest.mark.parametrize("name", ["k1", "k0", "path-1", "star-0"])
+    def test_too_small_for_the_builder(self, name):
+        with pytest.raises(GraphFormatError, match=f"graph '{name}': .* needs n >= 2"):
             named_graph(name)
 
     def test_size_limits(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import fraction_rank, gauss_jordan_kernel, modular_rank
 
 from rigidset.linalg import (
     RowSpace,
@@ -13,65 +14,6 @@ from rigidset.linalg import (
     integerize_row,
 )
 from rigidset.rigidity import _witness_modulus
-
-
-def fraction_rank(rows, n_cols):
-    """Independent rank oracle: plain Gaussian elimination over Fraction."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    for col in range(n_cols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        lead = mat[rank][col]
-        for r in range(rank + 1, len(mat)):
-            if mat[r][col]:
-                f = mat[r][col] / lead
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
-def gauss_jordan_kernel(rows, n_cols):
-    """Reference kernel basis: dense Gauss-Jordan elimination over Fraction,
-    one vector per free column with a 1 in the free position (the standard
-    special solutions). An empty matrix yields the identity basis."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivot_cols = []
-    r = 0
-    for c in range(n_cols):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][c]
-        mat[r] = [v / inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    pivot_set = set(pivot_cols)
-    basis = []
-    for free_col in range(n_cols):
-        if free_col in pivot_set:
-            continue
-        vec = [Fraction(0)] * n_cols
-        vec[free_col] = Fraction(1)
-        for row_idx, pc in enumerate(pivot_cols):
-            vec[pc] = -mat[row_idx][free_col]
-        basis.append(tuple(vec))
-    return basis
 
 
 def row_space_kernel(rows, n_cols):
@@ -318,7 +260,8 @@ class TestIsPrime:
 
 
 class TestModularRank:
-    """The rank oracles above, ported to RowSpace's F_p mode."""
+    """The rank checks above, ported to RowSpace's F_p mode; at any prime the
+    rank must also equal oracles.modular_rank's on the primitive rows."""
 
     def test_frozen_cases(self):
         p = _witness_modulus(1)
@@ -357,6 +300,7 @@ class TestModularRank:
         space = RowSpace(n_cols, modulus=p)
         kept = [row for row in mat if space.add(row)]
         assert space.rank <= fraction_rank(mat, n_cols)
+        assert space.rank == modular_rank(mat, n_cols, p)
         # rows kept mod p are independent over Q
         assert fraction_rank(kept, n_cols) == len(kept) == space.rank
 
@@ -368,7 +312,7 @@ class TestModularRank:
         for row in mat:
             as_dict = {c: v for c, v in enumerate(row) if v}
             assert dense.add(row) == sparse.add(as_dict)
-        assert dense.rank == sparse.rank
+        assert dense.rank == sparse.rank == modular_rank(mat, n_cols, p)
 
     def test_incremental_rank_matches_batch(self):
         rng = random.Random(271)
@@ -415,7 +359,7 @@ class TestModularRank:
 
 
 class TestRationalKernelBasis:
-    """RowSpace.kernel, against the Gauss-Jordan reference above."""
+    """RowSpace.kernel, against the Gauss-Jordan reference."""
 
     def test_frozen_line(self):
         basis = row_space_kernel([[1, 2, 3]], 3)

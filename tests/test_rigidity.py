@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_linalg import fraction_rank
+import oracles
 
 from rigidset.frameworks import make_config, rigidity_row, rigidity_rows
 from rigidset import rigidity, thresholds
@@ -25,7 +25,6 @@ from rigidset.rigidity import (
     COORDINATE_BOUND,
     MODULUS_LOW,
     DependentEdgeSetError,
-    GenericCertificate,
     exact_rank,
     generic_rank,
     is_framework_inf_rigid,
@@ -40,79 +39,6 @@ from rigidset.rigidity import (
 )
 
 UNIT_SQUARE = make_config([(0, 0), (1, 0), (1, 1), (0, 1)])
-
-
-def laman_sparse(n, edges):
-    """(2,3)-sparsity on every vertex subset; edge sets satisfying it are
-    exactly the independent sets of the plane rigidity matroid, which gives
-    a rank oracle with no linear algebra in it."""
-    for size in range(2, n + 1):
-        for subset in itertools.combinations(range(1, n + 1), size):
-            s = set(subset)
-            m = sum(1 for i, j in edges if i in s and j in s)
-            if m > 2 * size - 3:
-                return False
-    return True
-
-
-def laman_rank(g):
-    kept = []
-    for e in g.edges:
-        if laman_sparse(g.n_vertices, kept + [e]):
-            kept.append(e)
-    return len(kept)
-
-
-def random_graph(rng, n, p):
-    edges = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1) if rng.random() < p]
-    return make_graph(n, edges)
-
-
-def henneberg_laman(rng, n):
-    """Plane Laman graph: each new vertex joins two earlier ones (Henneberg I)."""
-    edges = [(1, 2)]
-    for v in range(3, n + 1):
-        a, b = rng.sample(range(1, v), 2)
-        edges += [(a, v), (b, v)]
-    return make_graph(n, edges)
-
-
-def reference_greedy(n, d, seed, start, candidates):
-    """Candidates kept by a greedy scan after the (independent) start edges,
-    each decided by Fraction elimination on dense rows at the witness the
-    library draws for this seed."""
-    x = sample_generic_config(d, n, seed)
-    rows = rigidity_rows(start, x)
-    kept = []
-    for edge in candidates:
-        row = rigidity_rows([edge], x)[0]
-        if fraction_rank(rows + [row], d * n) > len(rows):
-            rows.append(row)
-            kept.append(edge)
-    return kept
-
-
-def reference_generic_rank(g, d, seed, samples=5, modulus=None):
-    """Dense reference for generic_rank: the max of
-    exact_rank(rigidity_rows(g.edges, x), p) over all `samples` witnesses of the
-    seed's stream, with the seed's prime unless one is given."""
-    if modulus is None:
-        modulus = _witness_modulus(seed)
-    rng = random.Random(seed)
-    best = 0
-    for _ in range(samples):
-        x = sample_generic_config(d, g.n_vertices, rng.randrange(2 ** 32))
-        best = max(best, exact_rank(rigidity_rows(g.edges, x), modulus))
-    return best, GenericCertificate(seed=seed, samples=samples, agreed_rank=best)
-
-
-def reference_inf_rigid(g, x):
-    """Dense reference for is_framework_inf_rigid: two exact ranks over Q,
-    of g and of K_n at x."""
-    rank_g = exact_rank(rigidity_rows(g.edges, x))
-    if g.n_vertices < 2:
-        return True
-    return rank_g == exact_rank(rigidity_rows(complete_graph(g.n_vertices).edges, x))
 
 
 @st.composite
@@ -237,7 +163,7 @@ class TestExactRank:
         # at the same witness
         rng = random.Random(17)
         for _ in range(20):
-            g = random_graph(rng, rng.randint(2, 6), 0.7)
+            g = oracles.random_graph(rng, rng.randint(2, 6), 0.7)
             x = sample_generic_config(2, g.n_vertices, rng.randrange(2 ** 32))
             rows = rigidity_rows(g.edges, x)
             a = np.array(rows, dtype=float).reshape(len(rows), 2 * g.n_vertices)
@@ -253,7 +179,7 @@ class TestRigidityRow:
         ]
         for x in configs:
             for edge in itertools.combinations(range(1, x.n_points + 1), 2):
-                dense = rigidity_rows([edge], x)[0]
+                dense = oracles.rigidity_rows([edge], x)[0]
                 assert rigidity_row(edge, x) == {c: v for c, v in enumerate(dense) if v}
         coincident = configs[1]
         assert rigidity_row((1, 2), coincident) == {}
@@ -288,9 +214,9 @@ class TestGenericRank:
     def test_matches_laman_oracle(self):
         rng = random.Random(2718)
         for _ in range(30):
-            g = random_graph(rng, rng.randint(2, 7), rng.uniform(0.3, 0.9))
+            g = oracles.random_graph(rng, rng.randint(2, 7), rng.uniform(0.3, 0.9))
             rank, _ = generic_rank(g, 2, seed=rng.randrange(2 ** 32))
-            assert rank == laman_rank(g)
+            assert rank == oracles.laman_rank(g)
 
     def test_deterministic_per_seed(self):
         g = double_banana()
@@ -347,12 +273,12 @@ class TestIsIndependent:
     def test_matches_sparsity_oracle(self):
         rng = random.Random(55)
         for _ in range(25):
-            g = random_graph(rng, rng.randint(2, 6), 0.8)
+            g = oracles.random_graph(rng, rng.randint(2, 6), 0.8)
             if not g.n_edges:
                 continue
             subset = [e for e in g.edges if rng.random() < 0.7]
             got = is_independent(g, subset, 2, seed=rng.randrange(2 ** 32))
-            assert got == laman_sparse(g.n_vertices, subset)
+            assert got == oracles.laman_sparse(g.n_vertices, subset)
 
 
 class TestMaxIndependentSubset:
@@ -371,7 +297,7 @@ class TestMaxIndependentSubset:
     def test_rank_equals_generic_rank(self):
         rng = random.Random(303)
         for _ in range(15):
-            g = random_graph(rng, rng.randint(2, 7), 0.6)
+            g = oracles.random_graph(rng, rng.randint(2, 7), 0.6)
             seed = rng.randrange(2 ** 32)
             assert max_independent_subset(g, 2, seed).rank == generic_rank(g, 2, seed)[0]
 
@@ -395,14 +321,14 @@ class TestMaxIndependentSubset:
         rng = random.Random(90 + d + modulus)
         for _ in range(4):
             n = rng.randint(5, 9)
-            g = make_graph(n, henneberg_laman(rng, n).edges)
+            g = make_graph(n, oracles.henneberg_laman(rng, n).edges)
             seed = rng.randrange(2 ** 32)
             reference = max_independent_subset(g, d, seed).rank
             with monkeypatch.context() as patch:
                 patch.setattr(rigidity, "_witness_modulus", lambda _seed: modulus)
                 basis = max_independent_subset(g, d, seed)
-            rows = rigidity_rows(basis.edges, basis.witness)
-            assert fraction_rank(rows, d * n) == basis.rank == len(basis.edges)
+            rows = oracles.rigidity_rows(basis.edges, basis.witness)
+            assert oracles.fraction_rank(rows, d * n) == basis.rank == len(basis.edges)
             assert basis.rank <= reference
 
     def test_json_serializable(self):
@@ -426,7 +352,7 @@ class TestGreedyAgainstFractionReference:
     def test_dropped_henneberg_graphs(self, d, sizes):
         rng = random.Random(4000 + d)
         for n in sizes:
-            g = henneberg_laman(rng, n)
+            g = oracles.henneberg_laman(rng, n)
             dropped = make_graph(n, rng.sample(g.edges, g.n_edges - g.n_edges // 4))
             seed = rng.randrange(2 ** 32)
             pairs = list(itertools.combinations(range(1, n + 1), 2))
@@ -434,10 +360,10 @@ class TestGreedyAgainstFractionReference:
             padded = make_graph(n, list(dropped.edges) + rng.sample(pairs, n))
             for graph in (dropped, padded):
                 basis = max_independent_subset(graph, d, seed)
-                assert list(basis.edges) == reference_greedy(n, d, seed, [], graph.edges)
+                assert list(basis.edges) == oracles.reference_greedy(n, d, seed, [], graph.edges)
             present = set(dropped.edges)
-            added = reference_greedy(n, d, seed, dropped.edges,
-                                     [e for e in pairs if e not in present])
+            added = oracles.reference_greedy(n, d, seed, dropped.edges,
+                                             [e for e in pairs if e not in present])
             done = minimal_rigid_completion(dropped, d, seed)
             assert done == make_graph(n, list(dropped.edges) + added)
             assert done.n_edges == required_edge_count(d, n)
@@ -467,22 +393,22 @@ class TestFrameworkRigidity:
 
 class TestAgainstDenseRoute:
     """generic_rank and is_framework_inf_rigid run the greedy scan, which
-    stops early; the references rank full dense matrices with exact_rank."""
+    stops early; the oracles rank full dense matrices by plain elimination,
+    mod p and over Q."""
 
     @settings(max_examples=150, deadline=None)
     @given(g=small_graphs(), d=st.integers(2, 4), samples=st.integers(1, 5),
            seed=st.integers(-2 ** 40, 2 ** 40))
     def test_generic_rank_and_predicates(self, g, d, samples, seed):
         rank, cert = generic_rank(g, d, seed, samples)
-        want, want_cert = reference_generic_rank(g, d, seed, samples)
-        assert (rank, cert.to_json()) == (want, want_cert.to_json())
-        full, _ = reference_generic_rank(g, d, seed)
+        assert (rank, cert.to_json()) == oracles.reference_generic_rank(g, d, seed, samples)
+        full, _ = oracles.reference_generic_rank(g, d, seed)
         rigid = full == required_edge_count(d, g.n_vertices)
         assert is_generically_rigid(g, d, seed) == rigid
         assert is_minimally_rigid(g, d, seed) == (
             rigid and g.n_edges == required_edge_count(d, g.n_vertices))
         subset = g.edges[::2]
-        sub_rank, _ = reference_generic_rank(make_graph(g.n_vertices, subset), d, seed)
+        sub_rank, _ = oracles.reference_generic_rank(make_graph(g.n_vertices, subset), d, seed)
         assert is_independent(g, subset, d, seed) == (sub_rank == len(subset))
 
     @settings(max_examples=150, deadline=None)
@@ -494,20 +420,20 @@ class TestAgainstDenseRoute:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(rigidity, "_witness_modulus", lambda _seed: modulus)
             rank, cert = generic_rank(g, d, seed, samples)
-        want, want_cert = reference_generic_rank(g, d, seed, samples, modulus)
-        assert (rank, cert.to_json()) == (want, want_cert.to_json())
+        want = oracles.reference_generic_rank(g, d, seed, samples, modulus)
+        assert (rank, cert.to_json()) == want
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_complete_graphs_and_banana(self, d):
         for n in range(2, 10):
             for samples in (1, 5):
                 got = generic_rank(complete_graph(n), d, 7, samples)
-                want = reference_generic_rank(complete_graph(n), d, 7, samples)
-                assert (got[0], got[1].to_json()) == (want[0], want[1].to_json())
+                want = oracles.reference_generic_rank(complete_graph(n), d, 7, samples)
+                assert (got[0], got[1].to_json()) == want
         for samples in range(1, 6):
             got = generic_rank(double_banana(), d, 3, samples)
-            want = reference_generic_rank(double_banana(), d, 3, samples)
-            assert (got[0], got[1].to_json()) == (want[0], want[1].to_json())
+            want = oracles.reference_generic_rank(double_banana(), d, 3, samples)
+            assert (got[0], got[1].to_json()) == want
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), g=small_graphs(max_n=7), d=st.integers(2, 3))
@@ -518,7 +444,7 @@ class TestAgainstDenseRoute:
         points = data.draw(st.lists(st.lists(coordinate, min_size=d, max_size=d),
                                     min_size=g.n_vertices, max_size=g.n_vertices))
         x = make_config(points, d)
-        assert is_framework_inf_rigid(g, x) == reference_inf_rigid(g, x)
+        assert is_framework_inf_rigid(g, x) == oracles.reference_inf_rigid(g, x)
 
     @pytest.mark.parametrize("points", [
         [(0, 0), (1, 0), (2, 0), (5, 0)],                  # collinear
@@ -532,7 +458,7 @@ class TestAgainstDenseRoute:
         x = make_config(points)
         for g in (complete_graph(4), make_graph(4, complete_graph(4).edges[:5]),
                   path_graph(4), make_graph(4, [])):
-            assert is_framework_inf_rigid(g, x) == reference_inf_rigid(g, x)
+            assert is_framework_inf_rigid(g, x) == oracles.reference_inf_rigid(g, x)
 
     def test_inf_rigid_count_mismatch_refused(self):
         for g, points in ((complete_graph(3), [(0, 0), (1, 0), (0, 1), (1, 1)]),
@@ -579,9 +505,9 @@ class TestCompletion:
         rng = random.Random(911)
         for _ in range(15):
             n = rng.randint(2, 7)
-            g = random_graph(rng, n, 0.25)
+            g = oracles.random_graph(rng, n, 0.25)
             seed = rng.randrange(2 ** 32)
-            if not laman_sparse(n, g.edges):
+            if not oracles.laman_sparse(n, g.edges):
                 with pytest.raises(DependentEdgeSetError):
                     minimal_rigid_completion(g, 2, seed)
                 continue
