@@ -91,25 +91,24 @@ def _load_graph(source: str) -> Graph:
     return graph_from_json(text)
 
 
-def _emit(args, text: str, manifest: RunManifest, file_text: str | None = None):
+def _emit(args, text: str, command: str, parameters: dict, graph: Graph | None = None,
+          file_text: str | None = None):
+    """Print text; with --output, also write it (or file_text) and its
+    manifest, which hashes the input graph when there is one."""
     sys.stdout.write(text)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text if file_text is None else file_text)
+        manifest = RunManifest(
+            command=command,
+            parameters=parameters,
+            seed=getattr(args, "seed", None),
+            version=__version__,
+            input_sha1=None if graph is None else _blob_sha1(graph_to_json(graph)),
+            outputs=(args.output,),
+        )
         with open(args.output + ".manifest.json", "w", encoding="utf-8") as fh:
             fh.write(manifest.to_json())
-
-
-def _manifest(args, command: str, parameters: dict, input_sha1: str | None = None) -> RunManifest:
-    outputs = (args.output,) if args.output else ()
-    return RunManifest(
-        command=command,
-        parameters=parameters,
-        seed=getattr(args, "seed", None),
-        version=__version__,
-        input_sha1=input_sha1,
-        outputs=outputs,
-    )
 
 
 def _cell(value) -> str:
@@ -148,18 +147,14 @@ def cmd_analyze(args) -> None:
     report = analyze(g, args.d, args.seed)
     doc = json.dumps(report.to_json_obj(), indent=2, sort_keys=True) + "\n"
     text = _report_table(args.graph, report) + "\n" + doc
-    manifest = _manifest(args, "analyze", {"graph": args.graph, "d": args.d},
-                         input_sha1=_blob_sha1(graph_to_json(g)))
-    _emit(args, text, manifest, file_text=doc)
+    _emit(args, text, "analyze", {"graph": args.graph, "d": args.d}, g, file_text=doc)
 
 
 def cmd_complete(args) -> None:
     g = _load_graph(args.graph)
     completion = minimal_rigid_completion(g, args.d, args.seed)
     text = graph_to_json(completion) + "\n"
-    manifest = _manifest(args, "complete", {"graph": args.graph, "d": args.d},
-                         input_sha1=_blob_sha1(graph_to_json(g)))
-    _emit(args, text, manifest)
+    _emit(args, text, "complete", {"graph": args.graph, "d": args.d}, g)
 
 
 def _parse_int_list(raw: str, flag: str) -> list[int]:
@@ -191,7 +186,7 @@ def cmd_lattice(args) -> None:
         lines.append(f"{q},{unlabeled},{labeled},{bound},{contents.get(q, '')}")
     text = "\n".join(lines) + "\n"
     params = {"d": args.d, "q_list": qs, "k": args.k, "s": args.s}
-    _emit(args, text, _manifest(args, "lattice", params))
+    _emit(args, text, "lattice", params)
 
 
 def _build_sampler(args):
@@ -211,6 +206,8 @@ def cmd_sample(args) -> None:
     exponents = _parse_int_list(args.scales, "--scales")
     if args.n < 1:
         raise ValueError("--n must be >= 1")
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0 for sample")
     check_sample_size(g, args.d, args.n, args.depth if args.sampler == "cantor" else 1)
     sampler = _build_sampler(args)
     # refused here, not by the fit, so that a bad list costs no draw
@@ -254,7 +251,7 @@ def cmd_sample(args) -> None:
         "s": args.s,
         "depth": args.depth,
     }
-    _emit(args, text, _manifest(args, "sample", params, input_sha1=_blob_sha1(graph_to_json(g))))
+    _emit(args, text, "sample", params, g)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -152,10 +152,11 @@ def connected_components(g: Graph) -> list[tuple[Graph, dict[int, int]]]:
 def prune_degree_one(g: Graph) -> PruneTrace:
     """Iteratively remove degree-1 vertices, lowest index first.
 
-    A vertex is removed only while its neighbor keeps degree at least 2
-    afterwards, so pruning never strands an isolated vertex and stops at K2
-    (per component) or when no degree-1 vertices remain. The removal count is
-    order-independent; lowest-index-first only fixes the recorded order.
+    A degree-1 vertex is removed only while its neighbor has degree at
+    least 2, so the neighbor keeps an edge afterwards: pruning never strands
+    an isolated vertex and stops at K2 (per component) or when no degree-1
+    vertices remain. The removal count is order-independent;
+    lowest-index-first only fixes the recorded order.
     """
     adj = g.adjacency()
     if any(not nbrs for nbrs in adj.values()):

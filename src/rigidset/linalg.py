@@ -4,14 +4,16 @@ Every rank comes from one elimination, RowSpace. A row is held sparse, as a
 {column: int} dict of its non-zeros, scaled to coprime integers (row scaling
 never changes rank; floats are rejected), and the basis is a dict of such
 rows keyed by leading column. A candidate row is reduced only against the
-basis rows whose leading columns it hits, in ascending column order. Over Q
-(the default) each step is a gcd-reduced integer cross-multiplication, so no
-rounding can flip an outcome. Given a prime modulus p, the same walk runs on
-residues mod p against pivot rows normalised to lead with 1, so no entry
-exceeds p. The rank mod p of an integer matrix never exceeds its rank over
-Q, and rows independent mod p are independent over Q. exact_rank_int is a
-batch call of the same routine, and RowSpace.kernel reads the standard
-kernel basis off the same basis over Q.
+basis rows whose leading columns it hits, in ascending column order, by one
+loop for both fields: each step is a gcd-reduced integer
+cross-multiplication, so no rounding can flip an outcome. Over Q (the
+default) the row's content is stripped after each step. Given a prime
+modulus p, each entry is taken mod p as it is formed, and pivot rows are
+normalised to lead with 1, so the cross-multiplication scales nothing and
+no entry exceeds p. The rank mod p of an integer matrix never exceeds its
+rank over Q, and rows independent mod p are independent over Q.
+exact_rank_int is a batch call of the same routine, and RowSpace.kernel
+reads the standard kernel basis off the same basis over Q.
 """
 
 from __future__ import annotations
@@ -63,14 +65,17 @@ class RowSpace:
     against the basis rows whose leading columns it hits, popped from a
     min-heap in ascending order.
 
-    With modulus None (the default) the rank is the rank over Q: before each
-    cross-multiplication the gcd of pivot and factor is divided out of both,
-    and the row's content is stripped after it, which removes at least the
-    factor fraction-free elimination would divide out, so entries stay
-    small. With a prime modulus p, each integerized row is taken mod p and
-    reduced against pivot rows scaled to lead with 1, so every entry stays
-    below p; the rank is then the rank mod p of the integerized rows, at
-    most their rank over Q, and rows the space keeps are independent over Q.
+    One loop serves both fields: before each cross-multiplication the gcd
+    of pivot and factor is divided out of both, and only the handling of
+    each new entry depends on the field. With modulus None (the default)
+    the rank is the rank over Q, and the row's content is stripped after
+    each step, which removes at least the factor fraction-free elimination
+    would divide out, so entries stay small. With a prime modulus p, each
+    integerized row and each new entry is taken mod p, and add scales every
+    pivot row to lead with 1, so the cross-multiplication scales nothing and
+    every entry stays below p; the rank is then the rank mod p of the
+    integerized rows, at most their rank over Q, and rows the space keeps
+    are independent over Q.
     """
 
     def __init__(self, n_cols: int, modulus: int | None = None):
@@ -99,16 +104,13 @@ class RowSpace:
             # only int zeros are dropped unchecked; any other entry is
             # validated, so a float 0.0 is still rejected
             items = [(c, v) for c, v in enumerate(row) if v or type(v) is not int]
-        pairs = _integerize(items)
         p = self.modulus
-        if p is None:
-            return {c: v for c, v in pairs if v}
-        return {c: r for c, v in pairs if (r := v % p)}
+        return {c: r for c, v in _integerize(items) if (r := v if p is None else v % p)}
 
     def _reduce(self, row) -> dict[int, int]:
         reduced = self._sparse(row)
         basis = self._basis
-        modulus = self.modulus
+        p = self.modulus
         heap = [c for c in reduced if c in basis]
         heapify(heap)
         while heap:
@@ -117,39 +119,33 @@ class RowSpace:
             if f is None:
                 continue
             pivot_row = basis[col]
-            if modulus is not None:
-                # the pivot is 1: subtract f times the pivot row, mod p
-                for c, b in pivot_row.items():
-                    v = (reduced.get(c, 0) - f * b) % modulus
-                    if v:
-                        if c not in reduced and c in basis:
-                            heappush(heap, c)
-                        reduced[c] = v
-                    else:
-                        reduced.pop(c, None)
-                continue
-            p = pivot_row[col]
-            g = gcd(p, f)
+            # mod p every pivot row leads with 1, so this scales nothing
+            lead = pivot_row[col]
+            g = gcd(lead, f)
             if g > 1:
-                p //= g
+                lead //= g
                 f //= g
-            if p != 1:
-                reduced = {c: p * v for c, v in reduced.items()}
+            if lead != 1:
+                reduced = {c: lead * v for c, v in reduced.items()}
             for c, b in pivot_row.items():
                 v = reduced.get(c, 0) - f * b
+                if p is not None:
+                    v %= p
                 if v:
                     if c not in reduced and c in basis:
                         heappush(heap, c)
                     reduced[c] = v
                 else:
                     reduced.pop(c, None)
-            g = 0
-            for v in reduced.values():
-                g = gcd(g, v)
-                if g == 1:
-                    break
-            if g > 1:
-                reduced = {c: v // g for c, v in reduced.items()}
+            if p is None:
+                # strip the content over Q, so entries stay small
+                g = 0
+                for v in reduced.values():
+                    g = gcd(g, v)
+                    if g == 1:
+                        break
+                if g > 1:
+                    reduced = {c: v // g for c, v in reduced.items()}
         return reduced
 
     def add(self, row) -> bool:

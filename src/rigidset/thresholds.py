@@ -141,12 +141,14 @@ class ThresholdReport:
         return obj
 
 
-def _report_for(graph: Graph, d: int, rank: int, components=(), vertices=None) -> ThresholdReport:
+def _report_for(graph: Graph, d: int, rank: int, removals: int | None,
+                components=(), vertices=None) -> ThresholdReport:
+    """The report of a graph of generic rank `rank` whose degree-1 pruning
+    makes `removals` removals, None where pruning is undefined."""
     n, m = graph.n_vertices, graph.n_edges
     k = n - 1
     maximal = required_edge_count(d, n)
     rigid = rank == maximal
-    has_isolated = len({v for edge in graph.edges for v in edge}) < n
     return ThresholdReport(
         d=d,
         n_vertices=n,
@@ -154,7 +156,7 @@ def _report_for(graph: Graph, d: int, rank: int, components=(), vertices=None) -
         generic_rank=rank,
         predicted_distance_set_dimension=rank,
         sufficient_threshold=sufficient_threshold(d, n) if n >= 2 else None,
-        pruned_threshold=pruned_threshold(graph, d) if n >= 2 and not has_isolated else None,
+        pruned_threshold=None if removals is None else Fraction(d) - Fraction(1, n - removals),
         necessary_exponent=necessary_exponent(d, n) if n >= 2 else None,
         natural_measure_exponent=natural_measure_exponent(d, n) if n >= 2 else None,
         small_regime_threshold=small_regime_threshold(d, n) if 1 <= k <= d else None,
@@ -186,6 +188,12 @@ def analyze(g: Graph, d: int, seed: int) -> ThresholdReport:
     the rigidity module docstring for the failure bound. A graph whose
     witness would need more than rigidity.MAX_WITNESS_COORDINATES
     coordinates is refused with ValueError.
+
+    Each component of at least 2 vertices is pruned once, and the top-level
+    pruned threshold is read off the components' removal counts: a leaf is
+    removed only while its neighbour, in the same component, keeps an edge,
+    so pruning never crosses a component and the whole graph's count is the
+    sum of theirs. A single-vertex component leaves it undefined (None).
     """
     if d < 2:
         raise ValueError("d must be >= 2")
@@ -195,6 +203,8 @@ def analyze(g: Graph, d: int, seed: int) -> ThresholdReport:
     ranks = [0] * len(comps)
     for i, _ in basis.edges:
         ranks[comp_of[i]] += 1
-    subs = [_report_for(comp, d, rank, vertices=sorted(relabel))
-            for (comp, relabel), rank in zip(comps, ranks)]
-    return _report_for(g, d, basis.rank, components=subs)
+    removals = [prune_degree_one(comp).n if comp.n_vertices >= 2 else None for comp, _ in comps]
+    subs = [_report_for(comp, d, rank, pruned, vertices=sorted(relabel))
+            for (comp, relabel), rank, pruned in zip(comps, ranks, removals)]
+    total = None if None in removals else sum(removals)
+    return _report_for(g, d, basis.rank, total, components=subs)

@@ -7,8 +7,6 @@ any failure) and asserts the criterion at its stated tolerance. Run with
 """
 
 import itertools
-import json
-import math
 import os
 import random
 import subprocess
@@ -18,7 +16,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import rigidset
 from rigidset.experiments import (

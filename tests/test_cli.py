@@ -261,6 +261,14 @@ class TestSample:
         assert err == (f"error: graph {str(path)!r} has no edges, "
                        "so it has no distances to sample\n")
 
+    def test_negative_seed_refused_before_drawing(self, capsys, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("tuples drawn for a negative seed")
+
+        monkeypatch.setattr(cli, "sample_framework_tuples", no_draw)
+        code, out, err = run(capsys, "sample", "k4", "--seed", "-1")
+        assert (code, out, err) == (3, "", "error: --seed must be >= 0 for sample\n")
+
     def test_k4_euler_summary(self, capsys):
         code, out, _ = run(capsys, "sample", "k4", "--n", "3000", "--seed", "11")
         assert code == 0

@@ -77,10 +77,7 @@ MUTANTS = {
     # a dropped reduction step: the pivot row is subtracted only at the
     # columns the candidate already holds, so the fill-in is lost
     "dropped_fill_in": ("_reduce", [
-        ("v = (reduced.get(c, 0) - f * b) % modulus",
-         "v = (reduced[c] - f * b) % modulus if c in reduced else 0"),
-        ("v = reduced.get(c, 0) - f * b\n",
-         "v = reduced[c] - f * b if c in reduced else 0\n"),
+        ("v = reduced.get(c, 0) - f * b", "v = reduced[c] - f * b if c in reduced else 0"),
     ]),
     # a wrong pivot: mod p a new pivot row gets 1 at its lead, but the rest
     # of the row is not scaled with it

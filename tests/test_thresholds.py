@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -207,15 +208,19 @@ class TestAnalyze:
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(("henneberg", "complete", "path", "isolated")),
-                              st.integers(2, 7)), min_size=1, max_size=5),
+                              st.integers(2, 7), st.sampled_from((None, "path", "star")),
+                              st.integers(1, 4)), min_size=1, max_size=5),
            st.sampled_from((2, 3)), st.randoms(use_true_random=False),
            st.integers(0, 2 ** 32))
     def test_component_ranks_count_one_basis(self, pieces, d, rng, seed):
         # disjoint pieces of known generic rank, relabeled at random: a
         # Henneberg piece (each vertex joins two earlier ones) is independent
-        # in d = 2 and 3, K_n has the maximal rank and a path is a tree
+        # in d = 2 and 3, K_n has the maximal rank and a path is a tree. A
+        # tail of t vertices (a path, or a star joined by its hub) hung on a
+        # Henneberg or complete piece adds t edges, each of them independent
+        # and each a leaf for the pruning.
         edges, expected, offset = [], [], 0
-        for kind, n in pieces:
+        for kind, n, tail, t in pieces:
             if kind == "isolated":
                 n, local, rank = 1, [], 0
             elif kind == "henneberg":
@@ -224,9 +229,14 @@ class TestAnalyze:
                     local += [(a, v) for a in rng.sample(range(1, v), 2)]
                 rank = len(local)
             elif kind == "complete":
-                local, rank = complete_graph(n).edges, required_edge_count(d, n)
+                local, rank = list(complete_graph(n).edges), required_edge_count(d, n)
             else:
                 local, rank = path_graph(n).edges, n - 1
+            if tail is not None and kind in ("henneberg", "complete"):
+                hub = n + 1
+                local.append((rng.randint(1, n), hub))
+                local += [(hub if tail == "star" else v - 1, v) for v in range(n + 2, n + t + 1)]
+                n, rank = n + t, rank + t
             edges += [(offset + i, offset + j) for i, j in local]
             expected.append((range(offset + 1, offset + n + 1), rank))
             offset += n
@@ -241,6 +251,15 @@ class TestAnalyze:
             assert sub.generic_rank == sum(1 for i, _ in basis.edges if i in inside)
         assert sorted((sub.vertices, sub.generic_rank) for sub in report.components) == \
             sorted((tuple(sorted(perm[v - 1] for v in verts)), rank) for verts, rank in expected)
+        isolated = any(kind == "isolated" for kind, *_ in pieces)
+        assert report.pruned_threshold == (None if isolated else pruned_threshold(g, d))
+        comps = oracles.relabeled_components(g)
+        assert [sub.vertices for sub in report.components] == \
+            [tuple(sorted(relabel)) for _, relabel in comps]
+        for sub, (comp, _) in zip(report.components, comps):
+            n = comp.n_vertices
+            want = None if n < 2 else d - Fraction(1, n - len(oracles.prune_rescan(comp)[0]))
+            assert sub.pruned_threshold == want
 
     def test_single_vertex_component_fields(self):
         g = make_graph(4, [(1, 2), (1, 3), (2, 3)])
