@@ -36,6 +36,11 @@ def sufficient_threshold(d: int, n_vertices: int) -> Fraction:
     return Fraction(d) - Fraction(1, n_vertices)
 
 
+def _pruned(d: int, n_vertices: int, removals: int) -> Fraction:
+    """d - 1/(k+1-n) for k+1 vertices of which pruning removes n."""
+    return Fraction(d) - Fraction(1, n_vertices - removals)
+
+
 def pruned_threshold(g: Graph, d: int) -> Fraction:
     """Threshold after degree-1 pruning: d - 1/(k+1-n) with n removals.
 
@@ -43,8 +48,7 @@ def pruned_threshold(g: Graph, d: int) -> Fraction:
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    trace = prune_degree_one(g)
-    return Fraction(d) - Fraction(1, g.n_vertices - trace.n)
+    return _pruned(d, g.n_vertices, prune_degree_one(g).n)
 
 
 def necessary_exponent(d: int, n_vertices: int) -> Fraction:
@@ -156,7 +160,7 @@ def _report_for(graph: Graph, d: int, rank: int, removals: int | None,
         generic_rank=rank,
         predicted_distance_set_dimension=rank,
         sufficient_threshold=sufficient_threshold(d, n) if n >= 2 else None,
-        pruned_threshold=None if removals is None else Fraction(d) - Fraction(1, n - removals),
+        pruned_threshold=None if removals is None else _pruned(d, n, removals),
         necessary_exponent=necessary_exponent(d, n) if n >= 2 else None,
         natural_measure_exponent=natural_measure_exponent(d, n) if n >= 2 else None,
         small_regime_threshold=small_regime_threshold(d, n) if 1 <= k <= d else None,
@@ -182,12 +186,14 @@ def analyze(g: Graph, d: int, seed: int) -> ThresholdReport:
     """Full threshold report with one sub-report per connected component.
 
     The top-level rank is the size of max_independent_subset(g, d, seed),
-    one greedy basis of the whole graph at one witness; each component's
-    rank is the number of its edges in that basis (the rigidity matrix is
-    block-diagonal across components), so the ranks sum to the total. See
-    the rigidity module docstring for the failure bound. A graph whose
-    witness would need more than rigidity.MAX_WITNESS_COORDINATES
-    coordinates is refused with ValueError.
+    one greedy basis of the whole graph; each component's rank is the
+    number of its edges in that basis (the rigidity matrix is
+    block-diagonal across components), so the ranks sum to the total. In
+    the plane the basis, and so every rank, is exact; in d >= 3 it is taken
+    at one witness, and the rigidity module docstring gives the failure
+    bound. A graph whose witness would need more than
+    rigidity.MAX_WITNESS_COORDINATES coordinates is refused with
+    ValueError.
 
     Each component of at least 2 vertices is pruned once, and the top-level
     pruned threshold is read off the components' removal counts: a leaf is

@@ -103,6 +103,28 @@ class TestAnalyze:
         assert err.endswith("needs n >= 2\n")
 
 
+class TestPlaneOutputIgnoresTheSeed:
+    """Plane ranks and completions come from the pebble game, which uses no
+    witness, so analyze and complete print the same bytes under any seed."""
+
+    # three components, rigid blocks sharing a vertex among them
+    GRAPH = make_graph(11, [(1, 2), (1, 3), (2, 3), (3, 4), (2, 4), (4, 5), (5, 6), (4, 6),
+                            (7, 8), (8, 9), (9, 7), (10, 11)])
+
+    @pytest.mark.parametrize("command", ["analyze", "complete"])
+    @pytest.mark.parametrize("graph", ["double-banana", "path-40", "star-9", "k6", "file"])
+    def test_two_seeds(self, capsys, tmp_path, command, graph):
+        if graph == "file":
+            graph = str(tmp_path / "g.json")
+            (tmp_path / "g.json").write_text(graph_to_json(self.GRAPH))
+        runs = [run(capsys, command, graph, "--d", "2", "--seed", seed)
+                for seed in ("1", "4294967311")]
+        # double-banana and k6 are dependent, so complete exits 4 on them
+        dependent = command == "complete" and graph in ("double-banana", "k6")
+        assert runs[0][0] == (4 if dependent else 0)
+        assert runs[0] == runs[1]
+
+
 class TestComplete:
     def test_path4(self, capsys):
         code, out, _ = run(capsys, "complete", "path-4", "--seed", "7")

@@ -20,7 +20,8 @@ def imported_modules(path):
             yield node.module
 
 
-@pytest.mark.parametrize("module", ["graphs", "linalg", "frameworks", "rigidity", "thresholds"])
+@pytest.mark.parametrize("module", ["graphs", "linalg", "frameworks", "rigidity", "thresholds",
+                                    "pebble"])
 def test_exact_modules_import_no_numpy(module):
     names = list(imported_modules(os.path.join(SRC, module + ".py")))
     assert names, "parsed no import at all"

@@ -109,19 +109,27 @@ class TestWitnessModulus:
         monkeypatch.setattr(rigidity, "_witness_modulus", counting)
         monkeypatch.setattr(rigidity, "sample_generic_config", counting_witness)
         forest = make_graph(12, [(1, 2), (2, 3), (4, 5), (6, 7), (7, 8), (6, 8), (9, 10)])
-        # K5 in R^3 reaches min(10, 9) = 9 and the path min(4, 9) = 4 at
-        # their first witness, so no more are drawn; the double banana's rank
-        # 17 stays below min(18, 18), so all five are
-        for call, n_witnesses in ((lambda: thresholds.analyze(forest, 2, 3), 1),
-                                  (lambda: generic_rank(complete_graph(5), 3, 3), 1),
-                                  (lambda: generic_rank(path_graph(5), 3, 3), 1),
-                                  (lambda: generic_rank(double_banana(), 3, 3), 5),
-                                  (lambda: max_independent_subset(complete_graph(5), 2, 3), 1),
-                                  (lambda: minimal_rigid_completion(path_graph(5), 2, 3), 1)):
+        # plane calls run the pebble game: one witness, no prime, even where
+        # the rank stays below the cap. In R^3, K5 reaches min(10, 9) = 9 and
+        # the path min(4, 9) = 4 at their first witness, so no more are
+        # drawn; the double banana's rank 17 stays below min(18, 18), so all
+        # five are
+        for call, primes, n_witnesses in (
+                (lambda: thresholds.analyze(forest, 2, 3), [], 1),
+                (lambda: generic_rank(double_banana(), 2, 3), [], 1),
+                (lambda: generic_rank(path_graph(5), 2, 3), [], 1),
+                (lambda: is_independent(complete_graph(4), complete_graph(4).edges, 2, 3), [], 1),
+                (lambda: max_independent_subset(complete_graph(5), 2, 3), [], 1),
+                (lambda: minimal_rigid_completion(path_graph(5), 2, 3), [], 1),
+                (lambda: generic_rank(complete_graph(5), 3, 3), [3], 1),
+                (lambda: generic_rank(path_graph(5), 3, 3), [3], 1),
+                (lambda: generic_rank(double_banana(), 3, 3), [3], 5),
+                (lambda: max_independent_subset(complete_graph(5), 3, 3), [3], 1),
+                (lambda: minimal_rigid_completion(path_graph(5), 3, 3), [3], 1)):
             calls.clear()
             witnesses.clear()
             call()
-            assert calls == [3]
+            assert calls == primes
             assert len(witnesses) == n_witnesses
 
 
@@ -416,11 +424,17 @@ class TestAgainstDenseRoute:
            seed=st.integers(0, 2 ** 32), modulus=st.sampled_from([2, 3, 5, 7]))
     def test_generic_rank_with_tiny_primes(self, g, d, samples, seed, modulus):
         # a tiny prime divides many minors, so witnesses often fall short and
-        # the rank depends on which witnesses are drawn and where drawing stops
+        # the rank depends on which witnesses are drawn and where drawing
+        # stops; in the plane no prime is drawn, so the rank stays exact
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(rigidity, "_witness_modulus", lambda _seed: modulus)
             rank, cert = generic_rank(g, d, seed, samples)
-        want = oracles.reference_generic_rank(g, d, seed, samples, modulus)
+        if d == 2:
+            laman = oracles.laman_rank(g)
+            want = (laman, json.dumps({"seed": seed, "samples": samples, "agreed_rank": laman},
+                                      sort_keys=True))
+        else:
+            want = oracles.reference_generic_rank(g, d, seed, samples, modulus)
         assert (rank, cert.to_json()) == want
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -515,6 +529,15 @@ class TestCompletion:
             assert set(g.edges) <= set(done.edges)
             assert done.n_edges == required_edge_count(2, n)
             assert is_minimally_rigid(done, 2, seed=rng.randrange(2 ** 32))
+
+    @pytest.mark.parametrize("d, n", [(2, n) for n in (1, 2, 3, 4, 7, 50, 500, 2000)]
+                             + [(3, n) for n in range(1, 13)])
+    def test_edgeless_completion_is_the_cone(self, d, n):
+        # scanned in lexicographic order, the greedy completion joins each
+        # vertex to vertices 1..d: the cone {(i, j) : i <= d, i < j}
+        got = minimal_rigid_completion(make_graph(n, []), d, seed=n)
+        assert set(got.edges) == {(i, j) for i in range(1, d + 1) for j in range(i + 1, n + 1)}
+        assert got.n_edges == required_edge_count(d, n)
 
     def test_small_vertex_counts(self):
         assert minimal_rigid_completion(complete_graph(2), 3, seed=1) == complete_graph(2)
