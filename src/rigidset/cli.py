@@ -7,10 +7,10 @@ randomized command takes an explicit --seed and reruns byte-identically;
 a run manifest is written next to any requested output file.
 
 Exit codes: 0 success, 2 unreadable input, 3 invalid parameter (among them
-a --d whose witness, d times the vertex count, would exceed
-rigidity.MAX_WITNESS_COORDINATES coordinates, and a sample whose arrays
-would exceed experiments.SAMPLE_ENTRY_LIMIT entries), 4 dependent input
-edges, 5 enumeration guard tripped.
+a --d below 2, a --d of 3 or more whose witness, d times the vertex count,
+would exceed rigidity.MAX_WITNESS_COORDINATES coordinates, and a sample
+whose arrays would exceed experiments.SAMPLE_ENTRY_LIMIT entries), 4
+dependent input edges, 5 enumeration guard tripped.
 """
 
 from __future__ import annotations

@@ -131,14 +131,3 @@ def is_general_position(x: Configuration) -> bool:
             return False
     return True
 
-
-def _scalar_to_obj(v):
-    if isinstance(v, Fraction) and v.denominator != 1:
-        return f"{v.numerator}/{v.denominator}"
-    return int(v)
-
-
-def config_to_obj(x: Configuration) -> dict:
-    """{"d": d, "points": [[...], ...]}, a whole coordinate as an int and any
-    other as a "p/q" string; EdgeBasis.to_json writes its witness so."""
-    return {"d": x.d, "points": [[_scalar_to_obj(v) for v in p] for p in x.points]}

@@ -16,11 +16,8 @@ random integer witness, reduced modulo a random prime p. Ranks of
 configurations the caller supplies are exact over Q in every dimension:
 exact_rank with its default modulus, is_framework_inf_rigid (the same scan
 over Q), and the frameworks module's is_general_position and
-infinitesimal_motions.
-
-Plane calls still draw the seed's witness, and no prime: EdgeBasis keeps
-its witness field and JSON shape, and the MAX_WITNESS_COORDINATES guard
-applies in every dimension.
+infinitesimal_motions. Plane calls draw no witness and no prime, so the
+MAX_WITNESS_COORDINATES guard applies in d >= 3 only.
 
 In d >= 3, whatever the witness and p, three guarantees hold. The rank mod
 p at the witness is at most the rank over Q there, which is at most the
@@ -80,12 +77,7 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .frameworks import (
-    Configuration,
-    _check_counts,
-    config_to_obj,
-    rigidity_row,
-)
+from .frameworks import Configuration, _check_counts, rigidity_row
 from .graphs import Graph, make_graph
 from .linalg import RowSpace, _is_prime, exact_rank_int
 from .pebble import PebbleGame
@@ -100,8 +92,9 @@ MODULUS_LOW = 2 ** 61
 MODULUS_SCHEDULE = "rigidset-fp-v1"
 
 # At most this many witness coordinates (d times the vertex count) are drawn
-# for one call: twice graphs.MAX_VERTICES is what plane graphs need, and this
-# admits every graph the loaders accept up to d = 10.
+# for one call in d >= 3 (plane calls draw none): ten times
+# graphs.MAX_VERTICES, so every graph the loaders accept is admitted up to
+# d = 10.
 MAX_WITNESS_COORDINATES = 10 ** 6
 
 
@@ -111,30 +104,27 @@ class DependentEdgeSetError(ValueError):
 
 @dataclass(frozen=True)
 class EdgeBasis:
-    """An independent edge set together with the witness drawn for it.
+    """An independent edge set together with the seed it was drawn from.
 
-    rank = len(edges). In d >= 3 the rigidity-matrix rows of `edges` at
-    `witness` are linearly independent over Q (they were found independent
-    mod a prime, which implies it), so the edges are generically
-    independent; the prime is not recorded: it is drawn from the same seed
-    as the witness (see the module docstring). In the plane the pebble game
-    chose the edges, and their independence is exact by Laman's theorem;
-    the witness is still the seed's, and the rows of `edges` at it are
-    independent over Q unless it is a zero of one nonzero minor of degree
-    rank (probability at most rank/(2^21+1)). It then certifies the same
-    independence by linear algebra alone, for a checker that ranks those
-    rows.
+    rank = len(edges). In the plane the pebble game chose the edges, and
+    their independence is exact by Laman's theorem. In d >= 3 the
+    rigidity-matrix rows of `edges` at the witness
+    sample_generic_config(d, n, seed) are linearly independent over Q (they
+    were found independent mod a prime, which implies it), so the edges are
+    generically independent. Like GenericCertificate, the basis records
+    only its seed: the witness and the prime are recomputed from it (see
+    the module docstring).
     """
 
     edges: tuple[tuple[int, int], ...]
-    witness: Configuration
     rank: int
+    seed: int
 
     def to_json(self) -> str:
         return json.dumps({
             "edges": [list(e) for e in self.edges],
             "rank": self.rank,
-            "witness": config_to_obj(self.witness),
+            "seed": self.seed,
         }, sort_keys=True)
 
 
@@ -218,15 +208,22 @@ def _witness_modulus(seed: int) -> int:
 def _engine(d: int, seed: int):
     """Pick the engine of every scan in R^d with this seed, by d alone.
 
-    Returns a function of the witness x that gives a fresh space and the
-    point _scan takes rigidity rows at. In the plane the space is the pebble
-    game, fed the edges themselves (the point is None), and no prime is
-    drawn. In d >= 3 it is a RowSpace modulo the seed's prime, drawn once
-    here, fed the edges' rows at x."""
+    Every rank call starts here, so d is checked here once. Returns
+    new_space(n, witness_seed), which gives a fresh space on n vertices and
+    the witness _scan takes rigidity rows at. In the plane the space is the
+    pebble game, fed the edges themselves, and nothing is drawn: the
+    witness is None. In d >= 3 it is a RowSpace modulo the seed's prime,
+    drawn once here, fed the edges' rows at
+    sample_generic_config(d, n, witness_seed)."""
+    if isinstance(d, bool) or not isinstance(d, int):
+        raise ValueError(f"d must be an integer, got {d!r}")
+    if d < 2:
+        raise ValueError("d must be >= 2")
     if d == 2:
-        return lambda x: (PebbleGame(x.n_points), None)
+        return lambda n, witness_seed: (PebbleGame(n), None)
     modulus = _witness_modulus(seed)
-    return lambda x: (RowSpace(d * x.n_points, modulus), x)
+    return lambda n, witness_seed: (RowSpace(d * n, modulus),
+                                    sample_generic_config(d, n, witness_seed))
 
 
 def _scan(space, edges, x: Configuration | None, target: int) -> list:
@@ -250,7 +247,7 @@ def generic_rank(g: Graph, d: int, seed: int,
     """Generic rigidity-matroid rank with its certificate.
 
     In the plane the rank is the pebble game's, exact, from one scan of the
-    graph's edges; one witness is drawn and no prime. In d >= 3 it is the
+    graph's edges; nothing is drawn. In d >= 3 it is the
     maximum of the rank mod p over up to `samples` random integer witnesses,
     with one prime p drawn from the seed for all of them, each ranked by the
     greedy scan of the graph's edges. Drawing stops at the first witness
@@ -259,16 +256,16 @@ def generic_rank(g: Graph, d: int, seed: int,
     witnesses and is deterministic per seed. See GenericCertificate for the
     failure bound.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     new_space = _engine(d, seed)
     rng = random.Random(seed)
     cap = min(g.n_edges, required_edge_count(d, g.n_vertices))
     best = 0
     for _ in range(samples):
-        space, x = new_space(sample_generic_config(d, g.n_vertices, rng.randrange(2 ** 32)))
+        space, x = new_space(g.n_vertices, rng.randrange(2 ** 32))
         best = max(best, len(_scan(space, g.edges, x, cap)))
-        # the game's rank (x None) is exact: no other witness can change it
+        # the game's rank (x None) is exact: no witness can change it
         if best == cap or x is None:
             break
     return best, GenericCertificate(seed=seed, samples=samples, agreed_rank=best)
@@ -319,12 +316,10 @@ def max_independent_subset(g: Graph, d: int, seed: int) -> EdgeBasis:
     independent mod p are independent over Q), and the size falls short of
     the generic rank r with probability at most r/(2^21+1) plus
     60 floor(r (22 + log2(2d)/2) / 61) / 2^61 (see the module docstring).
-    The witness is drawn from the seed in either case (see EdgeBasis).
     """
-    witness = sample_generic_config(d, g.n_vertices, seed)
-    space, x = _engine(d, seed)(witness)
+    space, x = _engine(d, seed)(g.n_vertices, seed)
     kept = _scan(space, g.edges, x, required_edge_count(d, g.n_vertices))
-    return EdgeBasis(edges=tuple(kept), witness=witness, rank=len(kept))
+    return EdgeBasis(edges=tuple(kept), rank=len(kept), seed=seed)
 
 
 def is_framework_inf_rigid(g: Graph, x: Configuration) -> bool:
@@ -379,7 +374,7 @@ def minimal_rigid_completion(g: Graph, d: int, seed: int) -> Graph:
     module docstring).
     """
     n = g.n_vertices
-    space, x = _engine(d, seed)(sample_generic_config(d, n, seed))
+    space, x = _engine(d, seed)(n, seed)
     target = required_edge_count(d, n)
     if len(_scan(space, g.edges, x, target)) < g.n_edges:
         raise DependentEdgeSetError(

@@ -191,9 +191,9 @@ def analyze(g: Graph, d: int, seed: int) -> ThresholdReport:
     block-diagonal across components), so the ranks sum to the total. In
     the plane the basis, and so every rank, is exact; in d >= 3 it is taken
     at one witness, and the rigidity module docstring gives the failure
-    bound. A graph whose witness would need more than
+    bound; there a graph whose witness would need more than
     rigidity.MAX_WITNESS_COORDINATES coordinates is refused with
-    ValueError.
+    ValueError. So is any d below 2.
 
     Each component of at least 2 vertices is pruned once, and the top-level
     pruned threshold is read off the components' removal counts: a leaf is
@@ -201,8 +201,6 @@ def analyze(g: Graph, d: int, seed: int) -> ThresholdReport:
     so pruning never crosses a component and the whole graph's count is the
     sum of theirs. A single-vertex component leaves it undefined (None).
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
     basis = max_independent_subset(g, d, seed)
     comps = connected_components(g)
     comp_of = {v: c for c, (_, relabel) in enumerate(comps) for v in relabel}

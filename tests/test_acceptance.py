@@ -275,7 +275,8 @@ def test_criterion_11_greedy_basis_order_invariance():
             order = list(g.edges)
             rng.shuffle(order)
             space = RowSpace(d * g.n_vertices, rigidity._witness_modulus(31))
-            size = len(rigidity._scan(space, order, basis.witness, target))
+            witness = sample_generic_config(d, g.n_vertices, basis.seed)
+            size = len(rigidity._scan(space, order, witness, target))
             if size != base:
                 failures.append((g.n_vertices, d, size, base))
     ok = not failures

@@ -168,13 +168,27 @@ class TestWitnessSizeGuard:
         assert not path.exists()
 
     def test_analyze_counts_every_component(self, capsys, monkeypatch, tmp_path):
-        # each 2-vertex component alone fits; the graph's 8 coordinates do not
+        # in R^3 each 2-vertex component's 6 coordinates alone fit; the
+        # graph's 12 do not
         monkeypatch.setattr(rigidity, "MAX_WITNESS_COORDINATES", 6)
         path = tmp_path / "two.json"
         path.write_text(graph_to_json(make_graph(4, [(1, 2), (3, 4)])))
-        code, out, err = run(capsys, "analyze", str(path), "--seed", "1")
+        code, out, err = run(capsys, "analyze", str(path), "--d", "3", "--seed", "1")
         assert code == 3 and out == ""
-        assert "8 witness coordinates" in err
+        assert "12 witness coordinates" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "complete"])
+    def test_plane_calls_draw_no_witness(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(rigidity, "MAX_WITNESS_COORDINATES", 1)
+        code, out, err = run(capsys, command, "path-40", "--seed", "1")
+        assert code == 0 and out and err == ""
+
+
+@pytest.mark.parametrize("command", ["analyze", "complete"])
+@pytest.mark.parametrize("d", ["1", "0", "-3"])
+def test_d_below_two_is_refused(capsys, command, d):
+    code, out, err = run(capsys, command, "k4", "--d", d, "--seed", "1")
+    assert (code, out, err) == (3, "", "error: d must be >= 2\n")
 
 
 class TestLattice:

@@ -12,7 +12,6 @@ import oracles
 
 from rigidset.frameworks import (
     Configuration,
-    config_to_obj,
     infinitesimal_motions,
     is_general_position,
     make_config,
@@ -428,11 +427,6 @@ class TestIsometries:
 
 
 class TestConfigJson:
-    def test_whole_fractions_stored_as_ints(self):
-        obj = config_to_obj(make_config([(Fraction(4, 2), Fraction(1, 2))]))
-        assert obj == {"d": 2, "points": [[2, "1/2"]]}
-        assert type(obj["points"][0][0]) is int
-
     @pytest.mark.parametrize("text", [
         '{"d": 2, "points": [[NaN, 0], [1, Infinity], [0, 1]]}',
         '{"d": 2, "points": [[0, -Infinity]]}',

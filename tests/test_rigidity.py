@@ -67,7 +67,9 @@ class TestSampleGenericConfig:
 
 class TestWitnessSize:
     def test_cap_admits_every_plane_graph(self):
-        assert rigidity.MAX_WITNESS_COORDINATES >= 2 * MAX_VERTICES
+        # plane calls draw no witness; the cap admits every loadable graph up
+        # to d = 10
+        assert rigidity.MAX_WITNESS_COORDINATES >= 10 * MAX_VERTICES
 
     def test_boundary(self, monkeypatch):
         monkeypatch.setattr(rigidity, "MAX_WITNESS_COORDINATES", 12)
@@ -109,18 +111,18 @@ class TestWitnessModulus:
         monkeypatch.setattr(rigidity, "_witness_modulus", counting)
         monkeypatch.setattr(rigidity, "sample_generic_config", counting_witness)
         forest = make_graph(12, [(1, 2), (2, 3), (4, 5), (6, 7), (7, 8), (6, 8), (9, 10)])
-        # plane calls run the pebble game: one witness, no prime, even where
-        # the rank stays below the cap. In R^3, K5 reaches min(10, 9) = 9 and
+        # plane calls run the pebble game: no witness and no prime, even
+        # where the rank stays below the cap. In R^3, K5 reaches min(10, 9) = 9 and
         # the path min(4, 9) = 4 at their first witness, so no more are
         # drawn; the double banana's rank 17 stays below min(18, 18), so all
         # five are
         for call, primes, n_witnesses in (
-                (lambda: thresholds.analyze(forest, 2, 3), [], 1),
-                (lambda: generic_rank(double_banana(), 2, 3), [], 1),
-                (lambda: generic_rank(path_graph(5), 2, 3), [], 1),
-                (lambda: is_independent(complete_graph(4), complete_graph(4).edges, 2, 3), [], 1),
-                (lambda: max_independent_subset(complete_graph(5), 2, 3), [], 1),
-                (lambda: minimal_rigid_completion(path_graph(5), 2, 3), [], 1),
+                (lambda: thresholds.analyze(forest, 2, 3), [], 0),
+                (lambda: generic_rank(double_banana(), 2, 3), [], 0),
+                (lambda: generic_rank(path_graph(5), 2, 3), [], 0),
+                (lambda: is_independent(complete_graph(4), complete_graph(4).edges, 2, 3), [], 0),
+                (lambda: max_independent_subset(complete_graph(5), 2, 3), [], 0),
+                (lambda: minimal_rigid_completion(path_graph(5), 2, 3), [], 0),
                 (lambda: generic_rank(complete_graph(5), 3, 3), [3], 1),
                 (lambda: generic_rank(path_graph(5), 3, 3), [3], 1),
                 (lambda: generic_rank(double_banana(), 3, 3), [3], 5),
@@ -131,6 +133,21 @@ class TestWitnessModulus:
             call()
             assert calls == primes
             assert len(witnesses) == n_witnesses
+
+    def test_plane_calls_need_no_witness_or_prime(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("a plane call drew a witness or a prime")
+
+        monkeypatch.setattr(rigidity, "sample_generic_config", refuse)
+        monkeypatch.setattr(rigidity, "_witness_modulus", refuse)
+        k4, path = complete_graph(4), path_graph(5)
+        assert thresholds.analyze(k4, 2, 3).generic_rank == 5
+        assert generic_rank(k4, 2, 3)[0] == 5
+        assert is_independent(k4, k4.edges[:5], 2, 3)
+        assert max_independent_subset(k4, 2, 3).rank == 5
+        assert minimal_rigid_completion(path, 2, 3).n_edges == 7
+        assert is_generically_rigid(k4, 2, 3)
+        assert not is_minimally_rigid(k4, 2, 3)
 
 
 class TestExactRank:
@@ -241,6 +258,28 @@ class TestGenericRank:
         with pytest.raises(ValueError):
             generic_rank(complete_graph(3), 2, seed=0, samples=0)
 
+    @pytest.mark.parametrize("samples", [True, False, 2.5, 3.0, "3", None])
+    def test_samples_must_be_an_int(self, samples):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            generic_rank(complete_graph(3), 2, seed=0, samples=samples)
+
+    @pytest.mark.parametrize("d", [1, 0, -3])
+    def test_every_rank_call_refuses_small_d(self, d):
+        g = complete_graph(3)
+        for call in (lambda: thresholds.analyze(g, d, 1),
+                     lambda: generic_rank(g, d, 1),
+                     lambda: is_independent(g, g.edges, d, 1),
+                     lambda: max_independent_subset(g, d, 1),
+                     lambda: minimal_rigid_completion(g, d, 1),
+                     lambda: is_generically_rigid(g, d, 1)):
+            with pytest.raises(ValueError, match=r"^d must be >= 2$"):
+                call()
+
+    @pytest.mark.parametrize("d", [2.0, 3.5, True])
+    def test_d_must_be_an_int(self, d):
+        with pytest.raises(ValueError, match="d must be an integer"):
+            generic_rank(complete_graph(3), d, 1)
+
 
 class TestRequiredEdgeCount:
     @pytest.mark.parametrize("d,n,want", [
@@ -294,7 +333,9 @@ class TestMaxIndependentSubset:
         basis = max_independent_subset(complete_graph(4), 2, seed=7)
         assert basis.edges == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4))
         assert basis.rank == 5
-        assert all(type(c) is int for p in basis.witness.points for c in p)
+        assert basis.seed == 7
+        witness = sample_generic_config(2, 4, basis.seed)
+        assert all(type(c) is int for p in witness.points for c in p)
 
     def test_banana_drops_one_edge(self):
         basis = max_independent_subset(double_banana(), 3, seed=7)
@@ -319,7 +360,8 @@ class TestMaxIndependentSubset:
             order = list(g.edges)
             rng.shuffle(order)
             space = RowSpace(3 * g.n_vertices, _witness_modulus(11))
-            kept = rigidity._scan(space, order, basis.witness, required_edge_count(3, 8))
+            witness = sample_generic_config(3, g.n_vertices, basis.seed)
+            kept = rigidity._scan(space, order, witness, required_edge_count(3, 8))
             assert len(kept) == basis.rank
 
     @pytest.mark.parametrize("d, modulus", [(2, 3), (2, 5), (3, 3), (3, 7)])
@@ -335,7 +377,7 @@ class TestMaxIndependentSubset:
             with monkeypatch.context() as patch:
                 patch.setattr(rigidity, "_witness_modulus", lambda _seed: modulus)
                 basis = max_independent_subset(g, d, seed)
-            rows = oracles.rigidity_rows(basis.edges, basis.witness)
+            rows = oracles.rigidity_rows(basis.edges, sample_generic_config(d, n, basis.seed))
             assert oracles.fraction_rank(rows, d * n) == basis.rank == len(basis.edges)
             assert basis.rank <= reference
 
@@ -344,7 +386,8 @@ class TestMaxIndependentSubset:
         doc = json.loads(basis.to_json())
         assert doc["rank"] == 3
         assert len(doc["edges"]) == 3
-        assert doc["witness"]["d"] == 2
+        assert doc["seed"] == 2 and set(doc) == {"edges", "rank", "seed"}
+        assert sample_generic_config(2, 3, doc["seed"]).d == 2
 
     def test_certificate_json(self):
         _, cert = generic_rank(complete_graph(3), 2, seed=2)
