@@ -260,8 +260,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="rigidity analysis and distance-set experiments for small graphs")
     parser.add_argument("--version", action="version", version=f"rigidset {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    witness_d_help = (f"ambient dimension (default 2); d times the vertex count "
-                      f"may be at most {MAX_WITNESS_COORDINATES}")
+    witness_d_help = (f"ambient dimension (default 2); in d >= 3, d times the vertex "
+                      f"count may be at most {MAX_WITNESS_COORDINATES}")
 
     p = sub.add_parser("analyze", help="threshold report for a graph")
     p.add_argument("graph", help="built-in name (k4, path-5, star-6, double-banana) or JSON file")

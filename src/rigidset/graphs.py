@@ -114,53 +114,44 @@ def make_graph(n_vertices: int, edges) -> Graph:
     return Graph(n_vertices, tuple(sorted(canon)))
 
 
-def connected_components(g: Graph) -> list[tuple[Graph, dict[int, int]]]:
-    """Connected components with their vertex relabelings.
-
-    Returns (component, relabel) pairs ordered by smallest original vertex,
-    where relabel maps original labels to the component's 1..k_j labels in
-    increasing original order.
-    """
-    adj = g.adjacency()
-    comp_of: dict[int, int] = {}
+def _components(adj: dict[int, set[int]]) -> tuple[list[int], list[list[int]]]:
+    """One search over an adjacency keyed 1..n in ascending order, as
+    Graph.adjacency builds it: (comp_of, members), where comp_of[v] is the
+    index of v's component (comp_of[0] is unused) and members[c] lists
+    component c's vertices ascending. Components are numbered in the order
+    of their smallest vertex."""
+    comp_of = [-1] * (len(adj) + 1)
     members: list[list[int]] = []
-    for start in range(1, g.n_vertices + 1):
-        if start in comp_of:
+    for start in adj:
+        if comp_of[start] >= 0:
             continue
-        comp_of[start] = len(members)
+        c = len(members)
+        comp_of[start] = c
         stack = [start]
         verts = []
         while stack:
             v = stack.pop()
             verts.append(v)
             for w in adj[v]:
-                if w not in comp_of:
-                    comp_of[w] = len(members)
+                if comp_of[w] < 0:
+                    comp_of[w] = c
                     stack.append(w)
         verts.sort()
         members.append(verts)
-    relabels = [{v: idx for idx, v in enumerate(verts, start=1)} for verts in members]
-    # relabels preserve vertex order, so each edge list stays canonical
-    edge_lists: list[list[tuple[int, int]]] = [[] for _ in members]
-    for i, j in g.edges:
-        c = comp_of[i]
-        edge_lists[c].append((relabels[c][i], relabels[c][j]))
-    return [(Graph(len(verts), tuple(edges)), relabel)
-            for verts, edges, relabel in zip(members, edge_lists, relabels)]
+    return comp_of, members
 
 
-def prune_degree_one(g: Graph) -> PruneTrace:
-    """Iteratively remove degree-1 vertices, lowest index first.
+def _prune_leaves(adj: dict[int, set[int]]) -> list[int]:
+    """Remove degree-1 vertices from the adjacency in place, lowest index
+    first, and return them in removal order.
 
     A degree-1 vertex is removed only while its neighbor has degree at
     least 2, so the neighbor keeps an edge afterwards: pruning never strands
-    an isolated vertex and stops at K2 (per component) or when no degree-1
-    vertices remain. The removal count is order-independent;
-    lowest-index-first only fixes the recorded order.
+    an isolated vertex, never crosses a component, and stops at K2 (per
+    component) or when no degree-1 vertices remain. Degree-0 vertices are
+    never candidates. The removal count, per component too, is
+    order-independent; lowest-index-first only fixes the recorded order.
     """
-    adj = g.adjacency()
-    if any(not nbrs for nbrs in adj.values()):
-        raise ValueError("isolated vertex present")
     # Degrees only fall, so a degree-1 vertex whose neighbour also has
     # degree 1 never becomes removable, and a vertex becomes a candidate
     # only when its degree drops to 1: popping the heap yields the lowest
@@ -178,6 +169,44 @@ def prune_degree_one(g: Graph) -> PruneTrace:
         removed.append(victim)
         if len(adj[nbr]) == 1:
             heapq.heappush(candidates, nbr)
+    return removed
+
+
+def _prune_graph(g: Graph) -> tuple[list[int], dict[int, set[int]]]:
+    """The vertices _prune_leaves removes from g, in removal order, and the
+    adjacency it leaves; a graph with an isolated vertex is refused with
+    ValueError."""
+    adj = g.adjacency()
+    if any(not nbrs for nbrs in adj.values()):
+        raise ValueError("isolated vertex present")
+    return _prune_leaves(adj), adj
+
+
+def connected_components(g: Graph) -> list[tuple[Graph, dict[int, int]]]:
+    """Connected components with their vertex relabelings.
+
+    Returns (component, relabel) pairs ordered by smallest original vertex,
+    where relabel maps original labels to the component's 1..k_j labels in
+    increasing original order.
+    """
+    comp_of, members = _components(g.adjacency())
+    relabels = [{v: idx for idx, v in enumerate(verts, start=1)} for verts in members]
+    # relabels preserve vertex order, so each edge list stays canonical
+    edge_lists: list[list[tuple[int, int]]] = [[] for _ in members]
+    for i, j in g.edges:
+        c = comp_of[i]
+        edge_lists[c].append((relabels[c][i], relabels[c][j]))
+    return [(Graph(len(verts), tuple(edges)), relabel)
+            for verts, edges, relabel in zip(members, edge_lists, relabels)]
+
+
+def prune_degree_one(g: Graph) -> PruneTrace:
+    """Iteratively remove degree-1 vertices, lowest index first, while the
+    neighbor keeps an edge (see _prune_leaves): pruning stops at K2 (per
+    component) or when no degree-1 vertices remain. A graph with an
+    isolated vertex is refused with ValueError.
+    """
+    removed, adj = _prune_graph(g)
     alive = sorted(adj)
     relabel = {v: idx for idx, v in enumerate(alive, start=1)}
     # the relabel preserves vertex order, so the edges stay canonical; a

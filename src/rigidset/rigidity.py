@@ -205,20 +205,27 @@ def _witness_modulus(seed: int) -> int:
             return p
 
 
+def _check_dimension(d) -> None:
+    """Refuse, with ValueError, a d that is not an int of at least 2."""
+    if isinstance(d, bool) or not isinstance(d, int):
+        raise ValueError(f"d must be an integer, got {d!r}")
+    if d < 2:
+        raise ValueError("d must be >= 2")
+
+
 def _engine(d: int, seed: int):
     """Pick the engine of every scan in R^d with this seed, by d alone.
 
-    Every rank call starts here, so d is checked here once. Returns
+    Every rank call starts here, so d is checked here, by _check_dimension,
+    which is_independent also calls for the empty subset it answers
+    without a rank call. Returns
     new_space(n, witness_seed), which gives a fresh space on n vertices and
     the witness _scan takes rigidity rows at. In the plane the space is the
     pebble game, fed the edges themselves, and nothing is drawn: the
     witness is None. In d >= 3 it is a RowSpace modulo the seed's prime,
     drawn once here, fed the edges' rows at
     sample_generic_config(d, n, witness_seed)."""
-    if isinstance(d, bool) or not isinstance(d, int):
-        raise ValueError(f"d must be an integer, got {d!r}")
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    _check_dimension(d)
     if d == 2:
         return lambda n, witness_seed: (PebbleGame(n), None)
     modulus = _witness_modulus(seed)
@@ -297,6 +304,7 @@ def _validated_subset(g: Graph, subset) -> Graph:
 def is_independent(g: Graph, subset, d: int, seed: int) -> bool:
     """Are these edges independent rows of the generic rigidity matrix?"""
     sub = _validated_subset(g, subset)
+    _check_dimension(d)
     if sub.n_edges == 0:
         return True
     rank, _ = generic_rank(sub, d, seed)

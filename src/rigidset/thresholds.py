@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, connected_components, prune_degree_one
+from .graphs import Graph, _components, _prune_leaves, _prune_graph
 from .rigidity import max_independent_subset, required_edge_count
 
 SMALL_REGIME_NOTE = (
@@ -48,7 +48,8 @@ def pruned_threshold(g: Graph, d: int) -> Fraction:
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    return _pruned(d, g.n_vertices, prune_degree_one(g).n)
+    removed, _ = _prune_graph(g)
+    return _pruned(d, g.n_vertices, len(removed))
 
 
 def necessary_exponent(d: int, n_vertices: int) -> Fraction:
@@ -145,12 +146,25 @@ class ThresholdReport:
         return obj
 
 
-def _report_for(graph: Graph, d: int, rank: int, removals: int | None,
+def _report_for(n: int, m: int, d: int, rank: int, removals: int | None, formulas: dict,
                 components=(), vertices=None) -> ThresholdReport:
-    """The report of a graph of generic rank `rank` whose degree-1 pruning
-    makes `removals` removals, None where pruning is undefined."""
-    n, m = graph.n_vertices, graph.n_edges
-    k = n - 1
+    """The report of a graph on n vertices and m edges, of generic rank
+    `rank`, whose degree-1 pruning makes `removals` removals (None where
+    pruning is undefined). The five threshold values depend on (n,
+    removals) alone; formulas, one dict per analyze call, keeps them so
+    each pair is computed once."""
+    key = (n, removals)
+    values = formulas.get(key)
+    if values is None:
+        k = n - 1
+        values = formulas[key] = (
+            sufficient_threshold(d, n) if n >= 2 else None,
+            None if removals is None else _pruned(d, n, removals),
+            necessary_exponent(d, n) if n >= 2 else None,
+            natural_measure_exponent(d, n) if n >= 2 else None,
+            small_regime_threshold(d, n) if 1 <= k <= d else None,
+        )
+    sufficient, pruned, necessary, natural, small = values
     maximal = required_edge_count(d, n)
     rigid = rank == maximal
     return ThresholdReport(
@@ -159,11 +173,11 @@ def _report_for(graph: Graph, d: int, rank: int, removals: int | None,
         n_edges=m,
         generic_rank=rank,
         predicted_distance_set_dimension=rank,
-        sufficient_threshold=sufficient_threshold(d, n) if n >= 2 else None,
-        pruned_threshold=None if removals is None else _pruned(d, n, removals),
-        necessary_exponent=necessary_exponent(d, n) if n >= 2 else None,
-        natural_measure_exponent=natural_measure_exponent(d, n) if n >= 2 else None,
-        small_regime_threshold=small_regime_threshold(d, n) if 1 <= k <= d else None,
+        sufficient_threshold=sufficient,
+        pruned_threshold=pruned,
+        necessary_exponent=necessary,
+        natural_measure_exponent=natural,
+        small_regime_threshold=small,
         is_generically_rigid=rigid,
         is_minimally_rigid=rigid and m == maximal,
         components=tuple(components),
@@ -195,20 +209,31 @@ def analyze(g: Graph, d: int, seed: int) -> ThresholdReport:
     rigidity.MAX_WITNESS_COORDINATES coordinates is refused with
     ValueError. So is any d below 2.
 
-    Each component of at least 2 vertices is pruned once, and the top-level
-    pruned threshold is read off the components' removal counts: a leaf is
-    removed only while its neighbour, in the same component, keeps an edge,
-    so pruning never crosses a component and the whole graph's count is the
-    sum of theirs. A single-vertex component leaves it undefined (None).
+    Everything per component comes from one pass over the whole graph:
+    one adjacency, one search that labels each vertex with its component,
+    one degree-1 pruning of the whole graph, whose removals are counted per
+    component, and one scan each of the graph's and the basis's edges for
+    the edge counts and ranks. A leaf is removed only while its neighbour,
+    in the same component, keeps an edge, so pruning never crosses a
+    component, each component's count is the one pruning it alone would
+    give, and the whole graph's count is the sum of theirs. A
+    single-vertex component leaves it undefined (None). The threshold
+    formulas are computed once per distinct (component size, removals).
     """
     basis = max_independent_subset(g, d, seed)
-    comps = connected_components(g)
-    comp_of = {v: c for c, (_, relabel) in enumerate(comps) for v in relabel}
-    ranks = [0] * len(comps)
+    adj = g.adjacency()
+    comp_of, members = _components(adj)
+    edge_counts = [0] * len(members)
+    for i, _ in g.edges:
+        edge_counts[comp_of[i]] += 1
+    ranks = [0] * len(members)
     for i, _ in basis.edges:
         ranks[comp_of[i]] += 1
-    removals = [prune_degree_one(comp).n if comp.n_vertices >= 2 else None for comp, _ in comps]
-    subs = [_report_for(comp, d, rank, pruned, vertices=sorted(relabel))
-            for (comp, relabel), rank, pruned in zip(comps, ranks, removals)]
+    removals = [0 if len(verts) >= 2 else None for verts in members]
+    for v in _prune_leaves(adj):
+        removals[comp_of[v]] += 1
+    formulas: dict = {}
+    subs = [_report_for(len(verts), m, d, rank, pruned, formulas, vertices=verts)
+            for verts, m, rank, pruned in zip(members, edge_counts, ranks, removals)]
     total = None if None in removals else sum(removals)
-    return _report_for(g, d, basis.rank, total, components=subs)
+    return _report_for(g.n_vertices, g.n_edges, d, basis.rank, total, formulas, components=subs)

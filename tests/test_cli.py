@@ -183,6 +183,15 @@ class TestWitnessSizeGuard:
         code, out, err = run(capsys, command, "path-40", "--seed", "1")
         assert code == 0 and out and err == ""
 
+    @pytest.mark.parametrize("command", ["analyze", "complete"])
+    def test_help_limits_the_guard_to_d_three(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert (f"--d D ambient dimension (default 2); in d >= 3, d times the vertex "
+                f"count may be at most {rigidity.MAX_WITNESS_COORDINATES} ") in text
+
 
 @pytest.mark.parametrize("command", ["analyze", "complete"])
 @pytest.mark.parametrize("d", ["1", "0", "-3"])

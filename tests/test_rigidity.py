@@ -280,6 +280,15 @@ class TestGenericRank:
         with pytest.raises(ValueError, match="d must be an integer"):
             generic_rank(complete_graph(3), d, 1)
 
+    @pytest.mark.parametrize("d,message", [
+        (1, r"^d must be >= 2$"), (0, r"^d must be >= 2$"), (-3, r"^d must be >= 2$"),
+        (True, "d must be an integer"), (2.0, "d must be an integer")])
+    def test_empty_subset_checks_d(self, d, message):
+        # an empty subset is independent without a rank call, but d is
+        # still checked first
+        with pytest.raises(ValueError, match=message):
+            is_independent(complete_graph(3), [], d, 1)
+
 
 class TestRequiredEdgeCount:
     @pytest.mark.parametrize("d,n,want", [

@@ -1,5 +1,9 @@
+import heapq
+import importlib
 import json
+import os
 import random
+import sys
 from fractions import Fraction
 
 import oracles
@@ -7,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rigidset import thresholds
 from rigidset.graphs import (
+    Graph,
     complete_graph,
     double_banana,
     make_graph,
@@ -25,6 +31,10 @@ from rigidset.thresholds import (
     small_regime_threshold,
     sufficient_threshold,
 )
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
 
 
 class TestSufficientThreshold:
@@ -299,3 +309,134 @@ class TestAnalyze:
         assert obj["small_regime_threshold"] is None
         assert "small_regime_note" not in obj
         assert "vertices" not in obj
+
+
+@st.composite
+def forests_of_pieces(draw):
+    """Disjoint unions of isolated vertices, K2s, stars, paths and
+    Henneberg pieces (each new vertex joins two earlier ones; one extra
+    edge may make the piece dependent), the last two with pendant trees,
+    under a random relabeling."""
+    edges, n = [], 0
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("isolated", "k2", "star", "path", "henneberg")))
+        if kind == "isolated":
+            size, local = 1, []
+        elif kind == "k2":
+            size, local = 2, [(1, 2)]
+        elif kind == "star":
+            size = draw(st.integers(2, 7))
+            local = [(1, j) for j in range(2, size + 1)]
+        elif kind == "path":
+            size = draw(st.integers(2, 5))
+            local = [(v, v + 1) for v in range(1, size)]
+        else:
+            size, local = draw(st.integers(3, 7)), [(1, 2)]
+            for v in range(3, size + 1):
+                ends = draw(st.lists(st.integers(1, v - 1), min_size=2, max_size=2, unique=True))
+                local += [(a, v) for a in ends]
+            missing = [(i, j) for i in range(1, size) for j in range(i + 1, size + 1)
+                       if (i, j) not in local]
+            if missing and draw(st.booleans()):
+                local.append(draw(st.sampled_from(missing)))
+        if kind in ("path", "henneberg"):
+            # pendant trees: each new vertex hangs off an earlier one
+            for _ in range(draw(st.integers(0, 4))):
+                size += 1
+                local.append((draw(st.integers(1, size - 1)), size))
+        edges += [(n + i, n + j) for i, j in local]
+        n += size
+    perm = draw(st.permutations(range(1, n + 1)))
+    return make_graph(n, [(perm[i - 1], perm[j - 1]) for i, j in edges])
+
+
+def check_one_pass(g, d, seed):
+    """analyze's per-component vertices, edge counts, ranks and pruned
+    thresholds against the oracle components, each ranked on its own and
+    pruned by the rescan reference, and its top-level pruned threshold
+    against the rescan of the whole graph."""
+    report = analyze(g, d, seed)
+    comps = oracles.relabeled_components(g)
+    assert [sub.vertices for sub in report.components] == \
+        [tuple(sorted(relabel)) for _, relabel in comps]
+    for sub, (comp, _) in zip(report.components, comps):
+        n = comp.n_vertices
+        rank = (oracles.laman_rank(comp) if d == 2
+                else oracles.reference_generic_rank(comp, d, seed)[0])
+        assert (sub.n_vertices, sub.n_edges, sub.generic_rank) == (n, comp.n_edges, rank)
+        want = None if n < 2 else d - Fraction(1, n - len(oracles.prune_rescan(comp)[0]))
+        assert sub.pruned_threshold == want
+    if any(comp.n_vertices == 1 for comp, _ in comps):
+        assert report.pruned_threshold is None
+    else:
+        removed, _ = oracles.prune_rescan(g)
+        assert report.pruned_threshold == d - Fraction(1, g.n_vertices - len(removed))
+
+
+class TestOnePass:
+    @settings(max_examples=60, deadline=None)
+    @given(forests_of_pieces(), st.sampled_from((2, 3)), st.integers(0, 2 ** 32))
+    def test_components_match_the_oracles(self, g, d, seed):
+        check_one_pass(g, d, seed)
+
+    @pytest.mark.parametrize("g", [complete_graph(2), star_graph(6)], ids=["k2", "star-6"])
+    def test_check_fails_without_the_neighbour_rule(self, monkeypatch, g):
+        # the leaf loop with its one rule dropped: a leaf goes even when its
+        # neighbour is left without an edge (a popped vertex whose degree
+        # already fell to 0 is skipped)
+        def prune_any_leaf(adj):
+            candidates = [v for v, nbrs in adj.items() if len(nbrs) == 1]
+            heapq.heapify(candidates)
+            removed = []
+            while candidates:
+                victim = heapq.heappop(candidates)
+                if not adj[victim]:
+                    continue
+                nbr = next(iter(adj[victim]))
+                adj[nbr].discard(victim)
+                del adj[victim]
+                removed.append(victim)
+                if len(adj[nbr]) == 1:
+                    heapq.heappush(candidates, nbr)
+            return removed
+
+        check_one_pass(g, 2, 1)
+        monkeypatch.setattr(thresholds, "_prune_leaves", prune_any_leaf)
+        with pytest.raises(AssertionError):
+            check_one_pass(g, 2, 1)
+
+
+class TestNoGraphBuilt:
+    """analyze and pruned_threshold read counts off one adjacency; they
+    construct no Graph, per component or pruned."""
+
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        built = []
+        original = Graph.__post_init__
+
+        def counting(self):
+            built.append(self.n_vertices)
+            original(self)
+
+        monkeypatch.setattr(Graph, "__post_init__", counting)
+        return built
+
+    @pytest.fixture(scope="class")
+    def forest(self):
+        sys.path.insert(0, PERFBENCH)
+        try:
+            inputs = importlib.import_module("inputs")
+        finally:
+            sys.path.remove(PERFBENCH)
+        obj = inputs.forest(2000, 1)
+        return make_graph(obj["vertices"], obj["edges"])
+
+    def test_analyze_of_a_forest(self, forest, constructions):
+        report = analyze(forest, 2, 1)
+        assert len(report.components) == 2000
+        assert constructions == []
+
+    def test_pruned_threshold(self, forest, constructions):
+        assert pruned_threshold(forest, 2) == analyze(forest, 2, 1).pruned_threshold
+        assert constructions == []
