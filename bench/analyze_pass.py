@@ -1,7 +1,7 @@
 """In-process and CLI timings of `rigidset analyze`, for one or more source trees.
 
     python3 bench/analyze_pass.py --tree before=/path/to/parent --tree after=. \\
-        --output BENCH.json
+        > BENCH.json
 
 Every tree is measured by fresh child interpreters that import rigidset from
 TREE/src, so one script and one set of inputs measure every tree. The inputs
@@ -9,12 +9,12 @@ come from perfbench/inputs.py beside this script: seeded forests of 500,
 1000, 2000 and 4000 small components (the `forest` workload's generator) and
 plane Laman graphs with n = 640 and 1280, written once as graph JSON files.
 
-For each input a child times, after one warm-up call, --repeats runs of each
+For each input a child times, after one warm-up call, REPEATS runs of each
 stage of `analyze` in d = 2 with seed 1: load (graph_from_json of the file's
 text), analyze, and emit (the report's JSON as the CLI writes it). The CLI
 time is the wall time of `python3 -m rigidset.cli analyze FILE --seed 1` on
 each forest, interpreter start and import included. The trees take turns
-within every one of --rounds rounds, the first tree changing each round, so
+within every one of ROUNDS rounds, the first tree changing each round, so
 a drift of the machine falls on all of them. Each figure is the median and
 quartiles of all its samples; the record also names each tree's commit and
 a digest of its sources, and the Python and numpy versions.
@@ -38,6 +38,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 FOREST_SIZES = (500, 1000, 2000, 4000)
 LAMAN_SIZES = (640, 1280)
 STAGES = ("load_s", "analyze_s", "emit_s")
+ROUNDS = 7
+REPEATS = 3
 
 
 def _write_inputs(workdir: str) -> dict:
@@ -55,7 +57,7 @@ def _write_inputs(workdir: str) -> dict:
     return paths
 
 
-def child(src: str, paths: dict, repeats: int) -> dict:
+def child(src: str, paths: dict) -> dict:
     """Stage timings of every input, in this process, against the package
     in src: {name: {stage: [seconds, ...]}}."""
     sys.path.insert(0, src)
@@ -65,7 +67,7 @@ def child(src: str, paths: dict, repeats: int) -> dict:
     out = {}
     for name, path in paths.items():
         samples = {stage: [] for stage in STAGES}
-        for run in range(repeats + 1):
+        for run in range(REPEATS + 1):
             t0 = time.perf_counter()
             with open(path, encoding="utf-8") as fh:
                 g = graph_from_json(fh.read())
@@ -116,17 +118,17 @@ def _cli_wall(src: str, path: str) -> float:
     return time.perf_counter() - start
 
 
-def measure(trees: dict, rounds: int, repeats: int) -> dict:
+def measure(trees: dict) -> dict:
     labels = list(trees)
     samples = {label: {} for label in labels}
     with tempfile.TemporaryDirectory() as workdir:
         paths = _write_inputs(workdir)
         forests = [name for name in paths if name.startswith("forest-")]
-        for r in range(rounds):
+        for r in range(ROUNDS):
             for label in labels[r % len(labels):] + labels[:r % len(labels)]:
                 src = os.path.join(trees[label], "src")
                 res = subprocess.run(
-                    [sys.executable, __file__, "--child", src, json.dumps(paths), str(repeats)],
+                    [sys.executable, __file__, "--child", src, json.dumps(paths)],
                     capture_output=True, text=True, check=True)
                 for name, stages in json.loads(res.stdout).items():
                     for stage, values in stages.items():
@@ -145,8 +147,8 @@ def measure(trees: dict, rounds: int, repeats: int) -> dict:
         "numpy": importlib.metadata.version("numpy"),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
-        "rounds": rounds,
-        "repeats": repeats,
+        "rounds": ROUNDS,
+        "repeats": REPEATS,
         "inputs": sizes,
         "trees": {label: {**_tree_id(trees[label]),
                           "figures": {name: {stage: _summary(values)
@@ -160,14 +162,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", action="append", default=[], metavar="LABEL=PATH",
                         help="a source tree to measure (repeat for several)")
-    parser.add_argument("--output", help="write the record here as well as to stdout")
-    parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--repeats", type=int, default=3, help="in-process runs per child")
-    parser.add_argument("--child", nargs=3, help=argparse.SUPPRESS)
+    parser.add_argument("--child", nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        src, paths, repeats = args.child
-        print(json.dumps(child(src, json.loads(paths), int(repeats))))
+        src, paths = args.child
+        print(json.dumps(child(src, json.loads(paths))))
         return 0
     if not args.tree:
         parser.error("give at least one --tree LABEL=PATH")
@@ -177,12 +176,7 @@ def main(argv=None) -> int:
         if not sep or not label:
             parser.error(f"--tree wants LABEL=PATH, got {spec!r}")
         trees[label] = os.path.abspath(path)
-    record = measure(trees, args.rounds, args.repeats)
-    text = json.dumps(record, indent=2) + "\n"
-    sys.stdout.write(text)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    print(json.dumps(measure(trees), indent=2))
     return 0
 
 

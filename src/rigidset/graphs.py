@@ -172,6 +172,30 @@ def _prune_leaves(adj: dict[int, set[int]]) -> list[int]:
     return removed
 
 
+def _component_counts(g: Graph, edges) -> tuple[
+        list[list[int]], list[int], list[int], list[int | None]]:
+    """Per-component counts of g from one adjacency, one search and one
+    leaf prune of the whole graph: (members, edge_counts, counts, removals).
+    members[c] lists component c's vertices ascending, components in the
+    order of their smallest vertex; edge_counts[c] counts g's edges in it
+    and counts[c] those of `edges`, a subset of g's; removals[c] is the
+    number of vertices _prune_leaves removes from it, None for a single
+    vertex. Pruning never crosses a component, so each removal count is the
+    one pruning the component alone would give."""
+    adj = g.adjacency()
+    comp_of, members = _components(adj)
+    edge_counts = [0] * len(members)
+    for i, _ in g.edges:
+        edge_counts[comp_of[i]] += 1
+    counts = [0] * len(members)
+    for i, _ in edges:
+        counts[comp_of[i]] += 1
+    removals: list[int | None] = [0 if len(verts) >= 2 else None for verts in members]
+    for v in _prune_leaves(adj):
+        removals[comp_of[v]] += 1
+    return members, edge_counts, counts, removals
+
+
 def _prune_graph(g: Graph) -> tuple[list[int], dict[int, set[int]]]:
     """The vertices _prune_leaves removes from g, in removal order, and the
     adjacency it leaves; a graph with an isolated vertex is refused with

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, _components, _prune_leaves, _prune_graph
+from .graphs import Graph, _component_counts, _prune_graph
 from .rigidity import max_independent_subset, required_edge_count
 
 SMALL_REGIME_NOTE = (
@@ -221,17 +221,7 @@ def analyze(g: Graph, d: int, seed: int) -> ThresholdReport:
     formulas are computed once per distinct (component size, removals).
     """
     basis = max_independent_subset(g, d, seed)
-    adj = g.adjacency()
-    comp_of, members = _components(adj)
-    edge_counts = [0] * len(members)
-    for i, _ in g.edges:
-        edge_counts[comp_of[i]] += 1
-    ranks = [0] * len(members)
-    for i, _ in basis.edges:
-        ranks[comp_of[i]] += 1
-    removals = [0 if len(verts) >= 2 else None for verts in members]
-    for v in _prune_leaves(adj):
-        removals[comp_of[v]] += 1
+    members, edge_counts, ranks, removals = _component_counts(g, basis.edges)
     formulas: dict = {}
     subs = [_report_for(len(verts), m, d, rank, pruned, formulas, vertices=verts)
             for verts, m, rank, pruned in zip(members, edge_counts, ranks, removals)]

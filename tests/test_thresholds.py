@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidset import thresholds
+from rigidset import graphs
 from rigidset.graphs import (
     Graph,
     complete_graph,
@@ -401,7 +401,7 @@ class TestOnePass:
             return removed
 
         check_one_pass(g, 2, 1)
-        monkeypatch.setattr(thresholds, "_prune_leaves", prune_any_leaf)
+        monkeypatch.setattr(graphs, "_prune_leaves", prune_any_leaf)
         with pytest.raises(AssertionError):
             check_one_pass(g, 2, 1)
 
