@@ -118,6 +118,18 @@ def _cli_wall(src: str, path: str) -> float:
     return time.perf_counter() - start
 
 
+def header(harness: str) -> dict:
+    """The fields a record starts with: the harness, the Python and numpy
+    versions, and the machine."""
+    return {
+        "harness": harness,
+        "python": platform.python_version(),
+        "numpy": importlib.metadata.version("numpy"),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+    }
+
+
 def measure(trees: dict) -> dict:
     labels = list(trees)
     samples = {label: {} for label in labels}
@@ -142,11 +154,7 @@ def measure(trees: dict) -> dict:
                 obj = json.load(fh)
             sizes[name] = {"vertices": obj["vertices"], "edges": len(obj["edges"])}
     return {
-        "harness": "bench/analyze_pass.py",
-        "python": platform.python_version(),
-        "numpy": importlib.metadata.version("numpy"),
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
+        **header("bench/analyze_pass.py"),
         "rounds": ROUNDS,
         "repeats": REPEATS,
         "inputs": sizes,
@@ -158,25 +166,36 @@ def measure(trees: dict) -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def tree_parser(doc: str) -> argparse.ArgumentParser:
+    """A parser with the one --tree LABEL=PATH option, repeatable."""
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("--tree", action="append", default=[], metavar="LABEL=PATH",
                         help="a source tree to measure (repeat for several)")
+    return parser
+
+
+def trees_of(parser: argparse.ArgumentParser, specs: list) -> dict:
+    """{label: absolute path} of the --tree values, in their order."""
+    if not specs:
+        parser.error("give at least one --tree LABEL=PATH")
+    trees = {}
+    for spec in specs:
+        label, sep, path = spec.partition("=")
+        if not sep or not label:
+            parser.error(f"--tree wants LABEL=PATH, got {spec!r}")
+        trees[label] = os.path.abspath(path)
+    return trees
+
+
+def main(argv=None) -> int:
+    parser = tree_parser(__doc__)
     parser.add_argument("--child", nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
         src, paths = args.child
         print(json.dumps(child(src, json.loads(paths))))
         return 0
-    if not args.tree:
-        parser.error("give at least one --tree LABEL=PATH")
-    trees = {}
-    for spec in args.tree:
-        label, sep, path = spec.partition("=")
-        if not sep or not label:
-            parser.error(f"--tree wants LABEL=PATH, got {spec!r}")
-        trees[label] = os.path.abspath(path)
-    print(json.dumps(measure(trees), indent=2))
+    print(json.dumps(measure(trees_of(parser, args.tree)), indent=2))
     return 0
 
 

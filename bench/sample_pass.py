@@ -1,0 +1,76 @@
+"""CLI wall time and peak RSS of `rigidset sample`, for one or more source trees.
+
+    python3 bench/sample_pass.py --tree before=/path/to/parent --tree after=. \\
+        > BENCH.json
+
+Each call is `python3 -m rigidset.cli sample ... --seed 1` in a fresh child
+with TREE/src on PYTHONPATH. Its wall time runs from the start of the child
+to its exit, interpreter start and import included, and its peak RSS is the
+child's ru_maxrss from os.wait4. The calls are `sample k4 --scales 1,2,3,4`
+at n = 10^6, 2*10^6 and 3*10^6 (the largest the sample size guard admits
+for k4), and `sample k3 --n 300000 --scales 2,3,4,5,6`, the `experiments`
+workload's two sample calls. The trees take turns within every one of ROUNDS
+rounds, the first tree changing each round, as in analyze_pass.py, whose
+record fields this one shares.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import time
+
+from analyze_pass import _summary, _tree_id, header, tree_parser, trees_of
+
+CALLS = {
+    "k4-1e6": ("k4", "--n", "1000000", "--scales", "1,2,3,4"),
+    "k4-2e6": ("k4", "--n", "2000000", "--scales", "1,2,3,4"),
+    "k4-3e6": ("k4", "--n", "3000000", "--scales", "1,2,3,4"),
+    "k3-3e5": ("k3", "--n", "300000", "--scales", "2,3,4,5,6"),
+}
+ROUNDS = 7
+
+
+def _run(src: str, args: tuple) -> dict:
+    """Wall seconds and peak RSS in MB of one CLI sample call."""
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "rigidset.cli", "sample", *args, "--seed", "1"],
+                            env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    if status:
+        raise RuntimeError(f"sample {' '.join(args)} failed in {src} (status {status})")
+    return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0}
+
+
+def measure(trees: dict) -> dict:
+    labels = list(trees)
+    samples = {label: {name: {} for name in CALLS} for label in labels}
+    for r in range(ROUNDS):
+        for label in labels[r % len(labels):] + labels[:r % len(labels)]:
+            for name, args in CALLS.items():
+                for figure, value in _run(os.path.join(trees[label], "src"), args).items():
+                    samples[label][name].setdefault(figure, []).append(value)
+    return {
+        **header("bench/sample_pass.py"),
+        "rounds": ROUNDS,
+        "calls": {name: "sample " + " ".join(args) + " --seed 1" for name, args in CALLS.items()},
+        "trees": {label: {**_tree_id(trees[label]),
+                          "figures": {name: {figure: _summary(values)
+                                             for figure, values in figures.items()}
+                                      for name, figures in samples[label].items()}}
+                  for label in labels},
+    }
+
+
+def main(argv=None) -> int:
+    parser = tree_parser(__doc__)
+    print(json.dumps(measure(trees_of(parser, parser.parse_args(argv).tree)), indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

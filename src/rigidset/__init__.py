@@ -7,6 +7,7 @@ __version__ = "0.1.0"
 from .experiments import (
     CantorSampler,
     CoveringEstimate,
+    DistanceSample,
     EnumerationLimitError,
     LatticeSampler,
     LatticeSet,
@@ -19,6 +20,7 @@ from .experiments import (
     fit_box_dimension,
     hausdorff_content_bound,
     k4_euler_residuals,
+    sample_distances,
     sample_framework_tuples,
 )
 from .frameworks import (

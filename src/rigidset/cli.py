@@ -16,7 +16,6 @@ dependent input edges, 5 enumeration guard tripped.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from dataclasses import dataclass
@@ -32,11 +31,9 @@ from .experiments import (
     check_sample_size,
     check_scales,
     congruence_class_counts,
-    distance_images,
     fit_box_dimension,
     hausdorff_content_bound,
-    k4_euler_residuals,
-    sample_framework_tuples,
+    sample_distances,
 )
 from .graphs import Graph, GraphFormatError, graph_from_json, graph_to_json, named_graph
 from .rigidity import MAX_WITNESS_COORDINATES, DependentEdgeSetError, minimal_rigid_completion
@@ -71,7 +68,10 @@ class RunManifest:
 
 
 def _blob_sha1(text: str) -> str:
-    # git-style blob hash of the canonical input, for provenance checks
+    # git-style blob hash of the canonical input, for provenance checks;
+    # imported here, since only --output manifests need it
+    import hashlib
+
     data = text.encode("utf-8")
     return hashlib.sha1(b"blob %d\x00" % len(data) + data).hexdigest()
 
@@ -212,31 +212,18 @@ def cmd_sample(args) -> None:
     sampler = _build_sampler(args)
     # refused here, not by the fit, so that a bad list costs no draw
     scales = check_scales([2.0 ** -e for e in exponents])
-    tuples = sample_framework_tuples(sampler, g.n_vertices, args.n, args.seed)
-    residual = degenerate = None
-    if args.d == 2 and g.n_vertices == 4 and g.n_edges == 6:
-        import numpy as np
-
-        residuals = k4_euler_residuals(tuples)
-        # a degenerate tuple (coincident points) has no residual: NaN
-        finite = residuals[np.isfinite(residuals)]
-        degenerate = residuals.size - finite.size
-        if finite.size:
-            residual = float(finite.max())
-        del residuals, finite
-    cloud = distance_images(g, tuples)
-    # the tuples are the largest array; the fit needs only the cloud
-    del tuples
-    estimate = fit_box_dimension(cloud, scales)
+    sample = sample_distances(g, sampler, args.n, args.seed)
+    estimate = fit_box_dimension(sample.cloud, scales)
     lines = [
         f"# sample {args.graph} d={args.d} sampler={args.sampler} n={args.n} seed={args.seed}",
         f"# scales={','.join(str(e) for e in exponents)}",
         f"# slope={repr(estimate.slope)}",
     ]
-    if residual is not None:
-        lines.append(f"# max_euler_residual={repr(residual)}")
-    if degenerate:
-        lines.append(f"# degenerate_tuples={degenerate}")
+    if sample.max_residual is not None:
+        lines.append(f"# max_euler_residual={repr(sample.max_residual)}")
+    if sample.degenerate:
+        # a degenerate tuple (coincident points) has no residual
+        lines.append(f"# degenerate_tuples={sample.degenerate}")
     lines.append("eps,count")
     for eps, count in zip(estimate.scales, estimate.counts):
         lines.append(f"{repr(eps)},{count}")

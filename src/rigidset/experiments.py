@@ -14,9 +14,11 @@ import numpy as np
 from .graphs import Graph
 
 ENUMERATION_LIMIT = 10 ** 8
-# At most this many array entries are allocated for one sample: the sampled
-# coordinates (times the ternary digits each for the Cantor sampler) plus
-# the distance columns; 5*10^7 int64 or float64 entries are 400 MB.
+# At most this many array entries are allowed for one sample, counted as if
+# it were held whole: the sampled coordinates (times the ternary digits each
+# for the Cantor sampler) plus the distance columns; 5*10^7 int64 or float64
+# entries are 400 MB. The pipeline holds only the distance columns and one
+# chunk of draws, but the guard still counts the whole arrays.
 SAMPLE_ENTRY_LIMIT = 5 * 10 ** 7
 # log of the largest float, less a margin for the rounding of logarithms
 _LOG_FLOAT_MAX = math.log(sys.float_info.max) - 1e-9
@@ -31,6 +33,10 @@ class EnumerationLimitError(ValueError):
 _KEY_LIMIT = 2 ** 63
 # int64 entries (tuple coordinates plus pair distances) per lattice chunk
 _LATTICE_CHUNK_ENTRIES = 2 ** 22
+# entries drawn per chunk of sampled tuples (coordinates, times the digits
+# each for the Cantor sampler): 1 MB of float64, so that a chunk's draws,
+# lengths and work columns stay small next to the n-long distance cloud
+_SAMPLE_CHUNK_ENTRIES = 2 ** 17
 
 
 def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -78,11 +84,12 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of a non-empty 1-D array, ascending: sort, then
-    keep each value that differs from its left neighbour."""
-    keys = np.sort(keys)
-    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+def _sort_changes(keys: np.ndarray) -> np.ndarray:
+    """Sort a non-empty 1-D array in place and mark each entry after the
+    first that differs from its left neighbour: the first entry and the
+    marked ones are the distinct values, ascending."""
+    keys.sort()
+    return keys[1:] != keys[:-1]
 
 
 def _merge_distinct(seen, rows: np.ndarray, radix: int) -> np.ndarray:
@@ -104,8 +111,8 @@ def _merge_distinct(seen, rows: np.ndarray, radix: int) -> np.ndarray:
         words[:, j // per_word] *= radix
         words[:, j // per_word] += rows[:, j]
     if words.shape[1] == 1:
-        keys = words[:, 0]
-        return _sorted_distinct(keys if seen is None else np.concatenate((seen, keys)))
+        keys = words[:, 0] if seen is None else np.concatenate((seen, words[:, 0]))
+        return np.concatenate((keys[:1], keys[1:][_sort_changes(keys)]))
     if seen is not None:
         words = np.concatenate((seen, words))
     return words[np.unique(_row_keys(words), return_index=True)[1]]
@@ -115,25 +122,26 @@ def _merge_distinct(seen, rows: np.ndarray, radix: int) -> np.ndarray:
 _K4_PAIRS = tuple(itertools.combinations(range(4), 2))
 
 
-def _edge_lengths(pts: np.ndarray, pairs) -> np.ndarray:
+def _edge_lengths(pts: np.ndarray, pairs, out: np.ndarray | None = None) -> np.ndarray:
     """Euclidean lengths |pts[:, i] - pts[:, j]| for each pair (i, j) of
-    vertex indices, for an (N, n, d) float array: an (N, len(pairs)) view
-    whose column for each pair is contiguous.
+    vertex indices, for an (N, n, d) float array: a (len(pairs), N) array,
+    one contiguous row per pair, written into `out` when it is given.
 
     Each pair's squared axis differences, taken from the strided slices
-    pts[:, i, a], are summed left to right in place in that pair's row of
-    one preallocated array, so no (N, d) difference array is built. For
-    d < 8 this is the order in which np.linalg.norm(x, axis=1) sums its d
-    squares, so the lengths are bit for bit the same. From 8 terms up
-    numpy sums pairwise in 8 unrolled lanes, a different order, so there
-    the norm is called per pair to keep its bits.
+    pts[:, i, a], are summed left to right in place in that pair's row,
+    so no (N, d) difference array is built. For d < 8 this is the order
+    in which np.linalg.norm(x, axis=1) sums its d squares, so the lengths
+    are bit for bit the same. From 8 terms up numpy sums pairwise in 8
+    unrolled lanes, a different order, so there the norm is called per
+    pair to keep its bits.
     """
     n, _, d = pts.shape
-    out = np.empty((len(pairs), n))
+    if out is None:
+        out = np.empty((len(pairs), n))
     if not 0 < d < 8:
         for col, (i, j) in zip(out, pairs):
             col[:] = np.linalg.norm(pts[:, i] - pts[:, j], axis=1)
-        return out.T
+        return out
     tmp = np.empty(n)
     for col, (i, j) in zip(out, pairs):
         np.subtract(pts[:, i, 0], pts[:, j, 0], out=col)
@@ -143,7 +151,7 @@ def _edge_lengths(pts: np.ndarray, pairs) -> np.ndarray:
             tmp *= tmp
             col += tmp
     np.sqrt(out, out=out)
-    return out.T
+    return out
 
 
 def euler_t24(t12: float, t13: float, t14: float, t23: float, t34: float,
@@ -206,10 +214,17 @@ def k4_euler_residuals(tuples) -> np.ndarray:
     pts = np.asarray(tuples, dtype=float)
     if pts.ndim != 3 or pts.shape[1] != 4 or pts.shape[2] != 2:
         raise ValueError("expected an (N, 4, 2) array of plane tuples")
+    return _k4_residuals(pts, _edge_lengths(pts, _K4_PAIRS))
+
+
+def _k4_residuals(pts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """k4_euler_residuals of an (N, 4, 2) float array whose six edge
+    lengths, rows t12, t13, t14, t23, t24, t34 of `lengths`, are already
+    computed; neither array is written."""
     # euler_t24's formula on whole columns, in place, with the operations of
     # its plain array expression in the same order, so each residual has the
     # bits that expression gives
-    t12, t13, t14, t23, t24, t34 = _edge_lengths(pts, _K4_PAIRS).T
+    t12, t13, t14, t23, t24, t34 = lengths
     x = [pts[:, v, 0] for v in range(4)]
     y = [pts[:, v, 1] for v in range(4)]
     # sides of the 1-3 diagonal: cross(p3 - p1, p - p1) for p = p2 and p4
@@ -448,10 +463,13 @@ class CantorSampler:
 
 def check_sample_size(g: Graph, d: int, n_samples: int, digits: int = 1) -> None:
     """Refuse with ValueError, before anything is drawn, a sample of
-    n_samples tuples in R^d whose arrays would hold more than
+    n_samples tuples in R^d whose arrays, held whole, would hold more than
     SAMPLE_ENTRY_LIMIT entries: n_samples * n_vertices * d coordinates,
     each drawn as `digits` entries (the Cantor sampler's depth), plus
-    n_samples * n_edges distances."""
+    n_samples * n_edges distances. sample_distances holds only the
+    distances and one chunk of draws, but the guard still counts the
+    whole arrays, so its boundary is where it was before the draws were
+    chunked."""
     entries = n_samples * (g.n_vertices * d * digits + g.n_edges)
     if entries > SAMPLE_ENTRY_LIMIT:
         raise ValueError(
@@ -459,14 +477,39 @@ def check_sample_size(g: Graph, d: int, n_samples: int, digits: int = 1) -> None
             f"array entries; at most {SAMPLE_ENTRY_LIMIT} are supported")
 
 
-def sample_framework_tuples(sampler, n_points: int, n_samples: int, seed: int) -> np.ndarray:
-    """n_samples i.i.d. tuples of n_points draws each, shape
-    (n_samples, n_points, d); deterministic per seed."""
+def _sample_chunks(sampler, n_points: int, n_samples: int, seed: int):
+    """The stream of n_samples i.i.d. tuples of n_points draws each from
+    numpy.random.default_rng(seed): an iterator of (count, n_points, d)
+    arrays, each drawn by one sampler.draw call of at most
+    _SAMPLE_CHUNK_ENTRIES entries (but at least one tuple).
+
+    The tuples per chunk depend on the entries per tuple only, never on
+    n_samples. The cube sampler draws one double per coordinate, and the
+    Cantor sampler one integer per digit, in the order of the tuples, so
+    their streams do not depend on the chunking. The lattice sampler draws
+    three arrays per call, so its stream does once n_samples passes one
+    chunk.
+    """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    # the Cantor sampler draws `depth` digits per coordinate
+    per_tuple = n_points * sampler.d * getattr(sampler, "depth", 1)
+    chunk = max(1, _SAMPLE_CHUNK_ENTRIES // per_tuple)
     rng = np.random.default_rng(seed)
-    flat = sampler.draw(rng, n_samples * n_points)
-    return flat.reshape(n_samples, n_points, -1)
+
+    def draws():
+        for start in range(0, n_samples, chunk):
+            count = min(chunk, n_samples - start)
+            yield sampler.draw(rng, count * n_points).reshape(count, n_points, -1)
+
+    return draws()
+
+
+def sample_framework_tuples(sampler, n_points: int, n_samples: int, seed: int) -> np.ndarray:
+    """n_samples i.i.d. tuples of n_points draws each, shape
+    (n_samples, n_points, d); deterministic per seed. The tuples are the
+    chunks of the stream that sample_distances measures, concatenated."""
+    return np.concatenate(list(_sample_chunks(sampler, n_points, n_samples, seed)))
 
 
 def distance_images(g: Graph, tuples) -> np.ndarray:
@@ -475,7 +518,51 @@ def distance_images(g: Graph, tuples) -> np.ndarray:
     pts = np.asarray(tuples, dtype=float)
     if pts.ndim != 3 or pts.shape[1] != g.n_vertices:
         raise ValueError(f"expected (N, {g.n_vertices}, d) tuples")
-    return _edge_lengths(pts, [(i - 1, j - 1) for i, j in g.edges])
+    return _edge_lengths(pts, [(i - 1, j - 1) for i, j in g.edges]).T
+
+
+@dataclass(frozen=True)
+class DistanceSample:
+    """The edge lengths of sampled tuples, an (n_samples, n_edges) cloud
+    whose column for each edge is contiguous, and for K4 in the plane the
+    four-point identity's largest finite residual (None when no tuple has
+    one) and the number of degenerate tuples, whose residual is not
+    finite."""
+
+    cloud: np.ndarray
+    max_residual: float | None = None
+    degenerate: int = 0
+
+
+def sample_distances(g: Graph, sampler, n_samples: int, seed: int) -> DistanceSample:
+    """The distance cloud of n_samples tuples of sample_framework_tuples'
+    stream: distance_images of those tuples, and for K4 in the plane the
+    summary of their k4_euler_residuals, with the same bits.
+
+    The tuples are drawn one chunk at a time (_sample_chunks). Each chunk's
+    edge lengths are computed once, written into the preallocated cloud
+    and, for K4 in the plane, fed to the residual, whose finite maximum and
+    non-finite count are folded across chunks. So besides the cloud only
+    one chunk of draws and its work columns are held.
+    """
+    pairs = [(i - 1, j - 1) for i, j in g.edges]
+    chunks = _sample_chunks(sampler, g.n_vertices, n_samples, seed)
+    lengths = np.empty((len(pairs), n_samples))
+    k4 = sampler.d == 2 and tuple(pairs) == _K4_PAIRS
+    max_residual, degenerate = None, 0
+    start = 0
+    for pts in chunks:
+        stop = start + pts.shape[0]
+        chunk_lengths = _edge_lengths(pts, pairs, lengths[:, start:stop])
+        if k4:
+            residuals = _k4_residuals(pts, chunk_lengths)
+            finite = residuals[np.isfinite(residuals)]
+            degenerate += residuals.size - finite.size
+            if finite.size:
+                top = float(finite.max())
+                max_residual = top if max_residual is None else max(max_residual, top)
+        start = stop
+    return DistanceSample(lengths.T, max_residual, degenerate)
 
 
 def covering_count(cloud, eps: float) -> int:
@@ -486,9 +573,10 @@ def covering_count(cloud, eps: float) -> int:
     range-check, floor, cast to int64, shift, fold in with _fold_column),
     so besides the cloud only the keys and one float and one int64
     column are held; no full-size array of scaled coordinates or cell
-    indices is built. Raises ValueError when the cloud has a non-finite
-    entry or when some |x / eps| reaches 2^63, where cell indices leave
-    int64.
+    indices is built. Those two columns are freed before the keys are
+    sorted in place, and the distinct keys are counted, not built. Raises
+    ValueError when the cloud has a non-finite entry or when some
+    |x / eps| reaches 2^63, where cell indices leave int64.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -512,7 +600,8 @@ def covering_count(cloud, eps: float) -> int:
         lo, hi = int(np.floor(lo)), int(np.floor(hi))
         cells -= lo
         keys, size = _fold_column(keys, size, cells, hi - lo + 1)
-    return _sorted_distinct(keys).size
+    del scaled, cells
+    return 1 + int(np.count_nonzero(_sort_changes(keys)))
 
 
 def _refuse_cells(a: np.ndarray, eps: float):

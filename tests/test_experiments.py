@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -26,9 +27,10 @@ from rigidset.experiments import (
     fit_box_dimension,
     hausdorff_content_bound,
     k4_euler_residuals,
+    sample_distances,
     sample_framework_tuples,
 )
-from rigidset.graphs import complete_graph, make_graph
+from rigidset.graphs import complete_graph, make_graph, path_graph
 
 
 def reference_lattice_points(d, q):
@@ -190,6 +192,36 @@ def k4_euler_residuals_reference(tuples):
     square = t23 ** 2 + t14 ** 2 - t13 ** 2 + 2 * t12 * t34 * cos_gap
     predicted = np.sqrt(np.maximum(square, 0.0))
     return np.abs(predicted - t24) / np.where(t24 > 0, t24, 1.0)
+
+
+def sample_reference(g, sampler, n, seed):
+    """Reference: the whole-array pipeline of `sample` before it drew in
+    chunks. One draw of every tuple, then the residuals and the lengths of
+    all of them at once; returns the cloud, the largest finite residual
+    (None off K4 in the plane, or when none is finite) and the number of
+    non-finite residuals."""
+    rng = np.random.default_rng(seed)
+    tuples = sampler.draw(rng, n * g.n_vertices).reshape(n, g.n_vertices, -1)
+    residual, degenerate = None, 0
+    if sampler.d == 2 and g.n_vertices == 4 and g.n_edges == 6:
+        with np.errstate(all="ignore"):
+            residuals = k4_euler_residuals_reference(tuples)
+        finite = residuals[np.isfinite(residuals)]
+        degenerate = residuals.size - finite.size
+        if finite.size:
+            residual = float(finite.max())
+    return distance_images_reference(g, tuples), residual, degenerate
+
+
+def traced_peak(run) -> int:
+    """The peak of the memory that tracemalloc traces (numpy buffers
+    included) while run() runs, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def same_bits(a, b):
@@ -657,7 +689,113 @@ class TestSampling:
         assert same_bits(got, want)
 
 
+SAMPLE_GRAPHS = {"k2": complete_graph(2), "k3": complete_graph(3),
+                 "k4": complete_graph(4), "path-4": path_graph(4)}
+STREAM_SAMPLERS = {"cube": UnitCubeSampler,
+                   "cantor-1": lambda d: CantorSampler(d, depth=1),
+                   "cantor-35": CantorSampler}
+
+
+class TestChunkedSample:
+    @pytest.mark.parametrize("sampler_name", STREAM_SAMPLERS)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("graph_name", SAMPLE_GRAPHS)
+    def test_matches_whole_array_reference(self, monkeypatch, graph_name, d, sampler_name):
+        # chunks of 1 to 80 tuples: n = 301 crosses 4 to 300 chunk boundaries
+        g, sampler = SAMPLE_GRAPHS[graph_name], STREAM_SAMPLERS[sampler_name](d)
+        want_cloud, want_residual, want_degenerate = sample_reference(g, sampler, 301, 17)
+        for entries in (1, 37, 640):
+            monkeypatch.setattr(experiments, "_SAMPLE_CHUNK_ENTRIES", entries)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = sample_distances(g, sampler, 301, 17)
+            assert same_bits(got.cloud, want_cloud)
+            assert got.cloud.shape == (301, g.n_edges)
+            assert got.max_residual == want_residual
+            assert got.degenerate == want_degenerate
+            tuples = sample_framework_tuples(sampler, g.n_vertices, 301, 17)
+            want_tuples = sampler.draw(np.random.default_rng(17), 301 * g.n_vertices)
+            assert same_bits(tuples, want_tuples.reshape(301, g.n_vertices, d))
+
+    def test_k4_degenerate_counts_fold_across_chunks(self, monkeypatch):
+        # depth-1 Cantor points take 4 values, so most K4 tuples repeat one
+        sampler = CantorSampler(2, depth=1)
+        _, want_residual, want_degenerate = sample_reference(complete_graph(4), sampler, 500, 1)
+        assert 0 < want_degenerate < 500 and want_residual is not None
+        monkeypatch.setattr(experiments, "_SAMPLE_CHUNK_ENTRIES", 24)
+        got = sample_distances(complete_graph(4), sampler, 500, 1)
+        assert (got.max_residual, got.degenerate) == (want_residual, want_degenerate)
+
+    def test_all_degenerate_has_no_residual(self, monkeypatch):
+        def coincident(sampler, rng, count):
+            return np.zeros((count, sampler.d))
+
+        monkeypatch.setattr(experiments.UnitCubeSampler, "draw", coincident)
+        monkeypatch.setattr(experiments, "_SAMPLE_CHUNK_ENTRIES", 24)
+        got = sample_distances(complete_graph(4), UnitCubeSampler(2), 10, 1)
+        assert (got.max_residual, got.degenerate) == (None, 10)
+
+    @pytest.mark.parametrize("n", [1, 5, 6, 7, 100])
+    def test_chunk_length_does_not_depend_on_n(self, monkeypatch, n):
+        # k3 in R^2 draws 6 entries per tuple, so 40 entries are 6 tuples
+        monkeypatch.setattr(experiments, "_SAMPLE_CHUNK_ENTRIES", 40)
+        lengths = [c.shape[0] for c in experiments._sample_chunks(UnitCubeSampler(2), 3, n, 1)]
+        assert sum(lengths) == n
+        assert lengths[:-1] == [6] * (len(lengths) - 1) and 1 <= lengths[-1] <= 6
+
+    def test_bad_count_refused_before_drawing(self):
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            sample_distances(complete_graph(2), UnitCubeSampler(2), 0, 1)
+
+    def test_lattice_equal_up_to_one_chunk(self):
+        # K4 in the plane draws 8 entries per tuple: 5000 tuples are one chunk
+        sampler = LatticeSampler(build_lattice_set(2, 7, 1.5))
+        assert 5000 * 8 <= experiments._SAMPLE_CHUNK_ENTRIES
+        got = sample_distances(complete_graph(4), sampler, 5000, 3)
+        want_cloud, want_residual, want_degenerate = sample_reference(
+            complete_graph(4), sampler, 5000, 3)
+        assert same_bits(got.cloud, want_cloud)
+        assert (got.max_residual, got.degenerate) == (want_residual, want_degenerate)
+
+    def test_lattice_reruns_identical_above_one_chunk(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_SAMPLE_CHUNK_ENTRIES", 100)
+        g, sampler = complete_graph(4), LatticeSampler(build_lattice_set(2, 7, 1.5))
+        first = sample_distances(g, sampler, 1000, 3)
+        again = sample_distances(g, sampler, 1000, 3)
+        assert same_bits(first.cloud, again.cloud)
+        assert (first.max_residual, first.degenerate) == (again.max_residual, again.degenerate)
+        tuples = sample_framework_tuples(sampler, 4, 1000, 3)
+        assert same_bits(distance_images(g, tuples), first.cloud)
+        # the lattice stream depends on the chunking, unlike the others
+        assert not same_bits(sample_reference(g, sampler, 1000, 3)[0], first.cloud)
+
+    def test_k4_peak_memory_is_the_cloud_and_one_chunk(self):
+        # one chunk's draws are _SAMPLE_CHUNK_ENTRIES doubles, and its
+        # lengths scratch, residual and work columns about as many again;
+        # a pipeline that holds all 200000 tuples (12.8 MB) cannot fit
+        n, g = 200000, complete_graph(4)
+        bound = n * g.n_edges * 8 + 4 * 8 * experiments._SAMPLE_CHUNK_ENTRIES
+        assert traced_peak(lambda: sample_distances(g, UnitCubeSampler(2), n, 1)) < bound
+        assert traced_peak(lambda: sample_reference(g, UnitCubeSampler(2), n, 1)) > bound
+
+
 class TestCovering:
+    def test_holds_keys_and_two_columns(self):
+        # besides the cloud: the keys, one float and one int64 column, then
+        # the bool marks of the distinct keys, plus a 64 KiB allowance
+        n = 200000
+        cloud = np.random.default_rng(5).random((n, 3))
+        bound = 3 * 8 * n + n + 2 ** 16
+        assert traced_peak(lambda: covering_count(cloud, 2.0 ** -8)) < bound
+        assert traced_peak(lambda: covering_reference(cloud, 2.0 ** -8)) > bound
+
+    def test_merge_returns_distinct_values(self):
+        rows = np.random.default_rng(6).integers(0, 5, size=(300, 3))
+        first = experiments._merge_distinct(None, rows[:200], 5)
+        assert np.array_equal(first, np.unique(rows[:200] @ [25, 5, 1]))
+        merged = experiments._merge_distinct(first, rows[200:], 5)
+        assert np.array_equal(merged, np.unique(rows @ [25, 5, 1]))
+
     def test_single_point(self):
         for eps in (1.0, 0.5, 0.125):
             assert covering_count(np.array([[0.3, 0.7]]), eps) == 1
