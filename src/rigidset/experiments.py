@@ -509,7 +509,13 @@ def sample_framework_tuples(sampler, n_points: int, n_samples: int, seed: int) -
     """n_samples i.i.d. tuples of n_points draws each, shape
     (n_samples, n_points, d); deterministic per seed. The tuples are the
     chunks of the stream that sample_distances measures, concatenated."""
-    return np.concatenate(list(_sample_chunks(sampler, n_points, n_samples, seed)))
+    chunks = _sample_chunks(sampler, n_points, n_samples, seed)
+    tuples = np.empty((n_samples, n_points, sampler.d))
+    start = 0
+    for pts in chunks:
+        tuples[start:start + len(pts)] = pts
+        start += len(pts)
+    return tuples
 
 
 def distance_images(g: Graph, tuples) -> np.ndarray:

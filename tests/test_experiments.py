@@ -704,6 +704,7 @@ class TestChunkedSample:
         # chunks of 1 to 80 tuples: n = 301 crosses 4 to 300 chunk boundaries
         g, sampler = SAMPLE_GRAPHS[graph_name], STREAM_SAMPLERS[sampler_name](d)
         want_cloud, want_residual, want_degenerate = sample_reference(g, sampler, 301, 17)
+        want_tuples = sampler.draw(np.random.default_rng(17), 301 * g.n_vertices)
         for entries in (1, 37, 640):
             monkeypatch.setattr(experiments, "_SAMPLE_CHUNK_ENTRIES", entries)
             with warnings.catch_warnings():
@@ -714,7 +715,6 @@ class TestChunkedSample:
             assert got.max_residual == want_residual
             assert got.degenerate == want_degenerate
             tuples = sample_framework_tuples(sampler, g.n_vertices, 301, 17)
-            want_tuples = sampler.draw(np.random.default_rng(17), 301 * g.n_vertices)
             assert same_bits(tuples, want_tuples.reshape(301, g.n_vertices, d))
 
     def test_k4_degenerate_counts_fold_across_chunks(self, monkeypatch):
