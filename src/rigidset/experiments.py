@@ -536,8 +536,8 @@ class DistanceSample:
     finite."""
 
     cloud: np.ndarray
-    max_residual: float | None = None
-    degenerate: int = 0
+    max_residual: float | None
+    degenerate: int
 
 
 def sample_distances(g: Graph, sampler, n_samples: int, seed: int) -> DistanceSample:
@@ -552,6 +552,7 @@ def sample_distances(g: Graph, sampler, n_samples: int, seed: int) -> DistanceSa
     one chunk of draws and its work columns are held.
     """
     pairs = [(i - 1, j - 1) for i, j in g.edges]
+    # refuses n_samples < 1 before the cloud is allocated
     chunks = _sample_chunks(sampler, g.n_vertices, n_samples, seed)
     lengths = np.empty((len(pairs), n_samples))
     k4 = sampler.d == 2 and tuple(pairs) == _K4_PAIRS
