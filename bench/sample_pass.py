@@ -1,17 +1,20 @@
-"""CLI wall time and peak RSS of `rigidset sample`, for one or more source trees.
+"""CLI wall time and peak RSS of `rigidset sample` and `rigidset lattice`, for one
+or more source trees.
 
     python3 bench/sample_pass.py --tree before=/path/to/parent --tree after=. \\
         > BENCH.json
 
-Each call is `python3 -m rigidset.cli sample ... --seed 1` in a fresh child
-with TREE/src on PYTHONPATH. Its wall time runs from the start of the child
-to its exit, interpreter start and import included, and its peak RSS is the
-child's ru_maxrss from os.wait4. The calls are `sample k4 --scales 1,2,3,4`
+Each call is `python3 -m rigidset.cli ...` in a fresh child with TREE/src on
+PYTHONPATH. Its wall time runs from the start of the child to its exit,
+interpreter start and import included, and its peak RSS is the child's
+ru_maxrss from os.wait4. The calls are `sample k4 --scales 1,2,3,4 --seed 1`
 at n = 10^6, 2*10^6 and 3*10^6 (the largest the sample size guard admits
-for k4), and `sample k3 --n 300000 --scales 2,3,4,5,6`, the `experiments`
-workload's two sample calls. The trees take turns within every one of ROUNDS
-rounds, the first tree changing each round, as in analyze_pass.py, whose
-record fields this one shares.
+for k4), and `sample k3 --n 300000 --scales 2,3,4,5,6 --seed 1`,
+`lattice --d 2 --k 2 --q-list 2,4,6,7` and `lattice --d 3 --k 1 --q-list
+2,4,6,8`, the `experiments` workload's two sample and two lattice calls.
+The trees take turns within every one of ROUNDS rounds, the first tree
+changing each round, as in analyze_pass.py, whose record fields this one
+shares.
 """
 
 from __future__ import annotations
@@ -25,24 +28,26 @@ import time
 from analyze_pass import _summary, _tree_id, header, tree_parser, trees_of
 
 CALLS = {
-    "k4-1e6": ("k4", "--n", "1000000", "--scales", "1,2,3,4"),
-    "k4-2e6": ("k4", "--n", "2000000", "--scales", "1,2,3,4"),
-    "k4-3e6": ("k4", "--n", "3000000", "--scales", "1,2,3,4"),
-    "k3-3e5": ("k3", "--n", "300000", "--scales", "2,3,4,5,6"),
+    "k4-1e6": ("sample", "k4", "--n", "1000000", "--scales", "1,2,3,4", "--seed", "1"),
+    "k4-2e6": ("sample", "k4", "--n", "2000000", "--scales", "1,2,3,4", "--seed", "1"),
+    "k4-3e6": ("sample", "k4", "--n", "3000000", "--scales", "1,2,3,4", "--seed", "1"),
+    "k3-3e5": ("sample", "k3", "--n", "300000", "--scales", "2,3,4,5,6", "--seed", "1"),
+    "lattice-d2k2": ("lattice", "--d", "2", "--k", "2", "--q-list", "2,4,6,7"),
+    "lattice-d3k1": ("lattice", "--d", "3", "--k", "1", "--q-list", "2,4,6,8"),
 }
 ROUNDS = 7
 
 
 def _run(src: str, args: tuple) -> dict:
-    """Wall seconds and peak RSS in MB of one CLI sample call."""
+    """Wall seconds and peak RSS in MB of one CLI call."""
     env = dict(os.environ, PYTHONPATH=src)
     start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "rigidset.cli", "sample", *args, "--seed", "1"],
+    proc = subprocess.Popen([sys.executable, "-m", "rigidset.cli", *args],
                             env=env, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
     if status:
-        raise RuntimeError(f"sample {' '.join(args)} failed in {src} (status {status})")
+        raise RuntimeError(f"{' '.join(args)} failed in {src} (status {status})")
     return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0}
 
 
@@ -57,7 +62,7 @@ def measure(trees: dict) -> dict:
     return {
         **header("bench/sample_pass.py"),
         "rounds": ROUNDS,
-        "calls": {name: "sample " + " ".join(args) + " --seed 1" for name, args in CALLS.items()},
+        "calls": {name: " ".join(args) for name, args in CALLS.items()},
         "trees": {label: {**_tree_id(trees[label]),
                           "figures": {name: {figure: _summary(values)
                                              for figure, values in figures.items()}

@@ -20,6 +20,7 @@ from .experiments import (
     fit_box_dimension,
     hausdorff_content_bound,
     k4_euler_residuals,
+    sample_box_dimension,
     sample_distances,
     sample_framework_tuples,
 )

@@ -9,8 +9,14 @@ a run manifest is written next to any requested output file.
 Exit codes: 0 success, 2 unreadable input, 3 invalid parameter (among them
 a --d below 2, a --d of 3 or more whose witness, d times the vertex count,
 would exceed rigidity.MAX_WITNESS_COORDINATES coordinates, and a sample
-whose arrays would exceed experiments.SAMPLE_ENTRY_LIMIT entries), 4
-dependent input edges, 5 enumeration guard tripped.
+whose arrays, counted as if held whole, would exceed
+experiments.SAMPLE_ENTRY_LIMIT entries), 4 dependent input edges, 5
+enumeration guard tripped.
+
+sample draws, measures and box-counts its tuples one chunk at a time
+(experiments.sample_box_dimension) and holds only the distinct grid cells
+per scale, never the tuples or the distance cloud; the entry guard keeps
+its boundary but no longer bounds memory.
 """
 
 from __future__ import annotations
@@ -31,9 +37,8 @@ from .experiments import (
     check_sample_size,
     check_scales,
     congruence_class_counts,
-    fit_box_dimension,
     hausdorff_content_bound,
-    sample_distances,
+    sample_box_dimension,
 )
 from .graphs import Graph, GraphFormatError, graph_from_json, graph_to_json, named_graph
 from .rigidity import MAX_WITNESS_COORDINATES, DependentEdgeSetError, minimal_rigid_completion
@@ -212,18 +217,18 @@ def cmd_sample(args) -> None:
     sampler = _build_sampler(args)
     # refused here, not by the fit, so that a bad list costs no draw
     scales = check_scales([2.0 ** -e for e in exponents])
-    sample = sample_distances(g, sampler, args.n, args.seed)
-    estimate = fit_box_dimension(sample.cloud, scales)
+    estimate, max_residual, degenerate = sample_box_dimension(g, sampler, args.n, args.seed,
+                                                              scales)
     lines = [
         f"# sample {args.graph} d={args.d} sampler={args.sampler} n={args.n} seed={args.seed}",
         f"# scales={','.join(str(e) for e in exponents)}",
         f"# slope={repr(estimate.slope)}",
     ]
-    if sample.max_residual is not None:
-        lines.append(f"# max_euler_residual={repr(sample.max_residual)}")
-    if sample.degenerate:
+    if max_residual is not None:
+        lines.append(f"# max_euler_residual={repr(max_residual)}")
+    if degenerate:
         # a degenerate tuple (coincident points) has no residual
-        lines.append(f"# degenerate_tuples={sample.degenerate}")
+        lines.append(f"# degenerate_tuples={degenerate}")
     lines.append("eps,count")
     for eps, count in zip(estimate.scales, estimate.counts):
         lines.append(f"{repr(eps)},{count}")

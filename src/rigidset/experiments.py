@@ -17,8 +17,10 @@ ENUMERATION_LIMIT = 10 ** 8
 # At most this many array entries are allowed for one sample, counted as if
 # it were held whole: the sampled coordinates (times the ternary digits each
 # for the Cantor sampler) plus the distance columns; 5*10^7 int64 or float64
-# entries are 400 MB. The pipeline holds only the distance columns and one
-# chunk of draws, but the guard still counts the whole arrays.
+# entries are 400 MB. `sample` holds neither: it draws, measures and covers
+# one chunk at a time and keeps only the distinct cells. The guard still
+# counts the whole arrays, so its boundary has not moved; it no longer
+# bounds memory.
 SAMPLE_ENTRY_LIMIT = 5 * 10 ** 7
 # log of the largest float, less a margin for the rounding of logarithms
 _LOG_FLOAT_MAX = math.log(sys.float_info.max) - 1e-9
@@ -31,12 +33,18 @@ class EnumerationLimitError(ValueError):
 # Packed row keys stay below this bound, so they fit an int64; cell
 # indices must lie strictly inside (-2^63, 2^63).
 _KEY_LIMIT = 2 ** 63
+# the largest float below 2^63: the largest |x / eps| whose cell fits int64
+_CELL_REACH = math.nextafter(2.0 ** 63, 0.0)
 # int64 entries (tuple coordinates plus pair distances) per lattice chunk
-_LATTICE_CHUNK_ENTRIES = 2 ** 22
+_LATTICE_CHUNK_ENTRIES = 2 ** 18
 # entries drawn per chunk of sampled tuples (coordinates, times the digits
 # each for the Cantor sampler): 1 MB of float64, so that a chunk's draws,
-# lengths and work columns stay small next to the n-long distance cloud
+# lengths and work columns stay small; also the cloud entries per chunk
+# that covering_count covers at a time
 _SAMPLE_CHUNK_ENTRIES = 2 ** 17
+# packed rows collected before they are merged into the distinct rows so
+# far: each merge costs a pass over those, so it is made once per buffer
+_MERGE_BUFFER_ROWS = 2 ** 17
 
 
 def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -84,12 +92,43 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _sort_changes(keys: np.ndarray) -> np.ndarray:
-    """Sort a non-empty 1-D array in place and mark each entry after the
-    first that differs from its left neighbour: the first entry and the
-    marked ones are the distinct values, ascending."""
-    keys.sort()
+def _sort_changes(keys: np.ndarray, kind=None) -> np.ndarray:
+    """Sort a non-empty 1-D array in place (numpy's sort of that kind)
+    and mark each entry after the first that differs from its left
+    neighbour: the first entry and the marked ones are the distinct
+    values, ascending."""
+    keys.sort(kind=kind)
     return keys[1:] != keys[:-1]
+
+
+def _distinct_sorted(keys: np.ndarray, kind=None) -> np.ndarray:
+    """The distinct values of a non-empty 1-D array, ascending; the array
+    is sorted in place."""
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    first[1:] = _sort_changes(keys, kind)
+    return keys[first]
+
+
+def _per_word(m: int, radix: int) -> int:
+    """Entries per int64 word when rows of m entries in range(radix) are
+    packed at a fixed radix: as many as keep a word below 2^63, at most m."""
+    per_word = 1
+    while per_word < m and radix ** (per_word + 1) <= _KEY_LIMIT:
+        per_word += 1
+    return per_word
+
+
+def _fold_word(words: np.ndarray, j: int, col: np.ndarray, radix: int, per_word: int):
+    """Fold column j of rows whose entries lie in range(radix) into their
+    (N, words) fixed-radix words, in place: column j is digit j % per_word,
+    from the most significant, of word j // per_word."""
+    word = words[:, j // per_word]
+    if j % per_word:
+        word *= radix
+        word += col
+    else:
+        word[...] = col
 
 
 def _merge_distinct(seen, rows: np.ndarray, radix: int) -> np.ndarray:
@@ -99,23 +138,79 @@ def _merge_distinct(seen, rows: np.ndarray, radix: int) -> np.ndarray:
 
     Each run of columns whose fixed-radix key fits below 2^63 becomes one
     int64 word, which means the same in every call. With one word per row
-    the result is the sorted distinct words; with more it is the distinct
-    rows of words, found by _row_keys.
+    the result is the sorted distinct words: the new words are sorted and
+    made distinct, then merged with `seen` by numpy's stable sort, which
+    for int64 is timsort and merges two sorted runs in one linear pass.
+    With more words per row it is the distinct rows of words, found by
+    _row_keys, which sorts them all.
     """
-    per_word = 1
-    while radix ** (per_word + 1) <= _KEY_LIMIT:
-        per_word += 1
-    n_words = (rows.shape[1] + per_word - 1) // per_word
-    words = np.zeros((rows.shape[0], n_words), dtype=np.int64)
-    for j in range(rows.shape[1]):
-        words[:, j // per_word] *= radix
-        words[:, j // per_word] += rows[:, j]
+    n, m = rows.shape
+    per_word = _per_word(m, radix)
+    words = np.empty((n, -(-m // per_word)), dtype=np.int64)
+    for j in range(m):
+        _fold_word(words, j, rows[:, j], radix, per_word)
     if words.shape[1] == 1:
-        keys = words[:, 0] if seen is None else np.concatenate((seen, words[:, 0]))
-        return np.concatenate((keys[:1], keys[1:][_sort_changes(keys)]))
+        keys = _distinct_sorted(words[:, 0])
+        return keys if seen is None else _distinct_sorted(np.concatenate((seen, keys)), "stable")
     if seen is not None:
         words = np.concatenate((seen, words))
     return words[np.unique(_row_keys(words), return_index=True)[1]]
+
+
+class _DistinctRows:
+    """The distinct rows among all rows added, each of m entries in
+    range(radix).
+
+    Rows are packed on arrival into _merge_distinct's fixed-radix words
+    and collected in a buffer. Once it holds `rows` packed rows (default
+    _MERGE_BUFFER_ROWS) or more, the next add first merges it into the
+    distinct words so far. So every merge but the last takes at least
+    `rows` rows, which makes at most ceil(added / rows) + 1 merges, and
+    no added chunk is held past its add. The buffer holds `rows` rows
+    and grows only to take a chunk that does not fit.
+    """
+
+    def __init__(self, m: int, radix: int, rows: int = 0):
+        self.radix = radix
+        self.per_word = _per_word(m, radix)
+        # every packed word lies in range(word_radix), so _merge_distinct
+        # keeps them as they are, one word per column
+        self.word_radix = radix ** min(m, self.per_word)
+        self.rows = rows or _MERGE_BUFFER_ROWS
+        self.words = np.empty((self.rows, -(-m // self.per_word)), dtype=np.int64)
+        self.fill = 0
+        self.seen = None
+
+    def add(self, columns, count: int):
+        """Add `count` rows given column by column: `columns` yields the m
+        int64 columns, each of length count, and each is folded into the
+        buffer before the next is asked for."""
+        if self.fill >= self.rows:
+            self._merge()
+        if self.fill + count > len(self.words):
+            grown = np.empty((self.fill + count, self.words.shape[1]), dtype=np.int64)
+            grown[:self.fill] = self.words[:self.fill]
+            self.words = grown
+        block = self.words[self.fill:self.fill + count]
+        for j, col in enumerate(columns):
+            _fold_word(block, j, col, self.radix, self.per_word)
+        self.fill += count
+
+    def _merge(self):
+        if self.fill:
+            self.seen = _merge_distinct(self.seen, self.words[:self.fill], self.word_radix)
+            self.fill = 0
+
+    def count(self) -> int:
+        """The number of distinct rows added. While nothing is merged and
+        rows pack into one word, they are counted in the buffer, sorted in
+        place, and not built."""
+        if self.seen is None and self.words.shape[1] == 1:
+            if not self.fill:
+                return 0
+            return 1 + int(np.count_nonzero(_sort_changes(self.words[:self.fill, 0])))
+        self._merge()
+        return 0 if self.seen is None else len(self.seen)
 
 
 # vertex pairs of K4 in the order t12, t13, t14, t23, t24, t34
@@ -328,14 +423,16 @@ def congruence_class_counts(d: int, q: int, k: int) -> tuple[int, int]:
 
     Tuples are enumerated by index in numpy chunks of at most
     _LATTICE_CHUNK_ENTRIES int64 entries; the base-(q+1) digits of an index
-    are the coordinates of its k+1 points.
+    are the coordinates of its k+1 points. Each chunk's distance vectors
+    go into one _DistinctRows per count, so only the distinct vectors and
+    one chunk are held.
     """
     check_enumeration(d, q, k)
     n_tuples = (q + 1) ** (d * (k + 1))
     pairs = list(itertools.combinations(range(k + 1), 2))
     radix = d * q * q + 1  # every squared distance lies in [0, d q^2]
     chunk = max(1, _LATTICE_CHUNK_ENTRIES // (d * (k + 1) + len(pairs)))
-    unlabeled = labeled = None
+    labeled, unlabeled = _DistinctRows(len(pairs), radix), _DistinctRows(len(pairs), radix)
     for start in range(0, n_tuples, chunk):
         rest = np.arange(start, min(start + chunk, n_tuples), dtype=np.int64)
         # coords[v * d + axis] is that coordinate of point v
@@ -345,10 +442,10 @@ def congruence_class_counts(d: int, q: int, k: int) -> tuple[int, int]:
             dists[:, col] = sum((coords[a * d + axis] - coords[b * d + axis]) ** 2
                                 for axis in range(d))
         del coords
-        labeled = _merge_distinct(labeled, dists, radix)
+        labeled.add(dists.T, rest.size)
         dists.sort(axis=1)
-        unlabeled = _merge_distinct(unlabeled, dists, radix)
-    return len(unlabeled), len(labeled)
+        unlabeled.add(dists.T, rest.size)
+    return unlabeled.count(), labeled.count()
 
 
 def _check_s_range(d: int, s: float):
@@ -413,6 +510,8 @@ def build_lattice_set(d: int, q: int, s: float) -> LatticeSet:
 class UnitCubeSampler:
     """Uniform points in [0,1]^d."""
 
+    side = 1.0  # every draw lies in a cube of this side
+
     def __init__(self, d: int):
         if d < 1:
             raise ValueError("d must be >= 1")
@@ -429,6 +528,8 @@ class LatticeSampler:
     def __init__(self, lattice: LatticeSet):
         self.lattice = lattice
         self.d = lattice.d
+        # every draw lies in [-radius, 1 + radius]^d
+        self.side = 1.0 + 2.0 * lattice.radius
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         d, q = self.d, self.lattice.q
@@ -446,6 +547,8 @@ class LatticeSampler:
 class CantorSampler:
     """Product of middle-thirds Cantor sets, one per coordinate; draws pick
     random ternary digits in {0, 2} down to resolution 3^-depth."""
+
+    side = 1.0  # every draw lies in a cube of this side
 
     def __init__(self, d: int, depth: int = 35):
         if d < 1:
@@ -466,10 +569,11 @@ def check_sample_size(g: Graph, d: int, n_samples: int, digits: int = 1) -> None
     n_samples tuples in R^d whose arrays, held whole, would hold more than
     SAMPLE_ENTRY_LIMIT entries: n_samples * n_vertices * d coordinates,
     each drawn as `digits` entries (the Cantor sampler's depth), plus
-    n_samples * n_edges distances. sample_distances holds only the
-    distances and one chunk of draws, but the guard still counts the
-    whole arrays, so its boundary is where it was before the draws were
-    chunked."""
+    n_samples * n_edges distances. No pipeline holds those arrays any
+    more: sample_box_dimension holds one chunk and the distinct cells,
+    and sample_distances the distances and one chunk. So the guard no
+    longer bounds memory, but it still counts the whole arrays, and its
+    boundary is where it was before the draws were chunked."""
     entries = n_samples * (g.n_vertices * d * digits + g.n_edges)
     if entries > SAMPLE_ENTRY_LIMIT:
         raise ValueError(
@@ -540,48 +644,157 @@ class DistanceSample:
     degenerate: int
 
 
-def sample_distances(g: Graph, sampler, n_samples: int, seed: int) -> DistanceSample:
-    """The distance cloud of n_samples tuples of sample_framework_tuples'
-    stream: distance_images of those tuples, and for K4 in the plane the
-    summary of their k4_euler_residuals, with the same bits.
+def _measure_chunks(g: Graph, sampler, n_samples: int, seed: int, consume=None, out=None):
+    """Measure the n_samples tuples of sample_framework_tuples' stream one
+    chunk (_sample_chunks) at a time, and return the summary of their
+    k4_euler_residuals for K4 in the plane: (largest finite residual or
+    None, number of non-finite ones), with the bits of the whole-array
+    computation; (None, 0) for any other graph or d.
 
-    The tuples are drawn one chunk at a time (_sample_chunks). Each chunk's
-    edge lengths are computed once, written into the preallocated cloud
-    and, for K4 in the plane, fed to the residual, whose finite maximum and
-    non-finite count are folded across chunks. So besides the cloud only
-    one chunk of draws and its work columns are held.
+    Each chunk's edge lengths are computed once, as an (n_edges, count)
+    array, into out[:, start:stop] when `out` is given, or else into one
+    buffer reused across chunks. For K4 in the plane the same lengths feed
+    the residual, whose finite maximum and non-finite count are folded
+    across chunks. Then consume(lengths) is called, if given, before the
+    next chunk is drawn.
     """
     pairs = [(i - 1, j - 1) for i, j in g.edges]
-    # refuses n_samples < 1 before the cloud is allocated
     chunks = _sample_chunks(sampler, g.n_vertices, n_samples, seed)
-    lengths = np.empty((len(pairs), n_samples))
     k4 = sampler.d == 2 and tuple(pairs) == _K4_PAIRS
     max_residual, degenerate = None, 0
-    start = 0
+    buffer, start = None, 0
     for pts in chunks:
-        stop = start + pts.shape[0]
-        chunk_lengths = _edge_lengths(pts, pairs, lengths[:, start:stop])
+        count = pts.shape[0]
+        if out is not None:
+            lengths = out[:, start:start + count]
+        else:
+            if buffer is None:  # the first chunk is the longest
+                buffer = np.empty((len(pairs), count))
+            lengths = buffer[:, :count]
+        _edge_lengths(pts, pairs, lengths)
         if k4:
-            residuals = _k4_residuals(pts, chunk_lengths)
+            residuals = _k4_residuals(pts, lengths)
             finite = residuals[np.isfinite(residuals)]
             degenerate += residuals.size - finite.size
             if finite.size:
                 top = float(finite.max())
                 max_residual = top if max_residual is None else max(max_residual, top)
-        start = stop
-    return DistanceSample(lengths.T, max_residual, degenerate)
+        if consume is not None:
+            consume(lengths)
+        start += count
+    return max_residual, degenerate
+
+
+def sample_distances(g: Graph, sampler, n_samples: int, seed: int) -> DistanceSample:
+    """The distance cloud of n_samples tuples of sample_framework_tuples'
+    stream: distance_images of those tuples, and for K4 in the plane the
+    summary of their k4_euler_residuals, with the same bits.
+
+    The tuples are drawn and measured one chunk at a time by
+    _measure_chunks, the loop that sample_box_dimension runs, with each
+    chunk's lengths written straight into the preallocated cloud. So
+    besides the cloud only one chunk of draws and its work columns are
+    held. sample_box_dimension gives the box counts of the same cloud
+    without holding it.
+    """
+    cloud = np.empty((g.n_edges, max(n_samples, 0)))
+    max_residual, degenerate = _measure_chunks(g, sampler, n_samples, seed, out=cloud)
+    return DistanceSample(cloud.T, max_residual, degenerate)
+
+
+def sample_box_dimension(g: Graph, sampler, n_samples: int, seed: int, scales):
+    """(fit_box_dimension(s.cloud, scales), s.max_residual, s.degenerate)
+    for s = sample_distances(g, sampler, n_samples, seed), with the same
+    counts, slope bits and errors, but no cloud is held: each chunk of
+    _measure_chunks is covered at every scale as soon as its lengths
+    exist, and only the distinct cells per scale are kept.
+
+    The sampler must say by `side` the side of a cube that holds all its
+    draws, so that no edge length exceeds side * sqrt(d); with a margin
+    for rounding, that bound fixes each scale's cell radix before the
+    first draw, and _DistinctRows packs and merges the cells at that
+    radix. Every chunk is checked against the radix before it is
+    covered, so a cell past it raises ValueError and is never miscounted.
+    A cell index at or past 2^63 raises covering_count's ValueError,
+    after the last draw, as the cloud route does.
+    """
+    scales = check_scales(scales)
+    if not g.n_edges:
+        raise ValueError("empty cloud")
+    bound = sampler.side * math.sqrt(sampler.d) * (1 + 2.0 ** -20)
+    # the largest |x / eps| each scale admits; its cells lie in range(floor + 1)
+    reaches = [min(bound / eps, _CELL_REACH) for eps in scales]
+    cells = [_DistinctRows(g.n_edges, math.floor(reach) + 1) for reach in reaches]
+    top, failed = None, False
+
+    def cover(lengths):
+        nonlocal top, failed
+        chunk_top = lengths.max()
+        top = chunk_top if top is None else np.maximum(top, chunk_top)
+        with np.errstate(over="ignore"):
+            failed = failed or any(not chunk_top / eps <= reach
+                                   for eps, reach in zip(scales, reaches))
+        if not failed:
+            for eps, keys in zip(scales, cells):
+                _cover_chunk(lengths, eps, None, keys)
+
+    max_residual, degenerate = _measure_chunks(g, sampler, n_samples, seed, cover)
+    if failed:
+        for eps in scales:
+            with np.errstate(over="ignore"):
+                reach = top / eps
+            if not reach <= _CELL_REACH:
+                _refuse_cells(eps, bool(np.isfinite(top)), reach)
+        raise ValueError(f"an edge length of {float(top)!r} exceeds the bound "
+                         f"{bound!r} that the sampler's side gives")
+    counts = tuple(keys.count() for keys in cells)
+    return _fit_slope(scales, counts), max_residual, degenerate
+
+
+def _cover_chunk(cols, eps: float, lows, keys: _DistinctRows):
+    """Add to `keys` the cells of the origin-anchored eps-grid that hold
+    the points of one chunk, whose m coordinate columns, each of length
+    count, are the rows of `cols`: cell index floor(x / eps), less lows[j]
+    for column j (nothing when lows is None), which must then lie in
+    range(keys.radix).
+
+    One float and one int64 column of the chunk's length are the work
+    space; each column is divided, floored and cast into them and folded
+    into the packed keys before the next. When eps is a power of two
+    whose inverse is a float, x / eps is computed as x * (1 / eps): both
+    round the same exact value, so the bits are the same, and a product
+    is cheaper than a quotient.
+    """
+    count = len(cols[0])
+    scaled, cells = np.empty(count), np.empty(count, dtype=np.int64)
+    inverse = 1.0 / eps
+    exact = math.frexp(eps)[0] == 0.5 and math.isfinite(inverse)
+
+    def cell_columns():
+        for j, col in enumerate(cols):
+            if exact:
+                np.multiply(col, inverse, out=scaled)
+            else:
+                np.divide(col, eps, out=scaled)
+            np.floor(scaled, out=cells, casting="unsafe")
+            if lows is not None:
+                np.subtract(cells, lows[j], out=cells)
+            yield cells
+
+    keys.add(cell_columns(), count)
 
 
 def covering_count(cloud, eps: float) -> int:
     """Number of occupied cells of the origin-anchored eps-grid.
 
-    The count is exact: each point's cell index vector is packed into one
-    int64 key. The key is built one column at a time (divide by eps,
-    range-check, floor, cast to int64, shift, fold in with _fold_column),
-    so besides the cloud only the keys and one float and one int64
-    column are held; no full-size array of scaled coordinates or cell
-    indices is built. Those two columns are freed before the keys are
-    sorted in place, and the distinct keys are counted, not built. Raises
+    The count is exact. Each column's cell range is read from its
+    extremes, since x / eps and the floor are monotone; every cell index
+    vector, shifted by the column minima, is then packed into int64 words
+    at one radix by _cover_chunk, _SAMPLE_CHUNK_ENTRIES cloud entries at
+    a time, into a _DistinctRows buffer of one row per point. When the
+    cells pack into one word per point, the distinct keys are counted in
+    that buffer, sorted in place, not built: besides the cloud only the
+    keys, their bool marks and one chunk's work columns are held. Raises
     ValueError when the cloud has a non-finite entry or when some
     |x / eps| reaches 2^63, where cell indices leave int64.
     """
@@ -593,35 +806,33 @@ def covering_count(cloud, eps: float) -> int:
     if a.size == 0:
         raise ValueError("empty cloud")
     n, m = a.shape
-    scaled, cells = np.empty(n), np.empty(n, dtype=np.int64)
-    keys = np.zeros(n, dtype=np.int64)
-    size = 1  # every key lies in range(size); a Python int, so it cannot wrap
+    lows, radix = [], 1
     for j in range(m):
         with np.errstate(over="ignore"):
-            np.divide(a[:, j], eps, out=scaled)
-        lo, hi = scaled.min(), scaled.max()
+            lo, hi = a[:, j].min() / eps, a[:, j].max() / eps
         if not (-_KEY_LIMIT < lo and hi < _KEY_LIMIT):
-            _refuse_cells(a, eps)
-        # floor is monotone, so the column's cells span floor(lo)..floor(hi)
-        np.floor(scaled, out=cells, casting="unsafe")
-        lo, hi = int(np.floor(lo)), int(np.floor(hi))
-        cells -= lo
-        keys, size = _fold_column(keys, size, cells, hi - lo + 1)
-    del scaled, cells
-    return 1 + int(np.count_nonzero(_sort_changes(keys)))
+            finite = bool(np.isfinite(a).all())
+            with np.errstate(over="ignore"):
+                reach = max(-a.min(), a.max()) / eps if finite else None
+            _refuse_cells(eps, finite, reach)
+        lows.append(int(np.floor(lo)))
+        radix = max(radix, int(np.floor(hi)) - lows[-1] + 1)
+    keys = _DistinctRows(m, radix, n)
+    chunk = max(1, _SAMPLE_CHUNK_ENTRIES // m)
+    for start in range(0, n, chunk):
+        _cover_chunk(a[start:start + chunk].T, eps, lows, keys)
+    return keys.count()
 
 
-def _refuse_cells(a: np.ndarray, eps: float):
+def _refuse_cells(eps: float, finite: bool, reach):
     """Raise the ValueError for a cloud some of whose cell indices at eps
-    leave int64, naming a non-finite entry first."""
-    if not np.isfinite(a).all():
+    leave int64: that it has a non-finite entry, or else reach, the
+    largest |x / eps|."""
+    if not finite:
         raise ValueError("cloud has a non-finite entry")
-    with np.errstate(over="ignore"):
-        scaled = a / eps
-    lo, hi = scaled.min(), scaled.max()
     raise ValueError(
         f"eps={eps!r} gives cell indices beyond the int64 range "
-        f"(|x/eps| up to {max(-lo, hi):.3g}, limit 2^63)")
+        f"(|x/eps| up to {reach:.3g}, limit 2^63)")
 
 
 @dataclass(frozen=True)
@@ -652,7 +863,11 @@ def fit_box_dimension(cloud, scales) -> CoveringEstimate:
     """Least-squares box-dimension fit over the given scales (use powers of
     1/2 so coarser grids are exact unions of finer cells)."""
     scales = check_scales(scales)
-    counts = tuple(covering_count(cloud, eps) for eps in scales)
+    return _fit_slope(scales, tuple(covering_count(cloud, eps) for eps in scales))
+
+
+def _fit_slope(scales: tuple, counts: tuple) -> CoveringEstimate:
+    """The least-squares slope of log2(count) against log2(1/eps)."""
     xs = np.log2(1.0 / np.asarray(scales))
     ys = np.log2(np.asarray(counts, dtype=float))
     slope = float(np.polyfit(xs, ys, 1)[0])

@@ -298,7 +298,7 @@ class TestSample:
         def no_draw(*args, **kwargs):
             raise AssertionError("tuples drawn for a graph without edges")
 
-        monkeypatch.setattr(cli, "sample_distances", no_draw)
+        monkeypatch.setattr(experiments, "_sample_chunks", no_draw)
         path = tmp_path / "edgeless.json"
         path.write_text(graph_to_json(make_graph(3, [])))
         code, out, err = run(capsys, "sample", str(path), "--seed", "1")
@@ -310,7 +310,7 @@ class TestSample:
         def no_draw(*args, **kwargs):
             raise AssertionError("tuples drawn for a negative seed")
 
-        monkeypatch.setattr(cli, "sample_distances", no_draw)
+        monkeypatch.setattr(experiments, "_sample_chunks", no_draw)
         code, out, err = run(capsys, "sample", "k4", "--seed", "-1")
         assert (code, out, err) == (3, "", "error: --seed must be >= 0 for sample\n")
 
@@ -421,7 +421,7 @@ class TestSample:
         def no_draw(*args, **kwargs):
             raise AssertionError("tuples drawn for a refused scale list")
 
-        monkeypatch.setattr(cli, "sample_distances", no_draw)
+        monkeypatch.setattr(experiments, "_sample_chunks", no_draw)
         code, out, err = run(capsys, "sample", "k3", "--n", "1000000", "--seed", "1",
                              "--scales", "5,5,5")
         assert code == 3
@@ -435,7 +435,7 @@ class TestSample:
         def no_draw(*args, **kwargs):
             raise AssertionError("tuples drawn for a refused scale list")
 
-        monkeypatch.setattr(cli, "sample_distances", no_draw)
+        monkeypatch.setattr(experiments, "_sample_chunks", no_draw)
         code, out, err = run(capsys, "sample", "k4", "--n", "1000", "--seed", "1",
                              "--scales", scales)
         assert code == 3 and out == ""

@@ -27,6 +27,7 @@ from rigidset.experiments import (
     fit_box_dimension,
     hausdorff_content_bound,
     k4_euler_residuals,
+    sample_box_dimension,
     sample_distances,
     sample_framework_tuples,
 )
@@ -777,6 +778,225 @@ class TestChunkedSample:
         bound = n * g.n_edges * 8 + 4 * 8 * experiments._SAMPLE_CHUNK_ENTRIES
         assert traced_peak(lambda: sample_distances(g, UnitCubeSampler(2), n, 1)) < bound
         assert traced_peak(lambda: sample_reference(g, UnitCubeSampler(2), n, 1)) > bound
+
+
+def cloud_route(g, sampler, n, seed, scales):
+    """sample_box_dimension's reference: the box counts of the whole
+    distance cloud, which is held."""
+    sample = sample_distances(g, sampler, n, seed)
+    return fit_box_dimension(sample.cloud, scales), sample.max_residual, sample.degenerate
+
+
+def same_estimate(got, want):
+    """Equal streamed and cloud-route results, the slope bit for bit."""
+    (got_fit, *got_rest), (want_fit, *want_rest) = got, want
+    return (got_fit.scales == want_fit.scales and got_fit.counts == want_fit.counts
+            and got_fit.slope.hex() == want_fit.slope.hex() and got_rest == want_rest)
+
+
+@st.composite
+def streamed_cases(draw):
+    """(graph, sampler, n, seed, scales, chunk entries, buffer rows) for
+    the three samplers, K2, K3, K4 and path-4, d = 1..3 (2..3 for the
+    lattice sampler), and sometimes a scale fine enough that radix^m
+    passes 2^63 once the graph has two or more edges."""
+    g = SAMPLE_GRAPHS[draw(st.sampled_from(sorted(SAMPLE_GRAPHS)))]
+    kind = draw(st.sampled_from(["cube", "cantor", "lattice"]))
+    d = draw(st.integers(2 if kind == "lattice" else 1, 3))
+    if kind == "cube":
+        sampler = UnitCubeSampler(d)
+    elif kind == "cantor":
+        sampler = CantorSampler(d, depth=draw(st.sampled_from([1, 2, 35])))
+    else:
+        q, s = draw(st.integers(1, 8)), draw(st.sampled_from([0.5, 0.75]))
+        sampler = LatticeSampler(build_lattice_set(d, q, s * d))
+    exponents = draw(st.lists(st.integers(-2, 12), min_size=2, max_size=4, unique=True))
+    if draw(st.booleans()):
+        exponents.append(draw(st.integers(20, 60)))
+    scales = [2.0 ** -e for e in exponents]
+    return (g, sampler, draw(st.integers(1, 300)), draw(st.integers(0, 2 ** 32 - 1)), scales,
+            draw(st.sampled_from([1, 7, 37, 640, 2 ** 17])),
+            draw(st.sampled_from([1, 5, 64, 2 ** 17])))
+
+
+class NarrowCubeSampler(UnitCubeSampler):
+    """Draws in [0,1]^d that claim to lie in a cube of side 1/4."""
+
+    side = 0.25
+
+
+class GridCornerSampler(UnitCubeSampler):
+    """Draws on the grid {0, 1/4, ..., 1}^d: lengths reach the bound
+    side * sqrt(d) of the cube sampler itself."""
+
+    def draw(self, rng, count):
+        return rng.integers(0, 5, size=(count, self.d)) / 4
+
+
+class TestStreamedCover:
+    @settings(max_examples=150, deadline=None)
+    @given(streamed_cases())
+    def test_matches_the_cloud_route(self, case):
+        g, sampler, n, seed, scales, entries, rows = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "_SAMPLE_CHUNK_ENTRIES", entries)
+            patch.setattr(experiments, "_MERGE_BUFFER_ROWS", rows)
+            want = cloud_route(g, sampler, n, seed, scales)
+            got = sample_box_dimension(g, sampler, n, seed, scales)
+        assert same_estimate(got, want)
+
+    def test_word_rows_match_the_cloud_route(self, monkeypatch):
+        # at eps = 2^-30 a K4 length spans about 1.5 * 2^30 cells, and
+        # (1.5 * 2^30)^6 passes 2^63: the cells pack into word rows
+        g, sampler, scales = complete_graph(4), UnitCubeSampler(2), [0.5, 2.0 ** -30]
+        radix = math.floor(math.sqrt(2) * 2 ** 30) + 1
+        assert experiments._per_word(6, radix) < 6
+        # chunks of 100 tuples, merged 500 rows at a time
+        monkeypatch.setattr(experiments, "_SAMPLE_CHUNK_ENTRIES", 800)
+        monkeypatch.setattr(experiments, "_MERGE_BUFFER_ROWS", 500)
+        want = cloud_route(g, sampler, 3000, 4, scales)
+        ranked = []
+        row_keys = experiments._row_keys
+        monkeypatch.setattr(experiments, "_row_keys",
+                            lambda words: ranked.append(words.shape) or row_keys(words))
+        assert same_estimate(sample_box_dimension(g, sampler, 3000, 4, scales), want)
+        assert len(ranked) >= 6 and all(shape[1] == 3 for shape in ranked)
+
+    @pytest.mark.parametrize("exponents", [(1, 64), (64, 1, 70), (1, 62, 63)])
+    def test_int64_refusal_matches_the_cloud_route(self, monkeypatch, exponents):
+        # the first scale in list order whose cells leave int64 on the whole
+        # cloud is named, with the largest |x / eps| of the whole cloud
+        monkeypatch.setattr(experiments, "_SAMPLE_CHUNK_ENTRIES", 60)
+        g, scales = complete_graph(3), [2.0 ** -e for e in exponents]
+        with pytest.raises(ValueError) as want:
+            cloud_route(g, UnitCubeSampler(2), 500, 1, scales)
+        with pytest.raises(ValueError) as got:
+            sample_box_dimension(g, UnitCubeSampler(2), 500, 1, scales)
+        assert "int64" in str(want.value) and str(got.value) == str(want.value)
+
+    def test_late_non_finite_length_refused_after_the_last_draw(self, monkeypatch):
+        # the third chunk holds an infinite coordinate, so its lengths are
+        # not finite; the refusal names it, as the cloud route does, and
+        # comes after every chunk is drawn
+        draws = []
+        draw = UnitCubeSampler.draw
+
+        def late_inf(sampler, rng, count):
+            pts = draw(sampler, rng, count)
+            draws.append(count)
+            if len(draws) == 3:
+                pts[0, 0] = math.inf
+            return pts
+
+        monkeypatch.setattr(experiments.UnitCubeSampler, "draw", late_inf)
+        monkeypatch.setattr(experiments, "_SAMPLE_CHUNK_ENTRIES", 60)
+        with pytest.raises(ValueError, match="cloud has a non-finite entry"):
+            cloud_route(complete_graph(3), UnitCubeSampler(2), 100, 1, [0.5, 0.25])
+        assert len(draws) == 10
+        draws.clear()
+        with pytest.raises(ValueError, match="cloud has a non-finite entry"):
+            sample_box_dimension(complete_graph(3), UnitCubeSampler(2), 100, 1, [0.5, 0.25])
+        assert len(draws) == 10
+
+    @pytest.mark.parametrize("graph_name", ["k3", "k4"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_lengths_at_the_bound_match_the_cloud_route(self, graph_name, d):
+        # cells as far out as the radix admits, at scales that divide the
+        # grid exactly: one cell too few would alias rows
+        g, scales = SAMPLE_GRAPHS[graph_name], [1.0, 0.5, 0.25, 0.125]
+        want = cloud_route(g, GridCornerSampler(d), 2000, 5, scales)
+        assert want[0].counts[0] > 1
+        assert same_estimate(sample_box_dimension(g, GridCornerSampler(d), 2000, 5, scales), want)
+
+    def test_length_past_the_bound_raises(self):
+        # the sampler's side undercounts its draws: the cells pass the radix
+        # fixed from it, which raises rather than miscounts
+        with pytest.raises(ValueError, match="exceeds the bound"):
+            sample_box_dimension(complete_graph(2), NarrowCubeSampler(2), 1000, 1, [0.5, 0.25])
+
+    def test_edgeless_graph_and_bad_scales_refused(self):
+        g = make_graph(3, [])
+        with pytest.raises(ValueError, match="empty cloud"):
+            cloud_route(g, UnitCubeSampler(2), 10, 1, [0.5, 0.25])
+        with pytest.raises(ValueError, match="empty cloud"):
+            sample_box_dimension(g, UnitCubeSampler(2), 10, 1, [0.5, 0.25])
+        with pytest.raises(ValueError, match="two distinct scales"):
+            sample_box_dimension(complete_graph(2), UnitCubeSampler(2), 10, 1, [0.5, 0.5])
+
+    def test_every_sampler_states_its_side(self):
+        # every draw, the centers and radius offsets of the lattice sampler
+        # included, lies in a box of the stated side
+        rng = np.random.default_rng(2)
+        for sampler in (UnitCubeSampler(3), CantorSampler(2, depth=3),
+                        LatticeSampler(build_lattice_set(2, 1, 1.0))):
+            pts = sampler.draw(rng, 20000)
+            assert np.ptp(pts, axis=0).max() <= sampler.side
+        assert LatticeSampler(build_lattice_set(2, 4, 1.5)).side == 1 + 2 * 4 ** (-2 / 1.5)
+
+    def test_k4_cover_peak_does_not_grow_with_n(self):
+        # one chunk's draws, lengths and residual work columns (4 chunks of
+        # entries), per scale the key buffer and its merge copy, and the
+        # distinct cells, at most 3^6 and 6^6 keys at eps = 1/2 and 1/4
+        # (twice, while merged); the cloud alone of 200000 K4 tuples is
+        # 9.6 MB, so the route that holds it cannot fit
+        g, scales = complete_graph(4), [0.5, 0.25]
+        bound = (4 * 8 * experiments._SAMPLE_CHUNK_ENTRIES
+                 + len(scales) * 2 * 8 * experiments._MERGE_BUFFER_ROWS
+                 + 2 * 8 * (3 ** 6 + 6 ** 6))
+        for n in (200000, 400000):
+            assert traced_peak(
+                lambda: sample_box_dimension(g, UnitCubeSampler(2), n, 1, scales)) < bound
+        assert traced_peak(lambda: cloud_route(g, UnitCubeSampler(2), 200000, 1, scales)) > bound
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("m, radix", [(3, 5), (1, 2 ** 63), (2, 2 ** 40), (30, 7), (4, 1)])
+    def test_many_small_chunks_merge_to_the_distinct_rows(self, monkeypatch, m, radix):
+        # 2000 rows drawn from 40, added in chunks of 1 to 100 rows; a
+        # chunk longer than the 64-row buffer grows it
+        monkeypatch.setattr(experiments, "_MERGE_BUFFER_ROWS", 64)
+        merges = []
+        merge = experiments._merge_distinct
+        monkeypatch.setattr(experiments, "_merge_distinct",
+                            lambda *args: merges.append(len(args[1])) or merge(*args))
+        rng = np.random.default_rng(m)
+        pool = rng.integers(0, radix, size=(40, m), dtype=np.int64, endpoint=False)
+        pool[:2] = [0] * m, [radix - 1] * m
+        rows = pool[rng.integers(0, 40, size=2000)]
+        keys = experiments._DistinctRows(m, radix)
+        start = 0
+        while start < len(rows):
+            chunk = rows[start:start + int(rng.integers(1, 101))]
+            keys.add(chunk.T, len(chunk))
+            start += len(chunk)
+        assert keys.count() == len(np.unique(rows, axis=0))
+        assert len(merges) <= math.ceil(len(rows) / 64) + 1
+        assert all(size >= 64 for size in merges[:-1])
+        if (m, radix) == (3, 5):
+            assert np.array_equal(keys.seen, np.unique(rows @ [25, 5, 1]))
+
+    def test_one_buffer_is_counted_without_a_merge(self, monkeypatch):
+        merges = []
+        monkeypatch.setattr(experiments, "_merge_distinct", lambda *args: merges.append(1))
+        rows = np.random.default_rng(3).integers(0, 9, size=(500, 4))
+        keys = experiments._DistinctRows(4, 9, 500)
+        keys.add(rows[:300].T, 300)
+        keys.add(rows[300:].T, 200)
+        assert keys.count() == len(np.unique(rows, axis=0)) and merges == []
+
+    @pytest.mark.parametrize("d,q,k", [(2, 2, 2), (3, 1, 2), (1, 1, 11)])
+    def test_lattice_counts_across_buffers(self, monkeypatch, d, q, k):
+        want = congruence_counts_loop(d, q, k)
+        monkeypatch.setattr(experiments, "_LATTICE_CHUNK_ENTRIES", 500)
+        monkeypatch.setattr(experiments, "_MERGE_BUFFER_ROWS", 70)
+        assert congruence_class_counts(d, q, k) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(clouds(), st.sampled_from([1.0, 0.3, 2.0 ** -4]), st.sampled_from([1, 5, 64]))
+    def test_covering_in_small_chunks(self, cloud, eps, entries):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "_SAMPLE_CHUNK_ENTRIES", entries)
+            assert covering_count(cloud, eps) == covering_reference(cloud, eps)
 
 
 class TestCovering:
