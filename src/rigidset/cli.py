@@ -35,7 +35,6 @@ from .experiments import (
     build_lattice_set,
     check_enumeration,
     check_sample_size,
-    check_scales,
     congruence_class_counts,
     hausdorff_content_bound,
     sample_box_dimension,
@@ -215,10 +214,9 @@ def cmd_sample(args) -> None:
         raise ValueError("--seed must be >= 0 for sample")
     check_sample_size(g, args.d, args.n, args.depth if args.sampler == "cantor" else 1)
     sampler = _build_sampler(args)
-    # refused here, not by the fit, so that a bad list costs no draw
-    scales = check_scales([2.0 ** -e for e in exponents])
-    estimate, max_residual, degenerate = sample_box_dimension(g, sampler, args.n, args.seed,
-                                                              scales)
+    # a scale list that fits no slope is refused before any draw
+    estimate, max_residual, degenerate = sample_box_dimension(
+        g, sampler, args.n, args.seed, [2.0 ** -e for e in exponents])
     lines = [
         f"# sample {args.graph} d={args.d} sampler={args.sampler} n={args.n} seed={args.seed}",
         f"# scales={','.join(str(e) for e in exponents)}",

@@ -53,33 +53,16 @@ def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, int]:
     return rank.reshape(-1).astype(np.int64, copy=False), distinct.size
 
 
-def _fold_column(keys: np.ndarray, size: int, col: np.ndarray, span: int):
-    """Fold one int64 column whose entries lie in range(span) into row
-    keys whose entries lie in range(size); return the new keys and size.
-
-    The keys are multiplied by span and the column is added. Before a
-    multiplication that would pass 2^63 the keys, and if that is not
-    enough the column too, are replaced by their dense ranks, which are
-    below N, so the keys stay one-to-one on rows. `keys` is updated in
-    place unless it is ranked.
-    """
-    if size * span > _KEY_LIMIT:
-        keys, size = _dense_rank(keys)
-        if size * span > _KEY_LIMIT:
-            col, span = _dense_rank(col)
-    keys *= span
-    keys += col
-    return keys, size * span
-
-
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """One int64 key per row of an (N, m) int64 array, equal for two rows
     exactly when the rows are equal.
 
     The key is mixed-radix over the column ranges: each column is shifted
-    by its minimum and folded in by _fold_column, so the key stays exact
-    for any m. Keys depend on the data's ranges and compare only within
-    one call.
+    by its minimum, the keys are multiplied by its span and it is added.
+    Before a multiplication that would pass 2^63 the keys, and if that is
+    not enough the column too, are replaced by their dense ranks, which
+    are below N, so the keys stay one-to-one on rows for any m. Keys
+    depend on the data's ranges and compare only within one call.
     """
     n, m = rows.shape
     keys = np.zeros(n, dtype=np.int64)
@@ -88,7 +71,14 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
         lo, hi = int(rows[:, j].min()), int(rows[:, j].max())
         # rows[:, j] - lo wraps when the span passes 2^63; the wrap is
         # one-to-one and such a column is always ranked, so the ranks stay exact
-        keys, size = _fold_column(keys, size, rows[:, j] - lo, hi - lo + 1)
+        col, span = rows[:, j] - lo, hi - lo + 1
+        if size * span > _KEY_LIMIT:
+            keys, size = _dense_rank(keys)
+            if size * span > _KEY_LIMIT:
+                col, span = _dense_rank(col)
+        keys *= span
+        keys += col
+        size *= span
     return keys
 
 
@@ -716,7 +706,9 @@ def sample_box_dimension(g: Graph, sampler, n_samples: int, seed: int, scales):
     radix. Every chunk is checked against the radix before it is
     covered, so a cell past it raises ValueError and is never miscounted.
     A cell index at or past 2^63 raises covering_count's ValueError,
-    after the last draw, as the cloud route does.
+    after the last draw, as the cloud route does. Scales that fit no
+    slope (check_scales) and a graph without edges are refused before
+    anything is drawn.
     """
     scales = check_scales(scales)
     if not g.n_edges:
