@@ -975,6 +975,23 @@ class TestDistinctRows:
         if (m, radix) == (3, 5):
             assert np.array_equal(keys.seen, np.unique(rows @ [25, 5, 1]))
 
+    def test_merge_frees_the_old_keys(self, monkeypatch):
+        # 400000 distinct keys merged 16384 at a time: the last merges hold
+        # the concatenated and the merged keys, about twice the distinct
+        # keys; keeping the old keys too would need three times
+        monkeypatch.setattr(experiments, "_MERGE_BUFFER_ROWS", 2 ** 14)
+        n = 400000
+        rows = np.random.default_rng(7).permutation(n).astype(np.int64)[:, None] * 3
+
+        def collect():
+            keys = experiments._DistinctRows(1, 3 * n)
+            for start in range(0, n, 2 ** 14):
+                chunk = rows[start:start + 2 ** 14]
+                keys.add(chunk.T, len(chunk))
+            assert keys.count() == n
+
+        assert traced_peak(collect) < 2.5 * 8 * n
+
     def test_one_buffer_is_counted_without_a_merge(self, monkeypatch):
         merges = []
         monkeypatch.setattr(experiments, "_merge_distinct", lambda *args: merges.append(1))
