@@ -160,13 +160,13 @@ class _DistinctRows:
 
     Rows are packed on arrival into _merge_distinct's fixed-radix words
     and collected in a buffer. Once it holds `rows` packed rows (default
-    _MERGE_BUFFER_ROWS), and an eighth of the distinct rows so far, or
+    _MERGE_BUFFER_ROWS), and a quarter of the distinct rows so far, or
     more, the next add first merges it into them. So every merge but the
     last takes at least `rows` rows, which makes at most
     ceil(added / rows) + 1 merges, and no added chunk is held past its
-    add. A merge passes over the distinct rows held, so waiting for an
-    eighth as many new rows bounds the passes over each added row (to
-    about ten in all) however many rows are added. The buffer holds
+    add. A merge passes over the distinct rows held, so waiting for a
+    quarter as many new rows bounds the passes over each added row (to
+    about six in all) however many rows are added. The buffer holds
     `rows` rows and doubles when a chunk does not fit.
     """
 
@@ -185,7 +185,7 @@ class _DistinctRows:
         """Add `count` rows given column by column: `columns` yields the m
         int64 columns, each of length count, and each is folded into the
         buffer before the next is asked for."""
-        if self.fill >= max(self.rows, 0 if self.seen is None else len(self.seen) // 8):
+        if self.fill >= max(self.rows, 0 if self.seen is None else len(self.seen) // 4):
             self._merge()
         if self.fill + count > len(self.words):
             grown = np.empty((max(self.fill + count, 2 * len(self.words)), self.words.shape[1]),

@@ -995,8 +995,8 @@ class TestDistinctRows:
     def test_merge_work_stays_linear(self, monkeypatch):
         # 400000 distinct keys in chunks of 1000 through a 2^12-row buffer:
         # with a merge every 2^12 rows the merges would pass over about
-        # 50 keys per key added; waiting for an eighth of the distinct keys
-        # keeps it under ten
+        # 50 keys per key added; waiting for a quarter of the distinct keys
+        # keeps it under six
         monkeypatch.setattr(experiments, "_MERGE_BUFFER_ROWS", 2 ** 12)
         passed = []
         merge = experiments._merge_distinct
@@ -1008,7 +1008,7 @@ class TestDistinctRows:
         for start in range(0, n, 1000):
             keys.add(rows[start:start + 1000].T, 1000)
         assert keys.count() == n
-        assert sum(passed) < 10 * n
+        assert sum(passed) < 6 * n
 
     def test_one_buffer_is_counted_without_a_merge(self, monkeypatch):
         merges = []
