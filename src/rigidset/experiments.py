@@ -160,14 +160,11 @@ class _DistinctRows:
 
     Rows are packed on arrival into _merge_distinct's fixed-radix words
     and collected in a buffer. Once it holds `rows` packed rows (default
-    _MERGE_BUFFER_ROWS), and a quarter of the distinct rows so far, or
-    more, the next add first merges it into them. So every merge but the
-    last takes at least `rows` rows, which makes at most
-    ceil(added / rows) + 1 merges, and no added chunk is held past its
-    add. A merge passes over the distinct rows held, so waiting for a
-    quarter as many new rows bounds the passes over each added row (to
-    about six in all) however many rows are added. The buffer holds
-    `rows` rows and doubles when a chunk does not fit.
+    _MERGE_BUFFER_ROWS) or more, the next add first merges it into the
+    distinct words so far. So every merge but the last takes at least
+    `rows` rows, which makes at most ceil(added / rows) + 1 merges, and
+    no added chunk is held past its add. The buffer holds `rows` rows
+    and grows only to take a chunk that does not fit.
     """
 
     def __init__(self, m: int, radix: int, rows: int = 0):
@@ -185,11 +182,10 @@ class _DistinctRows:
         """Add `count` rows given column by column: `columns` yields the m
         int64 columns, each of length count, and each is folded into the
         buffer before the next is asked for."""
-        if self.fill >= max(self.rows, 0 if self.seen is None else len(self.seen) // 4):
+        if self.fill >= self.rows:
             self._merge()
         if self.fill + count > len(self.words):
-            grown = np.empty((max(self.fill + count, 2 * len(self.words)), self.words.shape[1]),
-                             dtype=np.int64)
+            grown = np.empty((self.fill + count, self.words.shape[1]), dtype=np.int64)
             grown[:self.fill] = self.words[:self.fill]
             self.words = grown
         block = self.words[self.fill:self.fill + count]

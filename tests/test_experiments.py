@@ -992,24 +992,6 @@ class TestDistinctRows:
 
         assert traced_peak(collect) < 2.5 * 8 * n
 
-    def test_merge_work_stays_linear(self, monkeypatch):
-        # 400000 distinct keys in chunks of 1000 through a 2^12-row buffer:
-        # with a merge every 2^12 rows the merges would pass over about
-        # 50 keys per key added; waiting for a quarter of the distinct keys
-        # keeps it under six
-        monkeypatch.setattr(experiments, "_MERGE_BUFFER_ROWS", 2 ** 12)
-        passed = []
-        merge = experiments._merge_distinct
-        monkeypatch.setattr(experiments, "_merge_distinct", lambda seen, rows, radix: passed.append(
-            len(rows) + (0 if seen is None else len(seen))) or merge(seen, rows, radix))
-        n = 400000
-        rows = np.random.default_rng(8).permutation(n).astype(np.int64)[:, None]
-        keys = experiments._DistinctRows(1, n)
-        for start in range(0, n, 1000):
-            keys.add(rows[start:start + 1000].T, 1000)
-        assert keys.count() == n
-        assert sum(passed) < 6 * n
-
     def test_one_buffer_is_counted_without_a_merge(self, monkeypatch):
         merges = []
         monkeypatch.setattr(experiments, "_merge_distinct", lambda *args: merges.append(1))
