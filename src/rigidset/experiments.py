@@ -69,15 +69,17 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     size = 1  # every key lies in range(size); a Python int, so it cannot wrap
     for j in range(m):
         lo, hi = int(rows[:, j].min()), int(rows[:, j].max())
-        # rows[:, j] - lo wraps when the span passes 2^63; the wrap is
-        # one-to-one and such a column is always ranked, so the ranks stay exact
-        col, span = rows[:, j] - lo, hi - lo + 1
+        span = hi - lo + 1
         if size * span > _KEY_LIMIT:
             keys, size = _dense_rank(keys)
-            if size * span > _KEY_LIMIT:
-                col, span = _dense_rank(col)
+        # rows[:, j] - lo wraps when the span passes 2^63; the wrap is
+        # one-to-one and such a column is always ranked, so the ranks stay exact
+        col = rows[:, j] - lo
+        if size * span > _KEY_LIMIT:
+            col, span = _dense_rank(col)
         keys *= span
         keys += col
+        del col  # not held while the next column ranks the keys
         size *= span
     return keys
 
@@ -121,37 +123,44 @@ def _fold_word(words: np.ndarray, j: int, col: np.ndarray, radix: int, per_word:
         word[...] = col
 
 
+def _keys(words: np.ndarray) -> np.ndarray:
+    """The rows of a C-contiguous (N, w) int64 array as N keys, a view:
+    the int64 words when w = 1, else one void of 8w bytes per row. Keys
+    are equal exactly when rows are, and numpy sorts both kinds."""
+    if words.shape[1] == 1:
+        return words[:, 0]
+    return words.view(np.dtype((np.void, 8 * words.shape[1])))[:, 0]
+
+
+def _merge_runs(runs: list) -> np.ndarray:
+    """The sorted distinct keys of the sorted distinct key arrays in
+    `runs`, which is emptied, so that each run is freed once
+    concatenated. numpy's stable sort, timsort for int64 and void keys,
+    merges the concatenated runs in linear passes, so the merge holds
+    about twice the keys and costs a pass over them per pair of runs."""
+    keys = np.concatenate(runs)
+    runs.clear()
+    return _distinct_sorted(keys, "stable")
+
+
 def _merge_distinct(seen, rows: np.ndarray, radix: int) -> np.ndarray:
     """Merge the distinct rows of `rows`, whose entries lie in
     [0, radix), into `seen`, the result of an earlier merge or None; the
     result's length counts the distinct rows merged so far.
 
     Each run of columns whose fixed-radix key fits below 2^63 becomes one
-    int64 word, which means the same in every call. With one word per row
-    the result is the sorted distinct words: the new words are sorted and
-    made distinct, then merged with `seen` by numpy's stable sort, which
-    for int64 is timsort and merges two sorted runs in one linear pass.
-    With more words per row it is the distinct rows of words, found by
-    _row_keys, which sorts them all. A caller that hands over its only
-    reference to `seen` lets it be freed once concatenated, so that a
-    merge holds about twice the distinct keys, not three times.
+    int64 word, which means the same in every call, and each row's words
+    become one _keys key. The result is the sorted distinct keys: the
+    new keys are sorted and made distinct, then merged with `seen` by
+    _merge_runs.
     """
     n, m = rows.shape
     per_word = _per_word(m, radix)
     words = np.empty((n, -(-m // per_word)), dtype=np.int64)
     for j in range(m):
         _fold_word(words, j, rows[:, j], radix, per_word)
-    if words.shape[1] == 1:
-        keys = _distinct_sorted(words[:, 0])
-        del words
-        if seen is None:
-            return keys
-        keys = np.concatenate((seen, keys))
-        del seen  # freed here when the caller handed over its only reference
-        return _distinct_sorted(keys, "stable")
-    if seen is not None:
-        words = np.concatenate((seen, words))
-    return words[np.unique(_row_keys(words), return_index=True)[1]]
+    keys = _distinct_sorted(_keys(words))
+    return keys if seen is None else _merge_runs([seen, keys])
 
 
 class _DistinctRows:
@@ -159,12 +168,13 @@ class _DistinctRows:
     range(radix).
 
     Rows are packed on arrival into _merge_distinct's fixed-radix words
-    and collected in a buffer. Once it holds `rows` packed rows (default
-    _MERGE_BUFFER_ROWS) or more, the next add first merges it into the
-    distinct words so far. So every merge but the last takes at least
-    `rows` rows, which makes at most ceil(added / rows) + 1 merges, and
-    no added chunk is held past its add. The buffer holds `rows` rows
-    and grows only to take a chunk that does not fit.
+    and collected in a buffer of `rows` rows (default
+    _MERGE_BUFFER_ROWS); it grows only to take a chunk that does not
+    fit. Once it is full, the next add first sorts its distinct keys
+    into a run. Runs merge as in a binary counter: two runs made of
+    equally many buffers merge into one, so a key is merged at most
+    log2(buffers) + 1 times and the merges cost linear passes in total,
+    however close the distinct rows come to the rows added.
     """
 
     def __init__(self, m: int, radix: int, rows: int = 0):
@@ -173,17 +183,17 @@ class _DistinctRows:
         # every packed word lies in range(word_radix), so _merge_distinct
         # keeps them as they are, one word per column
         self.word_radix = radix ** min(m, self.per_word)
-        self.rows = rows or _MERGE_BUFFER_ROWS
+        self.rows = rows if rows > 0 else _MERGE_BUFFER_ROWS
         self.words = np.empty((self.rows, -(-m // self.per_word)), dtype=np.int64)
         self.fill = 0
-        self.seen = None
+        self.runs, self.buffers = [], []  # sorted distinct keys; buffers in each
 
     def add(self, columns, count: int):
         """Add `count` rows given column by column: `columns` yields the m
         int64 columns, each of length count, and each is folded into the
         buffer before the next is asked for."""
         if self.fill >= self.rows:
-            self._merge()
+            self._flush()
         if self.fill + count > len(self.words):
             grown = np.empty((self.fill + count, self.words.shape[1]), dtype=np.int64)
             grown[:self.fill] = self.words[:self.fill]
@@ -193,23 +203,32 @@ class _DistinctRows:
             _fold_word(block, j, col, self.radix, self.per_word)
         self.fill += count
 
-    def _merge(self):
+    def _flush(self):
         if self.fill:
-            # handed over, not kept, so that the merge can free the old keys
-            self.seen = _merge_distinct(vars(self).pop("seen"), self.words[:self.fill],
-                                        self.word_radix)
+            self.runs.append(_merge_distinct(None, self.words[:self.fill], self.word_radix))
+            self.buffers.append(1)
             self.fill = 0
+            while len(self.buffers) > 1 and self.buffers[-2] == self.buffers[-1]:
+                pair = self.runs[-2:]
+                del self.runs[-2:]  # handed over, so that the merge frees them
+                self.runs.append(_merge_runs(pair))
+                self.buffers[-2:] = [2 * self.buffers[-1]]
 
     def count(self) -> int:
-        """The number of distinct rows added. While nothing is merged and
-        rows pack into one word, they are counted in the buffer, sorted in
-        place, and not built."""
-        if self.seen is None and self.words.shape[1] == 1:
+        """The number of distinct rows added. While everything fits the
+        buffer, its rows are counted there, sorted in place, and not
+        built: by their words when they pack into one, else by their
+        _row_keys."""
+        if not self.runs:
             if not self.fill:
                 return 0
-            return 1 + int(np.count_nonzero(_sort_changes(self.words[:self.fill, 0])))
-        self._merge()
-        return 0 if self.seen is None else len(self.seen)
+            words = self.words[:self.fill]
+            keys = words[:, 0] if words.shape[1] == 1 else _row_keys(words)
+            return 1 + int(np.count_nonzero(_sort_changes(keys)))
+        self._flush()
+        if len(self.runs) > 1:
+            self.runs, self.buffers = [_merge_runs(self.runs)], [sum(self.buffers)]
+        return len(self.runs[0])
 
 
 # vertex pairs of K4 in the order t12, t13, t14, t23, t24, t34
@@ -643,7 +662,7 @@ class DistanceSample:
     degenerate: int
 
 
-def _measure_chunks(g: Graph, sampler, n_samples: int, seed: int, consume=None, out=None):
+def _measure_chunks(g: Graph, sampler, n_samples: int, seed: int, consume=None):
     """Measure the n_samples tuples of sample_framework_tuples' stream one
     chunk (_sample_chunks) at a time, and return the summary of their
     k4_euler_residuals for K4 in the plane: (largest finite residual or
@@ -651,25 +670,21 @@ def _measure_chunks(g: Graph, sampler, n_samples: int, seed: int, consume=None, 
     computation; (None, 0) for any other graph or d.
 
     Each chunk's edge lengths are computed once, as an (n_edges, count)
-    array, into out[:, start:stop] when `out` is given, or else into one
-    buffer reused across chunks. For K4 in the plane the same lengths feed
-    the residual, whose finite maximum and non-finite count are folded
-    across chunks. Then consume(lengths) is called, if given, before the
-    next chunk is drawn.
+    array, into one buffer reused across chunks. For K4 in the plane the
+    same lengths feed the residual, whose finite maximum and non-finite
+    count are folded across chunks. Then consume(lengths) is called, if
+    given, before the next chunk is drawn.
     """
     pairs = [(i - 1, j - 1) for i, j in g.edges]
     chunks = _sample_chunks(sampler, g.n_vertices, n_samples, seed)
     k4 = sampler.d == 2 and tuple(pairs) == _K4_PAIRS
     max_residual, degenerate = None, 0
-    buffer, start = None, 0
+    buffer = None
     for pts in chunks:
         count = pts.shape[0]
-        if out is not None:
-            lengths = out[:, start:start + count]
-        else:
-            if buffer is None:  # the first chunk is the longest
-                buffer = np.empty((len(pairs), count))
-            lengths = buffer[:, :count]
+        if buffer is None:  # the first chunk is the longest
+            buffer = np.empty((len(pairs), count))
+        lengths = buffer[:, :count]
         _edge_lengths(pts, pairs, lengths)
         if k4:
             residuals = _k4_residuals(pts, lengths)
@@ -680,7 +695,6 @@ def _measure_chunks(g: Graph, sampler, n_samples: int, seed: int, consume=None, 
                 max_residual = top if max_residual is None else max(max_residual, top)
         if consume is not None:
             consume(lengths)
-        start += count
     return max_residual, degenerate
 
 
@@ -690,14 +704,21 @@ def sample_distances(g: Graph, sampler, n_samples: int, seed: int) -> DistanceSa
     summary of their k4_euler_residuals, with the same bits.
 
     The tuples are drawn and measured one chunk at a time by
-    _measure_chunks, the loop that sample_box_dimension runs, with each
-    chunk's lengths written straight into the preallocated cloud. So
-    besides the cloud only one chunk of draws and its work columns are
-    held. sample_box_dimension gives the box counts of the same cloud
-    without holding it.
+    _measure_chunks, the loop that sample_box_dimension runs, and each
+    chunk's lengths are copied into the preallocated cloud. So besides
+    the cloud only one chunk of draws and its work columns are held.
+    sample_box_dimension gives the box counts of the same cloud without
+    holding it.
     """
     cloud = np.empty((g.n_edges, max(n_samples, 0)))
-    max_residual, degenerate = _measure_chunks(g, sampler, n_samples, seed, out=cloud)
+    start = 0
+
+    def store(lengths):
+        nonlocal start
+        cloud[:, start:start + lengths.shape[1]] = lengths
+        start += lengths.shape[1]
+
+    max_residual, degenerate = _measure_chunks(g, sampler, n_samples, seed, store)
     return DistanceSample(cloud.T, max_residual, degenerate)
 
 
@@ -706,13 +727,16 @@ def sample_box_dimension(g: Graph, sampler, n_samples: int, seed: int, scales):
     for s = sample_distances(g, sampler, n_samples, seed), with the same
     counts, slope bits and errors, but no cloud is held: each chunk of
     _measure_chunks is covered at every scale as soon as its lengths
-    exist, and only the distinct cells per scale are kept.
+    exist, into one _DistinctRows per scale.
 
     The sampler must say by `side` the side of a cube that holds all its
     draws, so that no edge length exceeds side * sqrt(d); with a margin
     for rounding, that bound fixes each scale's cell radix before the
-    first draw, and _DistinctRows packs and merges the cells at that
-    radix. Every chunk is checked against the radix before it is
+    first draw, and so the number of cells, radix^n_edges, of its grid.
+    A scale whose grid has fewer cells than n_samples keeps only its
+    distinct cells, merged through a buffer; a finer one keeps one
+    packed key per tuple and counts them once, as covering_count does,
+    since its distinct cells may come close to n_samples. Every chunk is checked against the radix before it is
     covered, so a cell past it raises ValueError and is never miscounted.
     A cell index at or past 2^63 raises covering_count's ValueError,
     after the last draw, as the cloud route does. Scales that fit no
@@ -725,7 +749,11 @@ def sample_box_dimension(g: Graph, sampler, n_samples: int, seed: int, scales):
     bound = sampler.side * math.sqrt(sampler.d) * (1 + 2.0 ** -20)
     # the largest |x / eps| each scale admits; its cells lie in range(floor + 1)
     reaches = [min(bound / eps, _CELL_REACH) for eps in scales]
-    cells = [_DistinctRows(g.n_edges, math.floor(reach) + 1) for reach in reaches]
+    cells = []
+    for reach in reaches:
+        radix = math.floor(reach) + 1
+        full = _power_exceeds(radix, g.n_edges, n_samples - 1)
+        cells.append(_DistinctRows(g.n_edges, radix, n_samples if full else 0))
     top, failed = None, False
 
     def cover(lengths):
@@ -748,8 +776,12 @@ def sample_box_dimension(g: Graph, sampler, n_samples: int, seed: int, scales):
                 _refuse_cells(eps, bool(np.isfinite(top)), reach)
         raise ValueError(f"an edge length of {float(top)!r} exceeds the bound "
                          f"{bound!r} that the sampler's side gives")
-    counts = tuple(keys.count() for keys in cells)
-    return _fit_slope(scales, counts), max_residual, degenerate
+    counts = [0] * len(scales)
+    # coarsest first, each collector freed once counted, so that the finest
+    # counts, which may rank rows of several words, run beside the least
+    for i in sorted(range(len(scales)), key=scales.__getitem__, reverse=True):
+        counts[i], cells[i] = cells[i].count(), None
+    return _fit_slope(scales, tuple(counts)), max_residual, degenerate
 
 
 def _cover_chunk(cols, eps: float, lows, keys: _DistinctRows):
@@ -761,22 +793,14 @@ def _cover_chunk(cols, eps: float, lows, keys: _DistinctRows):
 
     One float and one int64 column of the chunk's length are the work
     space; each column is divided, floored and cast into them and folded
-    into the packed keys before the next. When eps is a power of two
-    whose inverse is a float, x / eps is computed as x * (1 / eps): both
-    round the same exact value, so the bits are the same, and a product
-    is cheaper than a quotient.
+    into the packed keys before the next.
     """
     count = len(cols[0])
     scaled, cells = np.empty(count), np.empty(count, dtype=np.int64)
-    inverse = 1.0 / eps
-    exact = math.frexp(eps)[0] == 0.5 and math.isfinite(inverse)
 
     def cell_columns():
         for j, col in enumerate(cols):
-            if exact:
-                np.multiply(col, inverse, out=scaled)
-            else:
-                np.divide(col, eps, out=scaled)
+            np.divide(col, eps, out=scaled)
             np.floor(scaled, out=cells, casting="unsafe")
             if lows is not None:
                 np.subtract(cells, lows[j], out=cells)

@@ -855,12 +855,38 @@ class TestStreamedCover:
         monkeypatch.setattr(experiments, "_SAMPLE_CHUNK_ENTRIES", 800)
         monkeypatch.setattr(experiments, "_MERGE_BUFFER_ROWS", 500)
         want = cloud_route(g, sampler, 3000, 4, scales)
-        ranked = []
-        row_keys = experiments._row_keys
+        ranked, merged = [], []
+        row_keys, merge_runs = experiments._row_keys, experiments._merge_runs
         monkeypatch.setattr(experiments, "_row_keys",
                             lambda words: ranked.append(words.shape) or row_keys(words))
+        monkeypatch.setattr(experiments, "_merge_runs",
+                            lambda runs: merged.extend(runs) or merge_runs(runs))
         assert same_estimate(sample_box_dimension(g, sampler, 3000, 4, scales), want)
-        assert len(ranked) >= 6 and all(shape[1] == 3 for shape in ranked)
+        # the fine grid has more cells than there are tuples: its 3000 rows
+        # of 3 words are ranked once, in place, and never merged; only the
+        # coarse scale's one-word keys are
+        assert ranked == [(3000, 3)]
+        assert merged and all(run.dtype == np.int64 for run in merged)
+
+    @pytest.mark.parametrize("n, rows", [(17, 17), (18, 4)])
+    def test_a_grid_of_n_cells_keeps_one_key_per_tuple(self, monkeypatch, n, rows):
+        # K2 in the line at eps = 1/16: every length lies in [0, 1], so the
+        # grid has 17 cells; up to 17 tuples may all lie in distinct cells,
+        # and their keys are kept whole, while the 3 cells at eps = 1/2 are
+        # merged through the buffer
+        made = []
+
+        class Recorded(experiments._DistinctRows):
+            def __init__(self, m, radix, rows=0):
+                super().__init__(m, radix, rows)
+                made.append((radix, self.rows))
+
+        monkeypatch.setattr(experiments, "_DistinctRows", Recorded)
+        monkeypatch.setattr(experiments, "_MERGE_BUFFER_ROWS", 4)
+        want = cloud_route(complete_graph(2), UnitCubeSampler(1), n, 2, [1 / 16, 1 / 2])
+        got = sample_box_dimension(complete_graph(2), UnitCubeSampler(1), n, 2, [1 / 16, 1 / 2])
+        assert same_estimate(got, want)
+        assert made[-2:] == [(17, rows), (3, 4)]
 
     @pytest.mark.parametrize("exponents", [(1, 64), (64, 1, 70), (1, 62, 63)])
     def test_int64_refusal_matches_the_cloud_route(self, monkeypatch, exponents):
@@ -955,7 +981,7 @@ class TestDistinctRows:
         # 2000 rows drawn from 40, added in chunks of 1 to 100 rows; a
         # chunk longer than the 64-row buffer grows it
         monkeypatch.setattr(experiments, "_MERGE_BUFFER_ROWS", 64)
-        merges = []
+        merges = []  # the rows of each buffer sorted into a run
         merge = experiments._merge_distinct
         monkeypatch.setattr(experiments, "_merge_distinct",
                             lambda *args: merges.append(len(args[1])) or merge(*args))
@@ -973,7 +999,25 @@ class TestDistinctRows:
         assert len(merges) <= math.ceil(len(rows) / 64) + 1
         assert all(size >= 64 for size in merges[:-1])
         if (m, radix) == (3, 5):
-            assert np.array_equal(keys.seen, np.unique(rows @ [25, 5, 1]))
+            assert np.array_equal(keys.runs[0], np.unique(rows @ [25, 5, 1]))
+
+    def test_each_key_is_merged_a_logarithmic_number_of_times(self, monkeypatch):
+        # 400000 distinct keys through a 4096-row buffer make 98 runs; with
+        # runs merged as a binary counter each key takes part in at most
+        # log2(98) + 1 < 8 merges, where merging every buffer into all the
+        # keys so far would pass each key about 49 times
+        monkeypatch.setattr(experiments, "_MERGE_BUFFER_ROWS", 2 ** 12)
+        passed = []
+        merge_runs = experiments._merge_runs
+        monkeypatch.setattr(experiments, "_merge_runs",
+                            lambda runs: passed.append(sum(map(len, runs))) or merge_runs(runs))
+        n = 400000
+        rows = np.random.default_rng(8).permutation(n).astype(np.int64)[:, None]
+        keys = experiments._DistinctRows(1, n)
+        for start in range(0, n, 1024):
+            keys.add(rows[start:start + 1024].T, len(rows[start:start + 1024]))
+        assert keys.count() == n
+        assert 0 < sum(passed) <= n * (math.log2(-(-n // 2 ** 12)) + 1)
 
     def test_merge_frees_the_old_keys(self, monkeypatch):
         # 400000 distinct keys merged 16384 at a time: the last merges hold
@@ -1025,6 +1069,18 @@ class TestCovering:
         bound = 3 * 8 * n + n + 2 ** 16
         assert traced_peak(lambda: covering_count(cloud, 2.0 ** -8)) < bound
         assert traced_peak(lambda: covering_reference(cloud, 2.0 ** -8)) > bound
+
+    def test_word_rows_hold_words_keys_and_one_ranking(self):
+        # at eps = 2^-12 six columns of 4097 cells pack into two words per
+        # point: besides the cloud, the words, the key column and
+        # np.unique's ranking of it (six n-long columns and a bool mask),
+        # plus a 64 KiB allowance
+        n = 200000
+        cloud = np.random.default_rng(5).random((n, 6))
+        assert experiments._per_word(6, 4097) == 5
+        bound = 2 * 8 * n + 8 * n + 6 * 8 * n + n + 2 ** 16
+        assert traced_peak(lambda: covering_count(cloud, 2.0 ** -12)) < bound
+        assert traced_peak(lambda: covering_reference(cloud, 2.0 ** -12)) > bound
 
     def test_merge_returns_distinct_values(self):
         rows = np.random.default_rng(6).integers(0, 5, size=(300, 3))
