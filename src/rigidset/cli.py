@@ -14,9 +14,10 @@ experiments.SAMPLE_ENTRY_LIMIT entries), 4 dependent input edges, 5
 enumeration guard tripped.
 
 sample draws, measures and box-counts its tuples one chunk at a time
-(experiments.sample_box_dimension) and holds only the distinct grid cells
-per scale, never the tuples or the distance cloud; the entry guard keeps
-its boundary but no longer bounds memory.
+(experiments.sample_box_dimension) and holds per scale the distinct grid
+cells, or one key per tuple where the grid has as many cells as tuples,
+never the tuples or the distance cloud; the entry guard keeps its
+boundary but no longer bounds memory.
 """
 
 from __future__ import annotations

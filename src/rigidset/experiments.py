@@ -18,7 +18,8 @@ ENUMERATION_LIMIT = 10 ** 8
 # it were held whole: the sampled coordinates (times the ternary digits each
 # for the Cantor sampler) plus the distance columns; 5*10^7 int64 or float64
 # entries are 400 MB. `sample` holds neither: it draws, measures and covers
-# one chunk at a time and keeps only the distinct cells. The guard still
+# one chunk at a time and keeps per scale the distinct cells, or one key
+# per tuple where the grid has as many cells as tuples. The guard still
 # counts the whole arrays, so its boundary has not moved; it no longer
 # bounds memory.
 SAMPLE_ENTRY_LIMIT = 5 * 10 ** 7
@@ -42,8 +43,8 @@ _LATTICE_CHUNK_ENTRIES = 2 ** 18
 # lengths and work columns stay small; also the cloud entries per chunk
 # that covering_count covers at a time
 _SAMPLE_CHUNK_ENTRIES = 2 ** 17
-# packed rows collected before they are merged into the distinct rows so
-# far: each merge costs a pass over those, so it is made once per buffer
+# packed rows collected before they are sorted into a run of distinct rows:
+# a merge costs a pass over its runs, so runs are made once per buffer
 _MERGE_BUFFER_ROWS = 2 ** 17
 
 
@@ -588,8 +589,9 @@ def check_sample_size(g: Graph, d: int, n_samples: int, digits: int = 1) -> None
     SAMPLE_ENTRY_LIMIT entries: n_samples * n_vertices * d coordinates,
     each drawn as `digits` entries (the Cantor sampler's depth), plus
     n_samples * n_edges distances. No pipeline holds those arrays any
-    more: sample_box_dimension holds one chunk and the distinct cells,
-    and sample_distances the distances and one chunk. So the guard no
+    more: sample_box_dimension holds one chunk and, per scale, the
+    distinct cells or one packed key per tuple, and sample_distances the
+    distances and one chunk. So the guard no
     longer bounds memory, but it still counts the whole arrays, and its
     boundary is where it was before the draws were chunked."""
     entries = n_samples * (g.n_vertices * d * digits + g.n_edges)
@@ -736,8 +738,9 @@ def sample_box_dimension(g: Graph, sampler, n_samples: int, seed: int, scales):
     A scale whose grid has fewer cells than n_samples keeps only its
     distinct cells, merged through a buffer; a finer one keeps one
     packed key per tuple and counts them once, as covering_count does,
-    since its distinct cells may come close to n_samples. Every chunk is checked against the radix before it is
-    covered, so a cell past it raises ValueError and is never miscounted.
+    since its distinct cells may come close to n_samples. Every chunk is
+    checked against the radix before it is covered, so a cell past it
+    raises ValueError and is never miscounted.
     A cell index at or past 2^63 raises covering_count's ValueError,
     after the last draw, as the cloud route does. Scales that fit no
     slope (check_scales) and a graph without edges are refused before
