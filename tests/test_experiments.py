@@ -1017,7 +1017,8 @@ class TestDistinctRows:
         for start in range(0, n, 1024):
             keys.add(rows[start:start + 1024].T, len(rows[start:start + 1024]))
         assert keys.count() == n
-        assert 0 < sum(passed) <= n * (math.log2(-(-n // 2 ** 12)) + 1)
+        assert 0 < len(passed) <= -(-n // 2 ** 12) + 1
+        assert sum(passed) <= n * (math.log2(-(-n // 2 ** 12)) + 1)
 
     def test_merge_frees_the_old_keys(self, monkeypatch):
         # 400000 distinct keys merged 16384 at a time: the last merges hold
