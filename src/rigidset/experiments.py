@@ -819,10 +819,12 @@ def covering_count(cloud, eps: float) -> int:
     extremes, since x / eps and the floor are monotone; every cell index
     vector, shifted by the column minima, is then packed into int64 words
     at one radix by _cover_chunk, _SAMPLE_CHUNK_ENTRIES cloud entries at
-    a time, into a _DistinctRows buffer of one row per point. When the
-    cells pack into one word per point, the distinct keys are counted in
-    that buffer, sorted in place, not built: besides the cloud only the
-    keys, their bool marks and one chunk's work columns are held. Raises
+    a time, into a _DistinctRows buffer of one row per point. The
+    distinct rows are counted there, not built. When the cells pack into
+    one word per point, the words are sorted in place: besides the cloud
+    only the keys, their bool marks and one chunk's work columns are
+    held. Rows of more words are counted by their _row_keys, whose
+    ranking holds about six more n-long columns while it runs. Raises
     ValueError when the cloud has a non-finite entry or when some
     |x / eps| reaches 2^63, where cell indices leave int64.
     """
