@@ -12,6 +12,11 @@ at n = 10^6, 2*10^6 and 3*10^6 (the largest the sample size guard admits
 for k4), and `sample k3 --n 300000 --scales 2,3,4,5,6 --seed 1`,
 `lattice --d 2 --k 2 --q-list 2,4,6,7` and `lattice --d 3 --k 1 --q-list
 2,4,6,8`, the `experiments` workload's two sample and two lattice calls.
+Then `sample k2 --d 1 --n 2000000 --scales 16,20 --seed 1`, whose scale
+2^-20 merges about 10^6 distinct cells; single lattice instances at or
+near the enumeration guard, (d, k, q) = (2, 1, 99), (2, 2, 12), (3, 1, 20)
+and (3, 2, 6); and two of many pairs, (2, 6, 2), whose packed rows take
+two words, and (1, 16, 1), where d = 1 leaves nothing to fold.
 The trees take turns within every one of ROUNDS rounds, the first tree
 changing each round, as in analyze_pass.py, whose record fields this one
 shares.
@@ -34,6 +39,13 @@ CALLS = {
     "k3-3e5": ("sample", "k3", "--n", "300000", "--scales", "2,3,4,5,6", "--seed", "1"),
     "lattice-d2k2": ("lattice", "--d", "2", "--k", "2", "--q-list", "2,4,6,7"),
     "lattice-d3k1": ("lattice", "--d", "3", "--k", "1", "--q-list", "2,4,6,8"),
+    "k2-2e6": ("sample", "k2", "--d", "1", "--n", "2000000", "--scales", "16,20", "--seed", "1"),
+    "lattice-d2k1q99": ("lattice", "--d", "2", "--k", "1", "--q-list", "99"),
+    "lattice-d2k2q12": ("lattice", "--d", "2", "--k", "2", "--q-list", "12"),
+    "lattice-d3k1q20": ("lattice", "--d", "3", "--k", "1", "--q-list", "20"),
+    "lattice-d3k2q6": ("lattice", "--d", "3", "--k", "2", "--q-list", "6"),
+    "lattice-d2k6q2": ("lattice", "--d", "2", "--k", "6", "--q-list", "2"),
+    "lattice-d1k16q1": ("lattice", "--d", "1", "--k", "16", "--q-list", "1"),
 }
 ROUNDS = 7
 

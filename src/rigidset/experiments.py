@@ -17,11 +17,9 @@ ENUMERATION_LIMIT = 10 ** 8
 # At most this many array entries are allowed for one sample, counted as if
 # it were held whole: the sampled coordinates (times the ternary digits each
 # for the Cantor sampler) plus the distance columns; 5*10^7 int64 or float64
-# entries are 400 MB. `sample` holds neither: it draws, measures and covers
-# one chunk at a time and keeps per scale the distinct cells, or one key
-# per tuple where the grid has as many cells as tuples. The guard still
-# counts the whole arrays, so its boundary has not moved; it no longer
-# bounds memory.
+# entries are 400 MB. `sample` holds neither: it streams chunks and keeps
+# per scale the distinct cells or one key per tuple, so the guard, which
+# counts the whole arrays, does not bound memory.
 SAMPLE_ENTRY_LIMIT = 5 * 10 ** 7
 # log of the largest float, less a margin for the rounding of logarithms
 _LOG_FLOAT_MAX = math.log(sys.float_info.max) - 1e-9
@@ -36,7 +34,7 @@ class EnumerationLimitError(ValueError):
 _KEY_LIMIT = 2 ** 63
 # the largest float below 2^63: the largest |x / eps| whose cell fits int64
 _CELL_REACH = math.nextafter(2.0 ** 63, 0.0)
-# int64 entries (tuple coordinates plus pair distances) per lattice chunk
+# int64 entries per chunk of one-axis lattice tuples and per fold block
 _LATTICE_CHUNK_ENTRIES = 2 ** 18
 # entries drawn per chunk of sampled tuples (coordinates, times the digits
 # each for the Cantor sampler): 1 MB of float64, so that a chunk's draws,
@@ -134,11 +132,10 @@ def _keys(words: np.ndarray) -> np.ndarray:
 
 
 def _merge_runs(runs: list) -> np.ndarray:
-    """The sorted distinct keys of the sorted distinct key arrays in
-    `runs`, which is emptied, so that each run is freed once
-    concatenated. numpy's stable sort, timsort for int64 and void keys,
-    merges the concatenated runs in linear passes, so the merge holds
-    about twice the keys and costs a pass over them per pair of runs."""
+    """The sorted distinct keys of the sorted distinct key arrays in `runs`,
+    which is emptied, so that each run is freed once concatenated. numpy's
+    stable sort, timsort for int64 and void keys, merges the runs in linear
+    passes: the merge holds about twice the keys, a pass per pair of runs."""
     keys = np.concatenate(runs)
     runs.clear()
     return _distinct_sorted(keys, "stable")
@@ -146,15 +143,9 @@ def _merge_runs(runs: list) -> np.ndarray:
 
 def _merge_distinct(seen, rows: np.ndarray, radix: int) -> np.ndarray:
     """Merge the distinct rows of `rows`, whose entries lie in
-    [0, radix), into `seen`, the result of an earlier merge or None; the
-    result's length counts the distinct rows merged so far.
-
-    Each run of columns whose fixed-radix key fits below 2^63 becomes one
-    int64 word, which means the same in every call, and each row's words
-    become one _keys key. The result is the sorted distinct keys: the
-    new keys are sorted and made distinct, then merged with `seen` by
-    _merge_runs.
-    """
+    [0, radix), into `seen`, an earlier result or None: the sorted distinct
+    _keys of their fixed-radix words, each of as many columns as fit below
+    2^63, merged with `seen` by _merge_runs."""
     n, m = rows.shape
     per_word = _per_word(m, radix)
     words = np.empty((n, -(-m // per_word)), dtype=np.int64)
@@ -169,13 +160,11 @@ class _DistinctRows:
     range(radix).
 
     Rows are packed on arrival into _merge_distinct's fixed-radix words
-    and collected in a buffer of `rows` rows (default
-    _MERGE_BUFFER_ROWS); it grows only to take a chunk that does not
-    fit. Once it is full, the next add first sorts its distinct keys
-    into a run. Runs merge as in a binary counter: two runs made of
-    equally many buffers merge into one, so a key is merged at most
-    log2(buffers) + 1 times and the merges cost linear passes in total,
-    however close the distinct rows come to the rows added.
+    and collected in a buffer of `rows` rows (default _MERGE_BUFFER_ROWS),
+    which grows only to take a chunk that does not fit. A full buffer's
+    distinct keys are sorted into a run; two runs of equally many buffers
+    merge into one, as in a binary counter, so a key is merged at most
+    log2(buffers) + 1 times.
     """
 
     def __init__(self, m: int, radix: int, rows: int = 0):
@@ -215,21 +204,28 @@ class _DistinctRows:
                 self.runs.append(_merge_runs(pair))
                 self.buffers[-2:] = [2 * self.buffers[-1]]
 
-    def count(self) -> int:
-        """The number of distinct rows added. While everything fits the
-        buffer, its rows are counted there, sorted in place, and not
-        built: by their words when they pack into one, else by their
-        _row_keys."""
-        if not self.runs:
-            if not self.fill:
-                return 0
-            words = self.words[:self.fill]
-            keys = words[:, 0] if words.shape[1] == 1 else _row_keys(words)
-            return 1 + int(np.count_nonzero(_sort_changes(keys)))
+    def distinct(self) -> np.ndarray:
+        """The distinct rows added as an (N, words) int64 array of their
+        packed words, in key order; the runs are merged into one."""
         self._flush()
         if len(self.runs) > 1:
             self.runs, self.buffers = [_merge_runs(self.runs)], [sum(self.buffers)]
-        return len(self.runs[0])
+        return self.runs[0].view(np.int64).reshape(len(self.runs[0]), -1)
+
+    def count(self) -> int:
+        """The number of distinct rows added, counted once, from sorted keys
+        not made distinct: the buffer's rows sorted in place while it holds
+        them all (by their _row_keys if they take several words), else the
+        runs and the buffer's sorted keys, merged by one stable sort."""
+        words = self.words[:self.fill]
+        if self.runs:
+            keys, kind = np.concatenate(self.runs + [np.sort(_keys(words))]), "stable"
+            self.runs = []  # freed before the sort
+        elif self.fill:
+            keys, kind = (words[:, 0] if words.shape[1] == 1 else _row_keys(words)), None
+        else:
+            return 0
+        return 1 + int(np.count_nonzero(_sort_changes(keys, kind)))
 
 
 # vertex pairs of K4 in the order t12, t13, t14, t23, t24, t34
@@ -412,9 +408,9 @@ def _power_exceeds(base: int, exponent: int, limit: int) -> bool:
 
 
 def check_enumeration(d: int, q: int, k: int) -> None:
-    """Refuse a lattice instance before enumerating it: ValueError unless
+    """Refuse a lattice instance before counting it: ValueError unless
     d, q, k >= 1, EnumerationLimitError when its (q+1)^(d(k+1)) tuples
-    exceed ENUMERATION_LIMIT."""
+    exceed ENUMERATION_LIMIT (only one axis's (q+1)^(k+1) are walked)."""
     if d < 1 or q < 1 or k < 1:
         raise ValueError("d, q, k must all be >= 1")
     if _power_exceeds(q + 1, d * (k + 1), ENUMERATION_LIMIT):
@@ -440,31 +436,38 @@ def congruence_class_counts(d: int, q: int, k: int) -> tuple[int, int]:
     relabeling. Both counts are bounded by (2q+1)^(dk): translating the first
     vertex to the origin leaves the remaining k vertices in a (2q+1)-wide box.
 
-    Tuples are enumerated by index in numpy chunks of at most
-    _LATTICE_CHUNK_ENTRIES int64 entries; the base-(q+1) digits of an index
-    are the coordinates of its k+1 points. Each chunk's distance vectors
-    go into one _DistinctRows per count, so only the distinct vectors and
-    one chunk are held.
+    A distance vector is the sum of d one-axis vectors, the squared
+    differences of k+1 numbers in {0..q}, enumerated by index in chunks.
+    Packed at radix d q^2 + 1, which no sum reaches, a sum's words are the
+    sums of the words: d - 1 folds add the distinct one-axis words to the
+    distinct words so far, in blocks. The final words give the labeled
+    count; unpacked and sorted per vector, the unlabeled one. Chunks and
+    blocks hold at most _LATTICE_CHUNK_ENTRIES int64 entries.
     """
     check_enumeration(d, q, k)
-    n_tuples = (q + 1) ** (d * (k + 1))
     pairs = list(itertools.combinations(range(k + 1), 2))
     radix = d * q * q + 1  # every squared distance lies in [0, d q^2]
-    chunk = max(1, _LATTICE_CHUNK_ENTRIES // (d * (k + 1) + len(pairs)))
-    labeled, unlabeled = _DistinctRows(len(pairs), radix), _DistinctRows(len(pairs), radix)
-    for start in range(0, n_tuples, chunk):
-        rest = np.arange(start, min(start + chunk, n_tuples), dtype=np.int64)
-        # coords[v * d + axis] is that coordinate of point v
-        coords = list(_grid_digits(rest, q, d * (k + 1)))
-        dists = np.empty((rest.size, len(pairs)), dtype=np.int64)
-        for col, (a, b) in enumerate(pairs):
-            dists[:, col] = sum((coords[a * d + axis] - coords[b * d + axis]) ** 2
-                                for axis in range(d))
-        del coords
-        labeled.add(dists.T, rest.size)
-        dists.sort(axis=1)
-        unlabeled.add(dists.T, rest.size)
-    return unlabeled.count(), labeled.count()
+    table, n_axis = _DistinctRows(len(pairs), radix), (q + 1) ** (k + 1)
+    chunk = max(1, _LATTICE_CHUNK_ENTRIES // (k + 1 + len(pairs)))
+    for start in range(0, n_axis, chunk):
+        coords = list(_grid_digits(np.arange(start, min(start + chunk, n_axis)), q, k + 1))
+        table.add(((coords[a] - coords[b]) ** 2 for a, b in pairs), len(coords[0]))
+    keys = axis = table.distinct()
+    for _ in range(d - 1):
+        sums = _DistinctRows(axis.shape[1], table.word_radix)
+        block = max(1, _LATTICE_CHUNK_ENTRIES // axis.size)
+        for part in np.array_split(keys, range(block, len(keys), block)):
+            sums.add((np.add.outer(col, axis[:, w]).ravel() for w, col in enumerate(part.T)),
+                     len(part) * len(axis))
+        keys = sums.distinct()
+    unlabeled, per_word = _DistinctRows(len(pairs), radix), table.per_word
+    for part in np.array_split(keys, range(chunk, len(keys), chunk)):
+        # the digits of each word, divided off in place: only len(keys) is needed after
+        digits = np.column_stack([digit for w, word in enumerate(part.T) for digit in _grid_digits(
+            word, radix - 1, min(per_word, len(pairs) - w * per_word))])
+        digits.sort(axis=1)
+        unlabeled.add(digits.T, len(digits))
+    return unlabeled.count(), len(keys)
 
 
 def _check_s_range(d: int, s: float):
@@ -588,12 +591,8 @@ def check_sample_size(g: Graph, d: int, n_samples: int, digits: int = 1) -> None
     n_samples tuples in R^d whose arrays, held whole, would hold more than
     SAMPLE_ENTRY_LIMIT entries: n_samples * n_vertices * d coordinates,
     each drawn as `digits` entries (the Cantor sampler's depth), plus
-    n_samples * n_edges distances. No pipeline holds those arrays any
-    more: sample_box_dimension holds one chunk and, per scale, the
-    distinct cells or one packed key per tuple, and sample_distances the
-    distances and one chunk. So the guard no
-    longer bounds memory, but it still counts the whole arrays, and its
-    boundary is where it was before the draws were chunked."""
+    n_samples * n_edges distances. No pipeline holds those arrays whole,
+    so the guard does not bound memory (see SAMPLE_ENTRY_LIMIT)."""
     entries = n_samples * (g.n_vertices * d * digits + g.n_edges)
     if entries > SAMPLE_ENTRY_LIMIT:
         raise ValueError(

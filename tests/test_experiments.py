@@ -122,8 +122,42 @@ def congruence_counts_loop(d, q, k):
     return len(unlabeled), len(labeled)
 
 
+def congruence_counts_enumerated(d, q, k):
+    """Reference: the numpy enumeration that congruence_class_counts ran
+    before it folded one axis's table, walking all (q+1)^(d(k+1)) tuples
+    by index in chunks, with both counts through _DistinctRows."""
+    n_tuples = (q + 1) ** (d * (k + 1))
+    pairs = list(itertools.combinations(range(k + 1), 2))
+    radix = d * q * q + 1
+    chunk = max(1, 2 ** 18 // (d * (k + 1) + len(pairs)))
+    labeled = experiments._DistinctRows(len(pairs), radix)
+    unlabeled = experiments._DistinctRows(len(pairs), radix)
+    for start in range(0, n_tuples, chunk):
+        rest = np.arange(start, min(start + chunk, n_tuples), dtype=np.int64)
+        # coords[v * d + axis] is that coordinate of point v
+        coords = list(experiments._grid_digits(rest, q, d * (k + 1)))
+        dists = np.empty((rest.size, len(pairs)), dtype=np.int64)
+        for col, (a, b) in enumerate(pairs):
+            dists[:, col] = sum((coords[a * d + axis] - coords[b * d + axis]) ** 2
+                                for axis in range(d))
+        del coords
+        labeled.add(dists.T, rest.size)
+        dists.sort(axis=1)
+        unlabeled.add(dists.T, rest.size)
+    return unlabeled.count(), labeled.count()
+
+
 def n_tuples(d, q, k):
     return (q + 1) ** (d * (k + 1))
+
+
+@st.composite
+def lattice_instances(draw, most=10 ** 6):
+    """(d, q, k) with d <= 4 and at most `most` tuples."""
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(1, max(k for k in range(1, 20) if n_tuples(d, 1, k) <= most)))
+    q = draw(st.integers(1, max(q for q in range(1, 1000) if n_tuples(d, q, k) <= most)))
+    return d, q, k
 
 
 # Every (d, q, k) with q <= 4, at most 10^5 tuples, and at most 3*10^5
@@ -466,13 +500,69 @@ class TestCongruenceCounts:
         assert 2 ** 66 > 2 ** 63 and n_tuples(1, 1, 11) == 4096
         assert congruence_class_counts(1, 1, 11) == congruence_counts_loop(1, 1, 11)
 
+    @settings(max_examples=50, deadline=None)
+    @given(lattice_instances())
+    def test_matches_enumeration(self, instance):
+        assert congruence_class_counts(*instance) == congruence_counts_enumerated(*instance)
+
+    @pytest.mark.parametrize("d,q,k", [(1, 1, 11), (2, 1, 9)])
+    def test_word_rows_match_enumeration(self, d, q, k):
+        # 66 pairs at radix 2 and 45 at radix 3 pack into 2 words each;
+        # the fold of (2, 1, 9) adds the words one by one
+        assert experiments._per_word(k * (k + 1) // 2, d * q * q + 1) < k * (k + 1) // 2
+        assert congruence_class_counts(d, q, k) == congruence_counts_enumerated(d, q, k)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_pairs_count_sums_of_squares(self, d):
+        # k = 1: a pair's squared distance is a sum of d squares of axis
+        # differences in 0..q, and each such sum occurs, so both counts are
+        # the number of distinct sums; every q <= 30 the guard admits
+        for q in range(1, 31):
+            if n_tuples(d, q, 1) > experiments.ENUMERATION_LIMIT:
+                break
+            sums = {sum(c * c for c in squares)
+                    for squares in itertools.combinations_with_replacement(range(q + 1), d)}
+            assert congruence_class_counts(d, q, 1) == (len(sums), len(sums))
+
+    @pytest.mark.parametrize("d,q,k,want", [
+        (2, 99, 1, (3664, 3664)),
+        (2, 12, 2, (4636, 26776)),
+        (3, 20, 1, (727, 727)),
+        (3, 6, 2, (6247, 35611)),
+    ])
+    def test_frozen_large_instances(self, d, q, k, want):
+        # as the full enumeration counted them; all but (2, 12, 2) have the
+        # largest q that the guard admits for their d and k
+        assert n_tuples(d, q, k) <= experiments.ENUMERATION_LIMIT
+        assert (d, q, k) == (2, 12, 2) or n_tuples(d, q + 1, k) > experiments.ENUMERATION_LIMIT
+        assert congruence_class_counts(d, q, k) == want
+
     @pytest.mark.parametrize("d,q,k", [(2, 2, 2), (3, 1, 2), (1, 3, 3), (1, 1, 11)])
     def test_small_chunks_merge(self, monkeypatch, d, q, k):
-        # chunks of 25 to 222 tuples, so keys (and, for (1, 1, 11), rows)
-        # are merged across 2 to 164 chunks
+        # chunks and fold blocks of at most `entries` int64 entries: the
+        # (q+1)^(k+1) one-axis tuples of (1, 3, 3) and (1, 1, 11) come in 2
+        # and 164 chunks, and every fold of (2, 2, 2) and (3, 1, 2), whose
+        # one-axis tables hold 10 and 4 words, in 2 to 5 blocks
+        entries = {(2, 2, 2): 20, (3, 1, 2): 8}.get((d, q, k), 2000)
         want = congruence_counts_loop(d, q, k)
-        monkeypatch.setattr(experiments, "_LATTICE_CHUNK_ENTRIES", 2000)
+        adds = []
+
+        class Recorded(experiments._DistinctRows):
+            def add(self, columns, count):
+                adds.append((self, count))
+                super().add(columns, count)
+
+        monkeypatch.setattr(experiments, "_DistinctRows", Recorded)
+        monkeypatch.setattr(experiments, "_LATTICE_CHUNK_ENTRIES", entries)
         assert congruence_class_counts(d, q, k) == want
+        # the table, d - 1 folds and the unlabeled rows
+        collectors = list(dict.fromkeys(rows for rows, _ in adds))
+        assert len(collectors) == d + 1
+        table = [count for rows, count in adds if rows is collectors[0]]
+        assert sum(table) == (q + 1) ** (k + 1) and (d > 1 or len(table) > 1)
+        for fold in collectors[1:d]:
+            blocks = [count for rows, count in adds if rows is fold]
+            assert len(blocks) > 1 and all(count <= entries for count in blocks)
 
 
 class TestContentBound:
@@ -995,11 +1085,12 @@ class TestDistinctRows:
             chunk = rows[start:start + int(rng.integers(1, 101))]
             keys.add(chunk.T, len(chunk))
             start += len(chunk)
+        if (m, radix) == (3, 5):
+            # counting consumes the runs, so the keys are merged before
+            assert np.array_equal(keys.distinct()[:, 0], np.unique(rows @ [25, 5, 1]))
         assert keys.count() == len(np.unique(rows, axis=0))
         assert len(merges) <= math.ceil(len(rows) / 64) + 1
         assert all(size >= 64 for size in merges[:-1])
-        if (m, radix) == (3, 5):
-            assert np.array_equal(keys.runs[0], np.unique(rows @ [25, 5, 1]))
 
     def test_each_key_is_merged_a_logarithmic_number_of_times(self, monkeypatch):
         # 400000 distinct keys through a 4096-row buffer make 98 runs; with
@@ -1019,6 +1110,21 @@ class TestDistinctRows:
         assert keys.count() == n
         assert 0 < len(passed) <= -(-n // 2 ** 12) + 1
         assert sum(passed) <= n * (math.log2(-(-n // 2 ** 12)) + 1)
+
+    def test_count_of_several_runs_merges_none(self, monkeypatch):
+        # three buffers of 4 rows: the first two are merged into one run when
+        # the third arrives; the count sorts that run's keys together with
+        # the third buffer's, and builds no run and no distinct keys
+        monkeypatch.setattr(experiments, "_MERGE_BUFFER_ROWS", 4)
+        rows = np.array([[0], [1], [2], [3], [2], [3], [4], [5], [5], [6], [0], [7]])
+        keys = experiments._DistinctRows(1, 8)
+        for start in range(0, 12, 4):
+            keys.add(rows[start:start + 4].T, 4)
+        merged, merge_runs = [], experiments._merge_runs
+        monkeypatch.setattr(experiments, "_merge_runs",
+                            lambda runs: merged.append(len(runs)) or merge_runs(runs))
+        assert len(keys.runs) == 1 and keys.fill == 4
+        assert keys.count() == 8 and merged == []
 
     def test_merge_frees_the_old_keys(self, monkeypatch):
         # 400000 distinct keys merged 16384 at a time: the last merges hold
