@@ -193,16 +193,16 @@ class _DistinctRows:
             _fold_word(block, j, col, self.radix, self.per_word)
         self.fill += count
 
-    def _flush(self):
+    def _flush(self, final: bool = False):
         if self.fill:
             self.runs.append(_merge_distinct(None, self.words[:self.fill], self.word_radix))
             self.buffers.append(1)
             self.fill = 0
-            while len(self.buffers) > 1 and self.buffers[-2] == self.buffers[-1]:
-                pair = self.runs[-2:]
-                del self.runs[-2:]  # handed over, so that the merge frees them
-                self.runs.append(_merge_runs(pair))
-                self.buffers[-2:] = [2 * self.buffers[-1]]
+        while len(self.runs) > 1 + final and (final or self.buffers[-2] == self.buffers[-1]):
+            pair = self.runs[-2:]
+            del self.runs[-2:]  # handed over, so that the merge frees them
+            self.runs.append(_merge_runs(pair))
+            self.buffers[-2:] = [self.buffers[-2] + self.buffers[-1]]
 
     def distinct(self) -> np.ndarray:
         """The distinct rows added as an (N, words) int64 array of their
@@ -216,11 +216,11 @@ class _DistinctRows:
         """The number of distinct rows added, counted once, from sorted keys
         not made distinct: the buffer's rows sorted in place while it holds
         them all (by their _row_keys if they take several words), else the
-        runs and the buffer's sorted keys, merged by one stable sort."""
+        runs merged down to two, whose merge is one stable sort of them."""
         words = self.words[:self.fill]
         if self.runs:
-            keys, kind = np.concatenate(self.runs + [np.sort(_keys(words))]), "stable"
-            self.runs = []  # freed before the sort
+            self._flush(final=True)
+            keys, kind, self.runs = np.concatenate(self.runs), "stable", []
         elif self.fill:
             keys, kind = (words[:, 0] if words.shape[1] == 1 else _row_keys(words)), None
         else:

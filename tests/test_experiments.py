@@ -1111,20 +1111,22 @@ class TestDistinctRows:
         assert 0 < len(passed) <= -(-n // 2 ** 12) + 1
         assert sum(passed) <= n * (math.log2(-(-n // 2 ** 12)) + 1)
 
-    def test_count_of_several_runs_merges_none(self, monkeypatch):
-        # three buffers of 4 rows: the first two are merged into one run when
-        # the third arrives; the count sorts that run's keys together with
-        # the third buffer's, and builds no run and no distinct keys
+    def test_count_merges_down_to_two_runs_and_builds_not_their_merge(self, monkeypatch):
+        # four buffers of 4 rows: at the count the runs hold 2 and 1 buffers
+        # and the fourth buffer becomes a run; the runs of 1 merge into one
+        # of 2, and the last merge, of the two runs of 2, is counted on the
+        # sorted keys, not built
         monkeypatch.setattr(experiments, "_MERGE_BUFFER_ROWS", 4)
-        rows = np.array([[0], [1], [2], [3], [2], [3], [4], [5], [5], [6], [0], [7]])
-        keys = experiments._DistinctRows(1, 8)
-        for start in range(0, 12, 4):
+        rows = np.array([[0], [1], [2], [3], [2], [3], [4], [5], [5], [6], [0], [7],
+                         [8], [1], [9], [8]])
+        keys = experiments._DistinctRows(1, 10)
+        for start in range(0, 16, 4):
             keys.add(rows[start:start + 4].T, 4)
         merged, merge_runs = [], experiments._merge_runs
         monkeypatch.setattr(experiments, "_merge_runs",
                             lambda runs: merged.append(len(runs)) or merge_runs(runs))
-        assert len(keys.runs) == 1 and keys.fill == 4
-        assert keys.count() == 8 and merged == []
+        assert keys.buffers == [2, 1] and keys.fill == 4
+        assert keys.count() == 10 and merged == [2]
 
     def test_merge_frees_the_old_keys(self, monkeypatch):
         # 400000 distinct keys merged 16384 at a time: the last merges hold
