@@ -141,25 +141,11 @@ def _merge_runs(runs: list) -> np.ndarray:
     return _distinct_sorted(keys, "stable")
 
 
-def _merge_distinct(seen, rows: np.ndarray, radix: int) -> np.ndarray:
-    """Merge the distinct rows of `rows`, whose entries lie in
-    [0, radix), into `seen`, an earlier result or None: the sorted distinct
-    _keys of their fixed-radix words, each of as many columns as fit below
-    2^63, merged with `seen` by _merge_runs."""
-    n, m = rows.shape
-    per_word = _per_word(m, radix)
-    words = np.empty((n, -(-m // per_word)), dtype=np.int64)
-    for j in range(m):
-        _fold_word(words, j, rows[:, j], radix, per_word)
-    keys = _distinct_sorted(_keys(words))
-    return keys if seen is None else _merge_runs([seen, keys])
-
-
 class _DistinctRows:
     """The distinct rows among all rows added, each of m entries in
     range(radix).
 
-    Rows are packed on arrival into _merge_distinct's fixed-radix words
+    Rows are packed on arrival into fixed-radix int64 words (_fold_word)
     and collected in a buffer of `rows` rows (default _MERGE_BUFFER_ROWS),
     which grows only to take a chunk that does not fit. A full buffer's
     distinct keys are sorted into a run; two runs of equally many buffers
@@ -170,8 +156,8 @@ class _DistinctRows:
     def __init__(self, m: int, radix: int, rows: int = 0):
         self.radix = radix
         self.per_word = _per_word(m, radix)
-        # every packed word lies in range(word_radix), so _merge_distinct
-        # keeps them as they are, one word per column
+        # every packed word lies in range(word_radix), so rows of such words
+        # pack at that radix one word per column, as they are
         self.word_radix = radix ** min(m, self.per_word)
         self.rows = rows if rows > 0 else _MERGE_BUFFER_ROWS
         self.words = np.empty((self.rows, -(-m // self.per_word)), dtype=np.int64)
@@ -195,7 +181,8 @@ class _DistinctRows:
 
     def _flush(self, final: bool = False):
         if self.fill:
-            self.runs.append(_merge_distinct(None, self.words[:self.fill], self.word_radix))
+            # sorted in place: the buffer is refilled from its start
+            self.runs.append(_distinct_sorted(_keys(self.words[:self.fill])))
             self.buffers.append(1)
             self.fill = 0
         while len(self.runs) > 1 + final and (final or self.buffers[-2] == self.buffers[-1]):
@@ -463,10 +450,9 @@ def congruence_class_counts(d: int, q: int, k: int) -> tuple[int, int]:
     unlabeled, per_word = _DistinctRows(len(pairs), radix), table.per_word
     for part in np.array_split(keys, range(chunk, len(keys), chunk)):
         # the digits of each word, divided off in place: only len(keys) is needed after
-        digits = np.column_stack([digit for w, word in enumerate(part.T) for digit in _grid_digits(
-            word, radix - 1, min(per_word, len(pairs) - w * per_word))])
-        digits.sort(axis=1)
-        unlabeled.add(digits.T, len(digits))
+        digits = [c for w, word in enumerate(part.T)
+                  for c in _grid_digits(word, radix - 1, min(per_word, len(pairs) - w * per_word))]
+        unlabeled.add(np.sort(np.column_stack(digits), axis=1).T, len(part))
     return unlabeled.count(), len(keys)
 
 

@@ -1072,9 +1072,9 @@ class TestDistinctRows:
         # chunk longer than the 64-row buffer grows it
         monkeypatch.setattr(experiments, "_MERGE_BUFFER_ROWS", 64)
         merges = []  # the rows of each buffer sorted into a run
-        merge = experiments._merge_distinct
-        monkeypatch.setattr(experiments, "_merge_distinct",
-                            lambda *args: merges.append(len(args[1])) or merge(*args))
+        flush = experiments._DistinctRows._flush
+        monkeypatch.setattr(experiments._DistinctRows, "_flush", lambda self, final=False: (
+            self.fill and merges.append(self.fill)) or flush(self, final))
         rng = np.random.default_rng(m)
         pool = rng.integers(0, radix, size=(40, m), dtype=np.int64, endpoint=False)
         pool[:2] = [0] * m, [radix - 1] * m
@@ -1147,7 +1147,7 @@ class TestDistinctRows:
 
     def test_one_buffer_is_counted_without_a_merge(self, monkeypatch):
         merges = []
-        monkeypatch.setattr(experiments, "_merge_distinct", lambda *args: merges.append(1))
+        monkeypatch.setattr(experiments, "_distinct_sorted", lambda *args: merges.append(1))
         rows = np.random.default_rng(3).integers(0, 9, size=(500, 4))
         keys = experiments._DistinctRows(4, 9, 500)
         keys.add(rows[:300].T, 300)
@@ -1193,10 +1193,11 @@ class TestCovering:
 
     def test_merge_returns_distinct_values(self):
         rows = np.random.default_rng(6).integers(0, 5, size=(300, 3))
-        first = experiments._merge_distinct(None, rows[:200], 5)
-        assert np.array_equal(first, np.unique(rows[:200] @ [25, 5, 1]))
-        merged = experiments._merge_distinct(first, rows[200:], 5)
-        assert np.array_equal(merged, np.unique(rows @ [25, 5, 1]))
+        keys = experiments._DistinctRows(3, 5, 200)
+        keys.add(rows[:200].T, 200)
+        keys.add(rows[200:].T, 100)  # first sorts the full buffer into a run
+        assert np.array_equal(keys.runs[0], np.unique(rows[:200] @ [25, 5, 1]))
+        assert np.array_equal(keys.distinct()[:, 0], np.unique(rows @ [25, 5, 1]))
 
     def test_single_point(self):
         for eps in (1.0, 0.5, 0.125):
