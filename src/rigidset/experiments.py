@@ -179,13 +179,16 @@ class _DistinctRows:
             _fold_word(block, j, col, self.radix, self.per_word)
         self.fill += count
 
-    def _flush(self, final: bool = False):
+    def _flush(self, keep: int = 0):
+        """Sort the buffer into a run, then merge the last two runs while
+        they hold equally many buffers, or, for keep > 0, while more than
+        keep runs are left."""
         if self.fill:
-            # sorted in place: the buffer is refilled from its start
-            self.runs.append(_distinct_sorted(_keys(self.words[:self.fill])))
+            # a copy is sorted: sorting the buffer in place measured a higher peak RSS
+            self.runs.append(_distinct_sorted(_keys(self.words[:self.fill].copy())))
             self.buffers.append(1)
             self.fill = 0
-        while len(self.runs) > 1 + final and (final or self.buffers[-2] == self.buffers[-1]):
+        while len(self.runs) > max(keep, 1) and (keep or self.buffers[-2] == self.buffers[-1]):
             pair = self.runs[-2:]
             del self.runs[-2:]  # handed over, so that the merge frees them
             self.runs.append(_merge_runs(pair))
@@ -194,9 +197,7 @@ class _DistinctRows:
     def distinct(self) -> np.ndarray:
         """The distinct rows added as an (N, words) int64 array of their
         packed words, in key order; the runs are merged into one."""
-        self._flush()
-        if len(self.runs) > 1:
-            self.runs, self.buffers = [_merge_runs(self.runs)], [sum(self.buffers)]
+        self._flush(keep=1)
         return self.runs[0].view(np.int64).reshape(len(self.runs[0]), -1)
 
     def count(self) -> int:
@@ -206,7 +207,7 @@ class _DistinctRows:
         runs merged down to two, whose merge is one stable sort of them."""
         words = self.words[:self.fill]
         if self.runs:
-            self._flush(final=True)
+            self._flush(keep=2)
             keys, kind, self.runs = np.concatenate(self.runs), "stable", []
         elif self.fill:
             keys, kind = (words[:, 0] if words.shape[1] == 1 else _row_keys(words)), None
@@ -452,7 +453,9 @@ def congruence_class_counts(d: int, q: int, k: int) -> tuple[int, int]:
         # the digits of each word, divided off in place: only len(keys) is needed after
         digits = [c for w, word in enumerate(part.T)
                   for c in _grid_digits(word, radix - 1, min(per_word, len(pairs) - w * per_word))]
-        unlabeled.add(np.sort(np.column_stack(digits), axis=1).T, len(part))
+        digits = np.column_stack(digits)
+        digits.sort(axis=1)
+        unlabeled.add(digits.T, len(part))
     return unlabeled.count(), len(keys)
 
 

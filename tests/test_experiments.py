@@ -1073,8 +1073,8 @@ class TestDistinctRows:
         monkeypatch.setattr(experiments, "_MERGE_BUFFER_ROWS", 64)
         merges = []  # the rows of each buffer sorted into a run
         flush = experiments._DistinctRows._flush
-        monkeypatch.setattr(experiments._DistinctRows, "_flush", lambda self, final=False: (
-            self.fill and merges.append(self.fill)) or flush(self, final))
+        monkeypatch.setattr(experiments._DistinctRows, "_flush", lambda self, keep=0: (
+            self.fill and merges.append(self.fill)) or flush(self, keep))
         rng = np.random.default_rng(m)
         pool = rng.integers(0, radix, size=(40, m), dtype=np.int64, endpoint=False)
         pool[:2] = [0] * m, [radix - 1] * m
