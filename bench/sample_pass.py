@@ -16,7 +16,9 @@ Then `sample k2 --d 1 --n 2000000 --scales 16,20 --seed 1`, whose scale
 2^-20 merges about 10^6 distinct cells; single lattice instances at or
 near the enumeration guard, (d, k, q) = (2, 1, 99), (2, 2, 12), (3, 1, 20)
 and (3, 2, 6); and two of many pairs, (2, 6, 2), whose packed rows take
-two words, and (1, 16, 1), where d = 1 leaves nothing to fold.
+two words, and (1, 16, 1), where d = 1 leaves nothing to fold. Last,
+`sample k4 --seed 1` at the default scales 3..7 at n = 10^6 and 3*10^6,
+and at the ten scales 3..12 at n = 10^6, whose rows take two words.
 The trees take turns within every one of ROUNDS rounds, the first tree
 changing each round, as in analyze_pass.py, whose record fields this one
 shares.
@@ -46,6 +48,10 @@ CALLS = {
     "lattice-d3k2q6": ("lattice", "--d", "3", "--k", "2", "--q-list", "6"),
     "lattice-d2k6q2": ("lattice", "--d", "2", "--k", "6", "--q-list", "2"),
     "lattice-d1k16q1": ("lattice", "--d", "1", "--k", "16", "--q-list", "1"),
+    "k4-1e6-default": ("sample", "k4", "--n", "1000000", "--seed", "1"),
+    "k4-1e6-ten": ("sample", "k4", "--n", "1000000", "--scales", "3,4,5,6,7,8,9,10,11,12",
+                   "--seed", "1"),
+    "k4-3e6-default": ("sample", "k4", "--n", "3000000", "--seed", "1"),
 }
 ROUNDS = 7
 

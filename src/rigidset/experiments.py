@@ -83,43 +83,14 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _sort_changes(keys: np.ndarray, kind=None) -> np.ndarray:
-    """Sort a non-empty 1-D array in place (numpy's sort of that kind)
-    and mark each entry after the first that differs from its left
-    neighbour: the first entry and the marked ones are the distinct
-    values, ascending."""
-    keys.sort(kind=kind)
-    return keys[1:] != keys[:-1]
-
-
 def _distinct_sorted(keys: np.ndarray, kind=None) -> np.ndarray:
     """The distinct values of a non-empty 1-D array, ascending; the array
-    is sorted in place."""
+    is sorted in place (numpy's sort of that kind)."""
+    keys.sort(kind=kind)
     first = np.empty(keys.size, dtype=bool)
     first[0] = True
-    first[1:] = _sort_changes(keys, kind)
+    first[1:] = keys[1:] != keys[:-1]
     return keys[first]
-
-
-def _per_word(m: int, radix: int) -> int:
-    """Entries per int64 word when rows of m entries in range(radix) are
-    packed at a fixed radix: as many as keep a word below 2^63, at most m."""
-    per_word = 1
-    while per_word < m and radix ** (per_word + 1) <= _KEY_LIMIT:
-        per_word += 1
-    return per_word
-
-
-def _fold_word(words: np.ndarray, j: int, col: np.ndarray, radix: int, per_word: int):
-    """Fold column j of rows whose entries lie in range(radix) into their
-    (N, words) fixed-radix words, in place: column j is digit j % per_word,
-    from the most significant, of word j // per_word."""
-    word = words[:, j // per_word]
-    if j % per_word:
-        word *= radix
-        word += col
-    else:
-        word[...] = col
 
 
 def _keys(words: np.ndarray) -> np.ndarray:
@@ -142,50 +113,63 @@ def _merge_runs(runs: list) -> np.ndarray:
 
 
 class _DistinctRows:
-    """The distinct rows among all rows added, each of m entries in
-    range(radix).
+    """The distinct rows among all rows added, each of m entries, entry j
+    in range(radix[j]) (an int radix is every column's), and the number of
+    distinct p-column prefixes among them.
 
-    Rows are packed on arrival into fixed-radix int64 words (_fold_word)
-    and collected in a buffer of `rows` rows (default _MERGE_BUFFER_ROWS),
-    which grows only to take a chunk that does not fit. A full buffer's
-    distinct keys are sorted into a run; two runs of equally many buffers
-    merge into one, as in a binary counter, so a key is merged at most
+    Rows are packed on arrival into int64 words, mixed-radix, the first
+    column most significant: each column joins the word before it while
+    the word's range, the product of its columns' radices, stays at most
+    2^63, else it starts a word. Rows are collected in a buffer of `rows`
+    rows (default _MERGE_BUFFER_ROWS); a full buffer's distinct keys are
+    sorted into a run, and two runs of equally many buffers merge into
+    one, as in a binary counter, so a key is merged at most
     log2(buffers) + 1 times.
     """
 
-    def __init__(self, m: int, radix: int, rows: int = 0):
-        self.radix = radix
-        self.per_word = _per_word(m, radix)
-        # every packed word lies in range(word_radix), so rows of such words
-        # pack at that radix one word per column, as they are
-        self.word_radix = radix ** min(m, self.per_word)
+    def __init__(self, m: int, radix: int | list, rows: int = 0):
+        radices = [radix] * m if isinstance(radix, int) else list(radix)
+        # (word, radix, whether the word holds a column of radix above 1
+        # before it) per column, and the range of each word
+        self.columns, self.word_radix = [], []
+        for r in radices:
+            if not self.word_radix or self.word_radix[-1] * r > _KEY_LIMIT:
+                self.word_radix.append(1)
+            self.columns.append((len(self.word_radix) - 1, r, self.word_radix[-1] > 1))
+            self.word_radix[-1] *= r
         self.rows = rows if rows > 0 else _MERGE_BUFFER_ROWS
-        self.words = np.empty((self.rows, -(-m // self.per_word)), dtype=np.int64)
+        self.words = np.empty((self.rows, len(self.word_radix)), dtype=np.int64)
         self.fill = 0
         self.runs, self.buffers = [], []  # sorted distinct keys; buffers in each
 
     def add(self, columns, count: int):
         """Add `count` rows given column by column: `columns` yields the m
         int64 columns, each of length count, and each is folded into the
-        buffer before the next is asked for."""
+        words before the next is asked for. The buffer never grows: the
+        rows past its end are folded apart and moved in, a buffer at a
+        time, each after the full buffer is flushed."""
         if self.fill >= self.rows:
             self._flush()
-        if self.fill + count > len(self.words):
-            grown = np.empty((self.fill + count, self.words.shape[1]), dtype=np.int64)
-            grown[:self.fill] = self.words[:self.fill]
-            self.words = grown
-        block = self.words[self.fill:self.fill + count]
-        for j, col in enumerate(columns):
-            _fold_word(block, j, col, self.radix, self.per_word)
-        self.fill += count
+        space = min(count, self.rows - self.fill)
+        blocks = [self.words[self.fill:self.fill + space]]
+        if count > space:
+            blocks.append(np.empty((count - space, self.words.shape[1]), dtype=np.int64))
+        for (w, radix, held), col in zip(self.columns, columns):
+            for block, part in zip(blocks, (col[:space], col[space:])):
+                block[:, w] *= radix if held else 0
+                block[:, w] += part
+        self.fill += space
+        for start in range(0, count - space, self.rows):
+            self._flush()
+            self.fill = min(self.rows, count - space - start)
+            self.words[:self.fill] = blocks[1][start:start + self.fill]
 
     def _flush(self, keep: int = 0):
-        """Sort the buffer into a run, then merge the last two runs while
-        they hold equally many buffers, or, for keep > 0, while more than
-        keep runs are left."""
+        """Sort the buffer in place into a run, then merge the last two
+        runs while they hold equally many buffers, or, for keep > 0, while
+        more than keep runs are left."""
         if self.fill:
-            # a copy is sorted: sorting the buffer in place measured a higher peak RSS
-            self.runs.append(_distinct_sorted(_keys(self.words[:self.fill].copy())))
+            self.runs.append(_distinct_sorted(_keys(self.words[:self.fill])))
             self.buffers.append(1)
             self.fill = 0
         while len(self.runs) > max(keep, 1) and (keep or self.buffers[-2] == self.buffers[-1]):
@@ -200,20 +184,47 @@ class _DistinctRows:
         self._flush(keep=1)
         return self.runs[0].view(np.int64).reshape(len(self.runs[0]), -1)
 
-    def count(self) -> int:
-        """The number of distinct rows added, counted once, from sorted keys
-        not made distinct: the buffer's rows sorted in place while it holds
-        them all (by their _row_keys if they take several words), else the
-        runs merged down to two, whose merge is one stable sort of them."""
-        words = self.words[:self.fill]
+    def counts(self, prefixes) -> list:
+        """For each p >= 1 in `prefixes`, the number of distinct p-column
+        prefixes of the rows added, counted once; the rows are consumed.
+
+        The rows are sorted in numeric word order, so that equal prefixes
+        are adjacent: the buffer's rows in place while it holds them all,
+        else the runs merged down to two and concatenated, whose merge is
+        one stable sort of them. Rows of several words are reordered by
+        their _row_keys instead, since void keys sort by little-endian
+        bytes. Two sorted neighbours a and b differ in their first p
+        columns when a word before that of column p - 1 differs, or, in
+        that word, (a ^ b) >= place read unsigned, where place is the
+        product of the radices of its columns from p on. So each such
+        product must be a power of two, as it is 1 for p = m. The
+        neighbours are compared _MERGE_BUFFER_ROWS at a time.
+        """
         if self.runs:
             self._flush(keep=2)
             keys, kind, self.runs = np.concatenate(self.runs), "stable", []
-        elif self.fill:
-            keys, kind = (words[:, 0] if words.shape[1] == 1 else _row_keys(words)), None
+            rows = keys.view(np.int64).reshape(len(keys), -1)
         else:
-            return 0
-        return 1 + int(np.count_nonzero(_sort_changes(keys, kind)))
+            rows, kind = self.words[:self.fill], None
+        if rows.shape[1] > 1:
+            rows = rows[np.argsort(_row_keys(rows))]
+        else:
+            rows[:, 0].sort(kind=kind)
+        counts = [min(len(rows), 1)] * len(prefixes)
+        for start in range(0, len(rows) - 1, _MERGE_BUFFER_ROWS):
+            block = rows[start:start + _MERGE_BUFFER_ROWS + 1]
+            diff = np.bitwise_xor(block[1:], block[:-1]).view(np.uint64)
+            for i, p in enumerate(prefixes):
+                v = self.columns[p - 1][0]  # the word of column p - 1
+                changed = diff[:, v] >= math.prod(r for w, r, _ in self.columns[p:] if w == v)
+                for w in range(v):
+                    changed |= diff[:, w] != 0
+                counts[i] += int(np.count_nonzero(changed))
+        return counts
+
+    def count(self) -> int:
+        """The number of distinct rows added (counts of whole rows)."""
+        return self.counts([len(self.columns)])[0]
 
 
 # vertex pairs of K4 in the order t12, t13, t14, t23, t24, t34
@@ -427,10 +438,11 @@ def congruence_class_counts(d: int, q: int, k: int) -> tuple[int, int]:
     A distance vector is the sum of d one-axis vectors, the squared
     differences of k+1 numbers in {0..q}, enumerated by index in chunks.
     Packed at radix d q^2 + 1, which no sum reaches, a sum's words are the
-    sums of the words: d - 1 folds add the distinct one-axis words to the
-    distinct words so far, in blocks. The final words give the labeled
-    count; unpacked and sorted per vector, the unlabeled one. Chunks and
-    blocks hold at most _LATTICE_CHUNK_ENTRIES int64 entries.
+    sums of the words, each in its word's range (word_radix): d - 1 folds
+    add the distinct one-axis words to the distinct words so far, in
+    blocks. The final words give the labeled count; unpacked and sorted
+    per vector, the unlabeled one. Chunks and blocks hold at most
+    _LATTICE_CHUNK_ENTRIES int64 entries.
     """
     check_enumeration(d, q, k)
     pairs = list(itertools.combinations(range(k + 1), 2))
@@ -442,17 +454,18 @@ def congruence_class_counts(d: int, q: int, k: int) -> tuple[int, int]:
         table.add(((coords[a] - coords[b]) ** 2 for a, b in pairs), len(coords[0]))
     keys = axis = table.distinct()
     for _ in range(d - 1):
-        sums = _DistinctRows(axis.shape[1], table.word_radix)
+        sums = _DistinctRows(axis.shape[1], table.word_radix)  # a word per column, as it is
         block = max(1, _LATTICE_CHUNK_ENTRIES // axis.size)
         for part in np.array_split(keys, range(block, len(keys), block)):
             sums.add((np.add.outer(col, axis[:, w]).ravel() for w, col in enumerate(part.T)),
                      len(part) * len(axis))
         keys = sums.distinct()
-    unlabeled, per_word = _DistinctRows(len(pairs), radix), table.per_word
+    unlabeled = _DistinctRows(len(pairs), radix)
+    words = [w for w, _, _ in table.columns]  # the word of each pair
     for part in np.array_split(keys, range(chunk, len(keys), chunk)):
         # the digits of each word, divided off in place: only len(keys) is needed after
         digits = [c for w, word in enumerate(part.T)
-                  for c in _grid_digits(word, radix - 1, min(per_word, len(pairs) - w * per_word))]
+                  for c in _grid_digits(word, radix - 1, words.count(w))]
         digits = np.column_stack(digits)
         digits.sort(axis=1)
         unlabeled.add(digits.T, len(part))
@@ -663,7 +676,7 @@ def _measure_chunks(g: Graph, sampler, n_samples: int, seed: int, consume=None):
     array, into one buffer reused across chunks. For K4 in the plane the
     same lengths feed the residual, whose finite maximum and non-finite
     count are folded across chunks. Then consume(lengths) is called, if
-    given, before the next chunk is drawn.
+    given, before the next chunk is drawn; it may overwrite the lengths.
     """
     pairs = [(i - 1, j - 1) for i, j in g.edges]
     chunks = _sample_chunks(sampler, g.n_vertices, n_samples, seed)
@@ -716,35 +729,54 @@ def sample_box_dimension(g: Graph, sampler, n_samples: int, seed: int, scales):
     """(fit_box_dimension(s.cloud, scales), s.max_residual, s.degenerate)
     for s = sample_distances(g, sampler, n_samples, seed), with the same
     counts, slope bits and errors, but no cloud is held: each chunk of
-    _measure_chunks is covered at every scale as soon as its lengths
-    exist, into one _DistinctRows per scale.
+    _measure_chunks is covered as soon as its lengths exist, into one
+    _DistinctRows of finest-scale cells whose prefixes are the cells at
+    every coarser scale.
+
+    Every scale must be the finest times a power of two, 2^shift, or
+    ValueError is raised before anything is drawn. Then floor(x / eps) is
+    floor(x / finest) >> shift exactly, so each chunk is divided and
+    floored once, at the finest scale. A row holds the m cells at the
+    coarsest scale, then, for each finer scale in turn, the m digits of
+    the bits that scale adds, at radix 2^bits: every scale's cell is a
+    prefix of the row, and one sort of the rows counts them all
+    (_DistinctRows.counts).
 
     The sampler must say by `side` the side of a cube that holds all its
     draws, so that no edge length exceeds side * sqrt(d); with a margin
-    for rounding, that bound fixes each scale's cell radix before the
-    first draw, and so the number of cells, radix^n_edges, of its grid.
-    A scale whose grid has fewer cells than n_samples keeps only its
-    distinct cells, merged through a buffer; a finer one keeps one
-    packed key per tuple and counts them once, as covering_count does,
-    since its distinct cells may come close to n_samples. Every chunk is
-    checked against the radix before it is covered, so a cell past it
-    raises ValueError and is never miscounted.
+    for rounding, that bound fixes the radices before the first draw,
+    and so the number of cells, radix^n_edges, of the finest grid. If
+    that grid has fewer cells than n_samples, only the distinct rows are
+    kept, merged through a buffer; else one row per tuple is kept and
+    sorted once, as covering_count does, since the distinct cells may
+    come close to n_samples. Every chunk is checked against the finest
+    radix before it is covered, so a cell past it raises ValueError and
+    is never miscounted.
     A cell index at or past 2^63 raises covering_count's ValueError,
     after the last draw, as the cloud route does. Scales that fit no
     slope (check_scales) and a graph without edges are refused before
     anything is drawn.
     """
     scales = check_scales(scales)
+    finest = min(scales)
+    # eps is finest times a power of two exactly when their mantissas are equal
+    if any(math.frexp(eps)[0] != math.frexp(finest)[0] for eps in scales):
+        raise ValueError(f"every scale must be the finest, {finest!r}, times a power of two")
     if not g.n_edges:
         raise ValueError("empty cloud")
+    m = g.n_edges
     bound = sampler.side * math.sqrt(sampler.d) * (1 + 2.0 ** -20)
-    # the largest |x / eps| each scale admits; its cells lie in range(floor + 1)
-    reaches = [min(bound / eps, _CELL_REACH) for eps in scales]
-    cells = []
-    for reach in reaches:
-        radix = math.floor(reach) + 1
-        full = _power_exceeds(radix, g.n_edges, n_samples - 1)
-        cells.append(_DistinctRows(g.n_edges, radix, n_samples if full else 0))
+    reach = min(bound / finest, _CELL_REACH)  # the largest |x / finest| admitted
+    # a cell below 2^63 shifted by 63 or more is 0
+    shifts = [min(math.frexp(eps)[1] - math.frexp(finest)[1], 63) for eps in scales]
+    levels = sorted(set(shifts), reverse=True)  # coarsest first
+    # the bits of a cell that each level adds: all at the coarsest, then those
+    # between the level and the one before it
+    masks = [-1] + [2 ** (coarse - fine) - 1 for coarse, fine in zip(levels, levels[1:])]
+    radices = [(math.floor(reach) >> levels[0]) + 1] + [mask + 1 for mask in masks[1:]]
+    full = _power_exceeds(math.floor(reach) + 1, m, n_samples - 1)
+    keys = _DistinctRows(len(levels) * m, [r for r in radices for _ in range(m)],
+                         n_samples if full else 0)
     top, failed = None, False
 
     def cover(lengths):
@@ -752,11 +784,13 @@ def sample_box_dimension(g: Graph, sampler, n_samples: int, seed: int, scales):
         chunk_top = lengths.max()
         top = chunk_top if top is None else np.maximum(top, chunk_top)
         with np.errstate(over="ignore"):
-            failed = failed or any(not chunk_top / eps <= reach
-                                   for eps, reach in zip(scales, reaches))
+            failed = failed or not chunk_top / finest <= reach
         if not failed:
-            for eps, keys in zip(scales, cells):
-                _cover_chunk(lengths, eps, None, keys)
+            cells = np.empty(lengths.shape, dtype=np.int64)
+            digit = np.empty(lengths.shape[1], dtype=np.int64)
+            np.floor(np.divide(lengths, finest, out=lengths), out=cells, casting="unsafe")
+            keys.add((np.bitwise_and(np.right_shift(cell, shift, out=digit), mask, out=digit)
+                      for shift, mask in zip(levels, masks) for cell in cells), lengths.shape[1])
 
     max_residual, degenerate = _measure_chunks(g, sampler, n_samples, seed, cover)
     if failed:
@@ -767,37 +801,8 @@ def sample_box_dimension(g: Graph, sampler, n_samples: int, seed: int, scales):
                 _refuse_cells(eps, bool(np.isfinite(top)), reach)
         raise ValueError(f"an edge length of {float(top)!r} exceeds the bound "
                          f"{bound!r} that the sampler's side gives")
-    counts = [0] * len(scales)
-    # coarsest first, each collector freed once counted, so that the finest
-    # counts, which may rank rows of several words, run beside the least
-    for i in sorted(range(len(scales)), key=scales.__getitem__, reverse=True):
-        counts[i], cells[i] = cells[i].count(), None
+    counts = keys.counts([(levels.index(shift) + 1) * m for shift in shifts])
     return _fit_slope(scales, tuple(counts)), max_residual, degenerate
-
-
-def _cover_chunk(cols, eps: float, lows, keys: _DistinctRows):
-    """Add to `keys` the cells of the origin-anchored eps-grid that hold
-    the points of one chunk, whose m coordinate columns, each of length
-    count, are the rows of `cols`: cell index floor(x / eps), less lows[j]
-    for column j (nothing when lows is None), which must then lie in
-    range(keys.radix).
-
-    One float and one int64 column of the chunk's length are the work
-    space; each column is divided, floored and cast into them and folded
-    into the packed keys before the next.
-    """
-    count = len(cols[0])
-    scaled, cells = np.empty(count), np.empty(count, dtype=np.int64)
-
-    def cell_columns():
-        for j, col in enumerate(cols):
-            np.divide(col, eps, out=scaled)
-            np.floor(scaled, out=cells, casting="unsafe")
-            if lows is not None:
-                np.subtract(cells, lows[j], out=cells)
-            yield cells
-
-    keys.add(cell_columns(), count)
 
 
 def covering_count(cloud, eps: float) -> int:
@@ -806,15 +811,16 @@ def covering_count(cloud, eps: float) -> int:
     The count is exact. Each column's cell range is read from its
     extremes, since x / eps and the floor are monotone; every cell index
     vector, shifted by the column minima, is then packed into int64 words
-    at one radix by _cover_chunk, _SAMPLE_CHUNK_ENTRIES cloud entries at
-    a time, into a _DistinctRows buffer of one row per point. The
-    distinct rows are counted there, not built. When the cells pack into
-    one word per point, the words are sorted in place: besides the cloud
-    only the keys, their bool marks and one chunk's work columns are
-    held. Rows of more words are counted by their _row_keys, whose
-    ranking holds about six more n-long columns while it runs. Raises
-    ValueError when the cloud has a non-finite entry or when some
-    |x / eps| reaches 2^63, where cell indices leave int64.
+    at one radix, _SAMPLE_CHUNK_ENTRIES cloud entries at a time, into a
+    _DistinctRows buffer of one row per point, and the distinct rows are
+    counted there, not built. When the cells pack into one word per
+    point, the words are sorted in place: besides the cloud only the
+    words and the neighbour differences of one block are held. Rows of
+    more words are reordered by their _row_keys, whose ranking holds
+    about six more n-long columns while it runs, and then an index and a
+    sorted copy of the words. Raises ValueError when the cloud has a
+    non-finite entry or when some |x / eps| reaches 2^63, where cell
+    indices leave int64.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -838,7 +844,9 @@ def covering_count(cloud, eps: float) -> int:
     keys = _DistinctRows(m, radix, n)
     chunk = max(1, _SAMPLE_CHUNK_ENTRIES // m)
     for start in range(0, n, chunk):
-        _cover_chunk(a[start:start + chunk].T, eps, lows, keys)
+        part = a[start:start + chunk]
+        keys.add((np.floor(col / eps).astype(np.int64) - low for col, low in zip(part.T, lows)),
+                 len(part))
     return keys.count()
 
 

@@ -508,8 +508,11 @@ class TestCongruenceCounts:
     @pytest.mark.parametrize("d,q,k", [(1, 1, 11), (2, 1, 9)])
     def test_word_rows_match_enumeration(self, d, q, k):
         # 66 pairs at radix 2 and 45 at radix 3 pack into 2 words each;
-        # the fold of (2, 1, 9) adds the words one by one
-        assert experiments._per_word(k * (k + 1) // 2, d * q * q + 1) < k * (k + 1) // 2
+        # the fold of (2, 1, 9) adds the words one by one, each a column
+        # at its word's range
+        table = experiments._DistinctRows(k * (k + 1) // 2, d * q * q + 1)
+        assert len(table.word_radix) == 2
+        assert len(experiments._DistinctRows(2, table.word_radix).word_radix) == 2
         assert congruence_class_counts(d, q, k) == congruence_counts_enumerated(d, q, k)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -936,47 +939,50 @@ class TestStreamedCover:
         assert same_estimate(got, want)
 
     def test_word_rows_match_the_cloud_route(self, monkeypatch):
-        # at eps = 2^-30 a K4 length spans about 1.5 * 2^30 cells, and
-        # (1.5 * 2^30)^6 passes 2^63: the cells pack into word rows
+        # at eps = 2^-30 a K4 length spans about 1.5 * 2^30 cells: a row
+        # holds the six cells at eps = 1/2, in range(3), then the six 29-bit
+        # digits down to 2^-30, and takes four words; the coarse cell is the
+        # first word's high part, so the rows must be sorted numerically,
+        # not as void keys, whose bytes are little-endian
         g, sampler, scales = complete_graph(4), UnitCubeSampler(2), [0.5, 2.0 ** -30]
-        radix = math.floor(math.sqrt(2) * 2 ** 30) + 1
-        assert experiments._per_word(6, radix) < 6
         # chunks of 100 tuples, merged 500 rows at a time
         monkeypatch.setattr(experiments, "_SAMPLE_CHUNK_ENTRIES", 800)
         monkeypatch.setattr(experiments, "_MERGE_BUFFER_ROWS", 500)
         want = cloud_route(g, sampler, 3000, 4, scales)
-        ranked, merged = [], []
-        row_keys, merge_runs = experiments._row_keys, experiments._merge_runs
+        ranked, made = [], []
+        row_keys, rows = experiments._row_keys, experiments._DistinctRows
         monkeypatch.setattr(experiments, "_row_keys",
                             lambda words: ranked.append(words.shape) or row_keys(words))
-        monkeypatch.setattr(experiments, "_merge_runs",
-                            lambda runs: merged.extend(runs) or merge_runs(runs))
+        monkeypatch.setattr(experiments, "_DistinctRows",
+                            lambda *args: made.append(rows(*args)) or made[-1])
         assert same_estimate(sample_box_dimension(g, sampler, 3000, 4, scales), want)
-        # the fine grid has more cells than there are tuples: its 3000 rows
-        # of 3 words are ranked once, in place, and never merged; only the
-        # coarse scale's one-word keys are
-        assert ranked == [(3000, 3)]
-        assert merged and all(run.dtype == np.int64 for run in merged)
+        assert want[0].counts[0] < 3 ** 6 < want[0].counts[1] == 3000
+        # the fine grid has more cells than there are tuples: the one
+        # collector holds all 3000 rows, never merged, and ranks them once
+        assert [w for w, _, _ in made[0].columns] == [0] * 7 + [1, 1, 2, 2, 3]
+        assert len(made) == 1 and made[0].runs == [] and ranked == [(3000, 4)]
 
     @pytest.mark.parametrize("n, rows", [(17, 17), (18, 4)])
     def test_a_grid_of_n_cells_keeps_one_key_per_tuple(self, monkeypatch, n, rows):
         # K2 in the line at eps = 1/16: every length lies in [0, 1], so the
-        # grid has 17 cells; up to 17 tuples may all lie in distinct cells,
-        # and their keys are kept whole, while the 3 cells at eps = 1/2 are
-        # merged through the buffer
+        # finest grid has 17 cells; up to 17 tuples may all lie in distinct
+        # cells, and their rows are kept whole, else merged through the
+        # buffer. A row is the cell at eps = 1/2, in range(3), and the 3
+        # bits that eps = 1/16 adds
         made = []
 
         class Recorded(experiments._DistinctRows):
             def __init__(self, m, radix, rows=0):
                 super().__init__(m, radix, rows)
-                made.append((radix, self.rows))
+                made.append((m, radix, self.rows))
 
         monkeypatch.setattr(experiments, "_DistinctRows", Recorded)
         monkeypatch.setattr(experiments, "_MERGE_BUFFER_ROWS", 4)
         want = cloud_route(complete_graph(2), UnitCubeSampler(1), n, 2, [1 / 16, 1 / 2])
+        made.clear()
         got = sample_box_dimension(complete_graph(2), UnitCubeSampler(1), n, 2, [1 / 16, 1 / 2])
         assert same_estimate(got, want)
-        assert made[-2:] == [(17, rows), (3, 4)]
+        assert made == [(2, [3, 8], rows)]
 
     @pytest.mark.parametrize("exponents", [(1, 64), (64, 1, 70), (1, 62, 63)])
     def test_int64_refusal_matches_the_cloud_route(self, monkeypatch, exponents):
@@ -1065,7 +1071,82 @@ class TestStreamedCover:
         assert traced_peak(lambda: cloud_route(g, UnitCubeSampler(2), 200000, 1, scales)) > bound
 
 
+    @pytest.mark.parametrize("exponents", [(3, 4), (1, 2, 3, 4), (3, 4, 5, 6, 7, 8, 9, 10, 11, 12)])
+    def test_one_collector_for_every_scale(self, monkeypatch, exponents):
+        made, rows = [], experiments._DistinctRows
+        monkeypatch.setattr(experiments, "_DistinctRows",
+                            lambda *args: made.append(rows(*args)) or made[-1])
+        scales = [2.0 ** -e for e in exponents]
+        got = sample_box_dimension(complete_graph(4), UnitCubeSampler(2), 2000, 3, scales)
+        assert len(made) == 1 and len(made[0].columns) == 6 * len(scales)
+        made.clear()
+        assert same_estimate(got, cloud_route(complete_graph(4), UnitCubeSampler(2), 2000, 3, scales))
+        # the cloud route covers once per scale
+        assert len(made) == len(scales)
+
+    def test_k4_ten_scales_hold_one_collector(self):
+        # ten scales 2^-3..2^-12 of 200000 K4 tuples: the grid at 2^-3 has
+        # 12^6 > 200000 cells already, so one key per tuple is kept; the
+        # rows take two words, ranked once (as covering_count's word rows),
+        # plus one chunk's draws, lengths and work columns (4 chunks of
+        # entries). Ten collectors, one per scale, would not fit
+        n, scales = 200000, [2.0 ** -e for e in range(3, 13)]
+        bound = (2 * 8 * n + 8 * n + 6 * 8 * n + n) + 4 * 8 * experiments._SAMPLE_CHUNK_ENTRIES
+        assert traced_peak(
+            lambda: sample_box_dimension(complete_graph(4), UnitCubeSampler(2), n, 1, scales)) < bound
+
+    @pytest.mark.parametrize("scales", [[0.3, 0.1], [0.5, 0.3], [2.0 ** -3, 2.0 ** -4, 0.1]])
+    def test_non_dyadic_scales_refused_before_any_draw(self, monkeypatch, scales):
+        def draw(sampler, rng, count):
+            raise AssertionError("drawn")
+
+        monkeypatch.setattr(experiments.UnitCubeSampler, "draw", draw)
+        with pytest.raises(ValueError, match="times a power of two"):
+            sample_box_dimension(complete_graph(3), UnitCubeSampler(2), 100, 1, scales)
+
+    def test_scales_the_finest_times_powers_of_two_accepted(self):
+        # 0.75 = 2 * 0.375 and 3 * 2^-9 = 2^-2 * 3 * 2^-7: not powers of two
+        # themselves, but nested grids all the same
+        for scales in ([0.75, 0.375], [3 * 2.0 ** -5, 3 * 2.0 ** -9, 3 * 2.0 ** -7]):
+            want = cloud_route(complete_graph(4), UnitCubeSampler(2), 3000, 2, scales)
+            got = sample_box_dimension(complete_graph(4), UnitCubeSampler(2), 3000, 2, scales)
+            assert same_estimate(got, want)
+
+
 class TestDistinctRows:
+    @pytest.mark.parametrize("m, radix", [(2, 7), (3, [2 ** 40, 2 ** 30, 2])])
+    def test_the_buffer_stays_at_its_rows(self, monkeypatch, m, radix):
+        # chunks of 97 rows into a 100-row buffer, and one of 250: every
+        # flush sorts a full buffer of 100 rows but the last, and the
+        # buffer never grows
+        monkeypatch.setattr(experiments, "_MERGE_BUFFER_ROWS", 100)
+        flushed = []
+        flush = experiments._DistinctRows._flush
+        monkeypatch.setattr(experiments._DistinctRows, "_flush", lambda self, keep=0: (
+            self.fill and flushed.append((self.fill, self.words.shape[0]))) or flush(self, keep))
+        rng = np.random.default_rng(4)
+        radices = [radix] * m if isinstance(radix, int) else radix
+        rows = np.column_stack([rng.integers(0, r, size=1000, dtype=np.int64) for r in radices])
+        rows[500:] = rows[:500]
+        keys = experiments._DistinctRows(m, radix)
+        for start, stop in [(0, 97), (97, 194), (194, 444), (444, 541), (541, 1000)]:
+            keys.add(rows[start:stop].T, stop - start)
+        assert keys.count() == len(np.unique(rows, axis=0))
+        assert all(size == 100 for size, _ in flushed[:-1]) and len(flushed) == 10
+        assert all(shape == 100 for _, shape in flushed)
+
+    def test_lattice_fold_blocks_under_the_buffer_keep_it(self, monkeypatch):
+        # the fold of (2, 2, 2) adds blocks of 2 * 10 sums; a 21-row buffer
+        # takes one, and the next is split across a flush, not grown into
+        monkeypatch.setattr(experiments, "_LATTICE_CHUNK_ENTRIES", 20)
+        monkeypatch.setattr(experiments, "_MERGE_BUFFER_ROWS", 21)
+        shapes = []
+        flush = experiments._DistinctRows._flush
+        monkeypatch.setattr(experiments._DistinctRows, "_flush", lambda self, keep=0: (
+            shapes.append(self.words.shape[0])) or flush(self, keep))
+        assert congruence_class_counts(2, 2, 2) == congruence_counts_loop(2, 2, 2)
+        assert len(shapes) > 3 and set(shapes) == {21}
+
     @pytest.mark.parametrize("m, radix", [(3, 5), (1, 2 ** 63), (2, 2 ** 40), (30, 7), (4, 1)])
     def test_many_small_chunks_merge_to_the_distinct_rows(self, monkeypatch, m, radix):
         # 2000 rows drawn from 40, added in chunks of 1 to 100 rows; a
@@ -1181,12 +1262,13 @@ class TestCovering:
 
     def test_word_rows_hold_words_keys_and_one_ranking(self):
         # at eps = 2^-12 six columns of 4097 cells pack into two words per
-        # point: besides the cloud, the words, the key column and
-        # np.unique's ranking of it (six n-long columns and a bool mask),
-        # plus a 64 KiB allowance
+        # point, five columns in the first: besides the cloud, the words,
+        # the key column and np.unique's ranking of it (six n-long columns
+        # and a bool mask), plus a 64 KiB allowance; the rows' reordering
+        # by the keys, an index and a sorted copy, comes after the ranking
         n = 200000
         cloud = np.random.default_rng(5).random((n, 6))
-        assert experiments._per_word(6, 4097) == 5
+        assert [w for w, _, _ in experiments._DistinctRows(6, 4097).columns] == [0] * 5 + [1]
         bound = 2 * 8 * n + 8 * n + 6 * 8 * n + n + 2 ** 16
         assert traced_peak(lambda: covering_count(cloud, 2.0 ** -12)) < bound
         assert traced_peak(lambda: covering_reference(cloud, 2.0 ** -12)) > bound
