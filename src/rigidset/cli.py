@@ -14,10 +14,11 @@ experiments.SAMPLE_ENTRY_LIMIT entries), 4 dependent input edges, 5
 enumeration guard tripped.
 
 sample draws, measures and box-counts its tuples one chunk at a time
-(experiments.sample_box_dimension) and holds per scale the distinct grid
-cells, or one key per tuple where the grid has as many cells as tuples,
-never the tuples or the distance cloud; the entry guard keeps its
-boundary but no longer bounds memory.
+(experiments.sample_box_dimension). It holds one collector of cells at
+the finest scale, whose prefixes are the cells at the coarser scales:
+the distinct cells, or one row per tuple where the finest grid has as
+many cells as tuples, never the tuples or the distance cloud. The entry
+guard keeps its boundary but no longer bounds memory.
 """
 
 from __future__ import annotations

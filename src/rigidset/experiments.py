@@ -17,9 +17,9 @@ ENUMERATION_LIMIT = 10 ** 8
 # At most this many array entries are allowed for one sample, counted as if
 # it were held whole: the sampled coordinates (times the ternary digits each
 # for the Cantor sampler) plus the distance columns; 5*10^7 int64 or float64
-# entries are 400 MB. `sample` holds neither: it streams chunks and keeps
-# per scale the distinct cells or one key per tuple, so the guard, which
-# counts the whole arrays, does not bound memory.
+# entries are 400 MB. `sample` holds neither: it streams chunks into one
+# collector of finest-scale cells, distinct or one row per tuple, so the
+# guard, which counts the whole arrays, does not bound memory.
 SAMPLE_ENTRY_LIMIT = 5 * 10 ** 7
 # log of the largest float, less a margin for the rounding of logarithms
 _LOG_FLOAT_MAX = math.log(sys.float_info.max) - 1e-9
