@@ -1070,7 +1070,6 @@ class TestStreamedCover:
                 lambda: sample_box_dimension(g, UnitCubeSampler(2), n, 1, scales)) < bound
         assert traced_peak(lambda: cloud_route(g, UnitCubeSampler(2), 200000, 1, scales)) > bound
 
-
     @pytest.mark.parametrize("exponents", [(3, 4), (1, 2, 3, 4), (3, 4, 5, 6, 7, 8, 9, 10, 11, 12)])
     def test_one_collector_for_every_scale(self, monkeypatch, exponents):
         made, rows = [], experiments._DistinctRows
@@ -1085,11 +1084,12 @@ class TestStreamedCover:
         assert len(made) == len(scales)
 
     def test_k4_ten_scales_hold_one_collector(self):
-        # ten scales 2^-3..2^-12 of 200000 K4 tuples: the grid at 2^-3 has
-        # 12^6 > 200000 cells already, so one key per tuple is kept; the
-        # rows take two words, ranked once (as covering_count's word rows),
-        # plus one chunk's draws, lengths and work columns (4 chunks of
-        # entries). Ten collectors, one per scale, would not fit
+        # ten scales 2^-3..2^-12 of 200000 K4 tuples: every grid has more
+        # cells than tuples (12^6 at 2^-3), so a collector per scale would
+        # hold ten keys per tuple and not fit. The one collector holds a
+        # row of two words per tuple, ranked once (as covering_count's word
+        # rows), beside one chunk's draws, lengths and work columns (4
+        # chunks of entries)
         n, scales = 200000, [2.0 ** -e for e in range(3, 13)]
         bound = (2 * 8 * n + 8 * n + 6 * 8 * n + n) + 4 * 8 * experiments._SAMPLE_CHUNK_ENTRIES
         assert traced_peak(
@@ -1116,9 +1116,9 @@ class TestStreamedCover:
 class TestDistinctRows:
     @pytest.mark.parametrize("m, radix", [(2, 7), (3, [2 ** 40, 2 ** 30, 2])])
     def test_the_buffer_stays_at_its_rows(self, monkeypatch, m, radix):
-        # chunks of 97 rows into a 100-row buffer, and one of 250: every
-        # flush sorts a full buffer of 100 rows but the last, and the
-        # buffer never grows
+        # chunks of 97 rows into a 100-row buffer, and two longer than it
+        # (250 and 459 rows): every flush but the last sorts a full buffer
+        # of 100 rows, and the buffer never grows
         monkeypatch.setattr(experiments, "_MERGE_BUFFER_ROWS", 100)
         flushed = []
         flush = experiments._DistinctRows._flush
