@@ -16,9 +16,12 @@ Then `sample k2 --d 1 --n 2000000 --scales 16,20 --seed 1`, whose scale
 2^-20 merges about 10^6 distinct cells; single lattice instances at or
 near the enumeration guard, (d, k, q) = (2, 1, 99), (2, 2, 12), (3, 1, 20)
 and (3, 2, 6); and two of many pairs, (2, 6, 2), whose packed rows take
-two words, and (1, 16, 1), where d = 1 leaves nothing to fold. Last,
+two words, and (1, 16, 1), where d = 1 leaves nothing to fold. Then
 `sample k4 --seed 1` at the default scales 3..7 at n = 10^6 and 3*10^6,
 and at the ten scales 3..12 at n = 10^6, whose rows take two words.
+Last, two more calls whose rows take several words: `sample k5 --n
+1000000 --seed 1` at the default scales (two words) and `sample k4 --n
+3000000 --scales 1,5,10,15,20 --seed 1` (three words).
 The trees take turns within every one of ROUNDS rounds, the first tree
 changing each round, as in analyze_pass.py, whose record fields this one
 shares.
@@ -52,6 +55,9 @@ CALLS = {
     "k4-1e6-ten": ("sample", "k4", "--n", "1000000", "--scales", "3,4,5,6,7,8,9,10,11,12",
                    "--seed", "1"),
     "k4-3e6-default": ("sample", "k4", "--n", "3000000", "--seed", "1"),
+    "k5-1e6-default": ("sample", "k5", "--n", "1000000", "--seed", "1"),
+    "k4-3e6-wide": ("sample", "k4", "--n", "3000000", "--scales", "1,5,10,15,20",
+                    "--seed", "1"),
 }
 ROUNDS = 7
 

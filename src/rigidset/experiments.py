@@ -46,47 +46,8 @@ _SAMPLE_CHUNK_ENTRIES = 2 ** 17
 _MERGE_BUFFER_ROWS = 2 ** 17
 
 
-def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each value's rank among the distinct values, and their number."""
-    distinct, rank = np.unique(values, return_inverse=True)
-    return rank.reshape(-1).astype(np.int64, copy=False), distinct.size
-
-
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One int64 key per row of an (N, m) int64 array, equal for two rows
-    exactly when the rows are equal.
-
-    The key is mixed-radix over the column ranges: each column is shifted
-    by its minimum, the keys are multiplied by its span and it is added.
-    Before a multiplication that would pass 2^63 the keys, and if that is
-    not enough the column too, are replaced by their dense ranks, which
-    are below N, so the keys stay one-to-one on rows for any m. Keys
-    depend on the data's ranges and compare only within one call.
-    """
-    n, m = rows.shape
-    keys = np.zeros(n, dtype=np.int64)
-    size = 1  # every key lies in range(size); a Python int, so it cannot wrap
-    for j in range(m):
-        lo, hi = int(rows[:, j].min()), int(rows[:, j].max())
-        span = hi - lo + 1
-        if size * span > _KEY_LIMIT:
-            keys, size = _dense_rank(keys)
-        # rows[:, j] - lo wraps when the span passes 2^63; the wrap is
-        # one-to-one and such a column is always ranked, so the ranks stay exact
-        col = rows[:, j] - lo
-        if size * span > _KEY_LIMIT:
-            col, span = _dense_rank(col)
-        keys *= span
-        keys += col
-        del col  # not held while the next column ranks the keys
-        size *= span
-    return keys
-
-
-def _distinct_sorted(keys: np.ndarray, kind=None) -> np.ndarray:
-    """The distinct values of a non-empty 1-D array, ascending; the array
-    is sorted in place (numpy's sort of that kind)."""
-    keys.sort(kind=kind)
+def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted non-empty 1-D array, in order."""
     first = np.empty(keys.size, dtype=bool)
     first[0] = True
     first[1:] = keys[1:] != keys[:-1]
@@ -94,22 +55,46 @@ def _distinct_sorted(keys: np.ndarray, kind=None) -> np.ndarray:
 
 
 def _keys(words: np.ndarray) -> np.ndarray:
-    """The rows of a C-contiguous (N, w) int64 array as N keys, a view:
-    the int64 words when w = 1, else one void of 8w bytes per row. Keys
-    are equal exactly when rows are, and numpy sorts both kinds."""
+    """The rows of a C-contiguous (N, w) int64 array as N keys, a view,
+    sorted in place in numeric word order: the int64 words when w = 1,
+    else one void per row of its 8w bytes, swapped to big-endian, which
+    numpy compares bytewise and so in numeric order for words in
+    [0, 2^63). Keys are equal exactly when rows are."""
     if words.shape[1] == 1:
+        words[:, 0].sort()
         return words[:, 0]
-    return words.view(np.dtype((np.void, 8 * words.shape[1])))[:, 0]
+    # numpy's void quicksort compares generically, and is slow; put in the
+    # order of the leading word first, a column at a time, the keys leave
+    # its adaptive stable sort (timsort) only that word's ties to order
+    order = np.argsort(words[:, 0])
+    for column in words.T:
+        column[:] = column[order]
+    del order  # not held while the keys are sorted
+    words.byteswap(inplace=True)
+    keys = words.view(np.dtype((np.void, 8 * words.shape[1])))[:, 0]
+    keys.sort(kind="stable")
+    return keys
+
+
+def _rows(keys: np.ndarray) -> np.ndarray:
+    """Sorted keys of _keys as (N, w) int64 rows, a view; words of
+    several are swapped back to native byte order in place."""
+    rows = keys.view(np.int64).reshape(len(keys), keys.itemsize // 8)
+    if rows.shape[1] > 1:
+        rows.byteswap(inplace=True)
+    return rows
 
 
 def _merge_runs(runs: list) -> np.ndarray:
     """The sorted distinct keys of the sorted distinct key arrays in `runs`,
     which is emptied, so that each run is freed once concatenated. numpy's
     stable sort, timsort for int64 and void keys, merges the runs in linear
-    passes: the merge holds about twice the keys, a pass per pair of runs."""
+    passes: the merge holds about twice the keys, a pass per pair of runs.
+    Void keys are big-endian, so the merge is in numeric word order too."""
     keys = np.concatenate(runs)
     runs.clear()
-    return _distinct_sorted(keys, "stable")
+    keys.sort(kind="stable")
+    return _distinct_sorted(keys)
 
 
 class _DistinctRows:
@@ -121,10 +106,11 @@ class _DistinctRows:
     column most significant: each column joins the word before it while
     the word's range, the product of its columns' radices, stays at most
     2^63, else it starts a word. Rows are collected in a buffer of `rows`
-    rows (default _MERGE_BUFFER_ROWS); a full buffer's distinct keys are
-    sorted into a run, and two runs of equally many buffers merge into
-    one, as in a binary counter, so a key is merged at most
-    log2(buffers) + 1 times.
+    rows (default _MERGE_BUFFER_ROWS); a full buffer's distinct keys
+    (_keys) are sorted into a run, and two runs of equally many buffers
+    merge into one, as in a binary counter, so a key is merged at most
+    log2(buffers) + 1 times. Runs, merges and counts share one key order,
+    numeric word order.
     """
 
     def __init__(self, m: int, radix: int | list, rows: int = 0):
@@ -180,36 +166,36 @@ class _DistinctRows:
 
     def distinct(self) -> np.ndarray:
         """The distinct rows added as an (N, words) int64 array of their
-        packed words, in key order; the runs are merged into one."""
+        packed words, in numeric word order; the runs are merged into one,
+        which the rows take over, so the rows are consumed."""
         self._flush(keep=1)
-        return self.runs[0].view(np.int64).reshape(len(self.runs[0]), -1)
+        keys, self.runs, self.buffers = self.runs[0], [], []
+        return _rows(keys)
 
     def counts(self, prefixes) -> list:
         """For each p >= 1 in `prefixes`, the number of distinct p-column
         prefixes of the rows added, counted once; the rows are consumed.
 
         The rows are sorted in numeric word order, so that equal prefixes
-        are adjacent: the buffer's rows in place while it holds them all,
+        are adjacent: the buffer's rows by _keys while it holds them all,
         else the runs merged down to two and concatenated, whose merge is
-        one stable sort of them. Rows of several words are reordered by
-        their _row_keys instead, since void keys sort by little-endian
-        bytes. Two sorted neighbours a and b differ in their first p
-        columns when a word before that of column p - 1 differs, or, in
-        that word, (a ^ b) >= place read unsigned, where place is the
-        product of the radices of its columns from p on. So each such
-        product must be a power of two, as it is 1 for p = m. The
-        neighbours are compared _MERGE_BUFFER_ROWS at a time.
+        one stable sort of them. Two sorted neighbours a and b differ in
+        their first p columns when a word before that of column p - 1
+        differs, or, in that word, (a ^ b) >= place read unsigned, where
+        place is the product of the radices of its columns from p on. So
+        each such product must be a power of two, as it is 1 for p = m,
+        and the words must lie in [0, 2^63) for a proper prefix. Whole
+        rows (p = m) are counted exactly for any words, since equal rows
+        are adjacent in any order of the keys. The neighbours are
+        compared _MERGE_BUFFER_ROWS at a time.
         """
         if self.runs:
             self._flush(keep=2)
-            keys, kind, self.runs = np.concatenate(self.runs), "stable", []
-            rows = keys.view(np.int64).reshape(len(keys), -1)
+            keys, self.runs, self.buffers = np.concatenate(self.runs), [], []
+            keys.sort(kind="stable")
         else:
-            rows, kind = self.words[:self.fill], None
-        if rows.shape[1] > 1:
-            rows = rows[np.argsort(_row_keys(rows))]
-        else:
-            rows[:, 0].sort(kind=kind)
+            keys = _keys(self.words[:self.fill])
+        rows = _rows(keys)
         counts = [min(len(rows), 1)] * len(prefixes)
         for start in range(0, len(rows) - 1, _MERGE_BUFFER_ROWS):
             block = rows[start:start + _MERGE_BUFFER_ROWS + 1]
@@ -740,7 +726,8 @@ def sample_box_dimension(g: Graph, sampler, n_samples: int, seed: int, scales):
     coarsest scale, then, for each finer scale in turn, the m digits of
     the bits that scale adds, at radix 2^bits: every scale's cell is a
     prefix of the row, and one sort of the rows counts them all
-    (_DistinctRows.counts).
+    (_DistinctRows.counts). Cells are at least 0 and below their radix,
+    so every word lies in [0, 2^63), as a prefix count needs.
 
     The sampler must say by `side` the side of a cube that holds all its
     draws, so that no edge length exceeds side * sqrt(d); with a margin
@@ -816,11 +803,12 @@ def covering_count(cloud, eps: float) -> int:
     counted there, not built. When the cells pack into one word per
     point, the words are sorted in place: besides the cloud only the
     words and the neighbour differences of one block are held. Rows of
-    more words are reordered by their _row_keys, whose ranking holds
-    about six more n-long columns while it runs, and then an index and a
-    sorted copy of the words. Raises ValueError when the cloud has a
-    non-finite entry or when some |x / eps| reaches 2^63, where cell
-    indices leave int64.
+    more words are sorted as big-endian keys (_keys), which adds an
+    index and a sorted copy of the words. A column spanning more than
+    2^63 cells wraps to negative int64 in a word of its own; the wrap is
+    one-to-one and only whole rows are compared, so the count stays
+    exact. Raises ValueError when the cloud has a non-finite entry or
+    when some |x / eps| reaches 2^63, where cell indices leave int64.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")

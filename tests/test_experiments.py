@@ -943,24 +943,45 @@ class TestStreamedCover:
         # holds the six cells at eps = 1/2, in range(3), then the six 29-bit
         # digits down to 2^-30, and takes four words; the coarse cell is the
         # first word's high part, so the rows must be sorted numerically,
-        # not as void keys, whose bytes are little-endian
+        # not by their native bytes, which are little-endian
         g, sampler, scales = complete_graph(4), UnitCubeSampler(2), [0.5, 2.0 ** -30]
         # chunks of 100 tuples, merged 500 rows at a time
         monkeypatch.setattr(experiments, "_SAMPLE_CHUNK_ENTRIES", 800)
         monkeypatch.setattr(experiments, "_MERGE_BUFFER_ROWS", 500)
         want = cloud_route(g, sampler, 3000, 4, scales)
-        ranked, made = [], []
-        row_keys, rows = experiments._row_keys, experiments._DistinctRows
-        monkeypatch.setattr(experiments, "_row_keys",
-                            lambda words: ranked.append(words.shape) or row_keys(words))
+        sorted_, made = [], []
+        keys, rows = experiments._keys, experiments._DistinctRows
+        monkeypatch.setattr(experiments, "_keys",
+                            lambda words: sorted_.append(words.shape) or keys(words))
         monkeypatch.setattr(experiments, "_DistinctRows",
                             lambda *args: made.append(rows(*args)) or made[-1])
         assert same_estimate(sample_box_dimension(g, sampler, 3000, 4, scales), want)
         assert want[0].counts[0] < 3 ** 6 < want[0].counts[1] == 3000
         # the fine grid has more cells than there are tuples: the one
-        # collector holds all 3000 rows, never merged, and ranks them once
+        # collector holds all 3000 rows, never merged, and sorts them once
         assert [w for w, _, _ in made[0].columns] == [0] * 7 + [1, 1, 2, 2, 3]
-        assert len(made) == 1 and made[0].runs == [] and ranked == [(3000, 4)]
+        assert len(made) == 1 and made[0].runs == [] and sorted_ == [(3000, 4)]
+
+    def test_word_rows_merged_through_runs_match_the_cloud_route(self, monkeypatch):
+        # a path of two edges in the line at scales 2^40 down to 2^-5: a row
+        # holds the two cells at 2^40, both 0, then the two digits of 41, 2
+        # and 2 bits that each finer scale adds, and takes two words. The finest grid of 33^2 cells is smaller
+        # than n, so the rows are merged through 256-row runs, and the
+        # coarser counts are proper prefixes of two-word keys
+        monkeypatch.setattr(experiments, "_MERGE_BUFFER_ROWS", 256)
+        g, sampler = path_graph(3), UnitCubeSampler(1)
+        scales = [2.0 ** 40, 0.5, 0.125, 2.0 ** -5]
+        merged, made = [], []
+        merge_runs, rows = experiments._merge_runs, experiments._DistinctRows
+        monkeypatch.setattr(experiments, "_merge_runs",
+                            lambda runs: merged.append(len(runs)) or merge_runs(runs))
+        monkeypatch.setattr(experiments, "_DistinctRows",
+                            lambda *args: made.append(rows(*args)) or made[-1])
+        got = sample_box_dimension(g, sampler, 3000, 3, scales)
+        assert len(made[0].word_radix) == 2 and merged
+        made.clear()
+        want = cloud_route(g, sampler, 3000, 3, scales)
+        assert same_estimate(got, want) and want[0].counts == (1, 4, 64, 754)
 
     @pytest.mark.parametrize("n, rows", [(17, 17), (18, 4)])
     def test_a_grid_of_n_cells_keeps_one_key_per_tuple(self, monkeypatch, n, rows):
@@ -1087,11 +1108,13 @@ class TestStreamedCover:
         # ten scales 2^-3..2^-12 of 200000 K4 tuples: every grid has more
         # cells than tuples (12^6 at 2^-3), so a collector per scale would
         # hold ten keys per tuple and not fit. The one collector holds a
-        # row of two words per tuple, ranked once (as covering_count's word
-        # rows), beside one chunk's draws, lengths and work columns (4
-        # chunks of entries)
+        # row of two words per tuple, sorted once in place (as
+        # covering_count's word rows: the words, an argsort index, one
+        # reordered column and one block of neighbour differences), beside
+        # one chunk's draws, lengths and work columns (4 chunks of entries)
         n, scales = 200000, [2.0 ** -e for e in range(3, 13)]
-        bound = (2 * 8 * n + 8 * n + 6 * 8 * n + n) + 4 * 8 * experiments._SAMPLE_CHUNK_ENTRIES
+        bound = (2 * 8 * n + 8 * n + 8 * n + 2 * 8 * experiments._MERGE_BUFFER_ROWS
+                 + 4 * 8 * experiments._SAMPLE_CHUNK_ENTRIES)
         assert traced_peak(
             lambda: sample_box_dimension(complete_graph(4), UnitCubeSampler(2), n, 1, scales)) < bound
 
@@ -1166,10 +1189,14 @@ class TestDistinctRows:
             chunk = rows[start:start + int(rng.integers(1, 101))]
             keys.add(chunk.T, len(chunk))
             start += len(chunk)
+        # distinct() consumes the rows, as counting does
         if (m, radix) == (3, 5):
-            # counting consumes the runs, so the keys are merged before
             assert np.array_equal(keys.distinct()[:, 0], np.unique(rows @ [25, 5, 1]))
-        assert keys.count() == len(np.unique(rows, axis=0))
+        elif (m, radix) == (2, 2 ** 40):
+            # a word per column: the distinct rows in numeric order
+            assert np.array_equal(keys.distinct(), np.unique(rows, axis=0))
+        else:
+            assert keys.count() == len(np.unique(rows, axis=0))
         assert len(merges) <= math.ceil(len(rows) / 64) + 1
         assert all(size >= 64 for size in merges[:-1])
 
@@ -1263,13 +1290,13 @@ class TestCovering:
     def test_word_rows_hold_words_keys_and_one_ranking(self):
         # at eps = 2^-12 six columns of 4097 cells pack into two words per
         # point, five columns in the first: besides the cloud, the words,
-        # the key column and np.unique's ranking of it (six n-long columns
-        # and a bool mask), plus a 64 KiB allowance; the rows' reordering
-        # by the keys, an index and a sorted copy, comes after the ranking
+        # sorted in place through the argsort index of the leading word and
+        # one column reordered by it, and one block of neighbour
+        # differences, plus a 64 KiB allowance
         n = 200000
         cloud = np.random.default_rng(5).random((n, 6))
         assert [w for w, _, _ in experiments._DistinctRows(6, 4097).columns] == [0] * 5 + [1]
-        bound = 2 * 8 * n + 8 * n + 6 * 8 * n + n + 2 ** 16
+        bound = 2 * 8 * n + 8 * n + 8 * n + 2 * 8 * experiments._MERGE_BUFFER_ROWS + 2 ** 16
         assert traced_peak(lambda: covering_count(cloud, 2.0 ** -12)) < bound
         assert traced_peak(lambda: covering_reference(cloud, 2.0 ** -12)) > bound
 
@@ -1314,23 +1341,25 @@ class TestCovering:
         assert covering_count(cloud, eps) == covering_reference(cloud, eps)
 
     def test_overflowing_key_matches_row_unique(self, monkeypatch):
-        # column spans of 2^24 + 1 and 2^40 cells: packed without ranks,
-        # the key of (2^24, 0) would wrap round to the key of (0, 0)
+        # column spans of 2^24 + 1 and 2^40 cells: packed in one word, the
+        # key of (2^24, 0) would wrap round to the key of (0, 0)
         cloud = np.array([[0.0, 0.0], [2.0 ** 24, 0.0], [0.0, 2.0 ** 40 - 1]])
         assert covering_count(cloud, 1.0) == 3
         # five columns spanning about 2^41 cells each (product about 2^205),
-        # one column reaching both ends of int64, and repeated rows
-        ranks = []
-        dense_rank = experiments._dense_rank
-        monkeypatch.setattr(experiments, "_dense_rank",
-                            lambda values: ranks.append(1) or dense_rank(values))
+        # one column reaching both ends of int64, and repeated rows: the
+        # wrapped column's cells pass 2^63 and wrap to negative int64 in a
+        # word of its own, which whole rows are still compared by
+        made, rows = [], experiments._DistinctRows
+        monkeypatch.setattr(experiments, "_DistinctRows",
+                            lambda *args: made.append(rows(*args)) or made[-1])
         rng = np.random.default_rng(31)
         pool = rng.uniform(-2.0 ** 40, 2.0 ** 40, size=(50, 6))
         pool[:25, 5] = -(2.0 ** 63) + 2 ** 11
         pool[25:, 5] = 2.0 ** 63 - 2 ** 11
         cloud = pool[rng.integers(0, 50, size=400)]
         assert covering_count(cloud, 1.0) == covering_reference(cloud, 1.0) == 50
-        assert ranks
+        words = [w for w, _, _ in made[0].columns]
+        assert made[0].word_radix[words[5]] > 2 ** 63 and words.count(words[5]) == 1
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_rejected(self, bad):
