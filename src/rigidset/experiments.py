@@ -63,9 +63,9 @@ def _keys(words: np.ndarray) -> np.ndarray:
     if words.shape[1] == 1:
         words[:, 0].sort()
         return words[:, 0]
-    # numpy's void quicksort compares generically, and is slow; put in the
-    # order of the leading word first, a column at a time, the keys leave
-    # its adaptive stable sort (timsort) only that word's ties to order
+    # numpy's void quicksort compares bytes generically and is slow; once
+    # the rows are in the order of their leading word, numpy's stable sort,
+    # an adaptive timsort, only has that word's ties to put in order
     order = np.argsort(words[:, 0])
     for column in words.T:
         column[:] = column[order]
@@ -77,8 +77,8 @@ def _keys(words: np.ndarray) -> np.ndarray:
 
 
 def _rows(keys: np.ndarray) -> np.ndarray:
-    """Sorted keys of _keys as (N, w) int64 rows, a view; words of
-    several are swapped back to native byte order in place."""
+    """Sorted keys, as _keys makes them, as (N, w) int64 rows, a view;
+    words of several are swapped back to native byte order in place."""
     rows = keys.view(np.int64).reshape(len(keys), keys.itemsize // 8)
     if rows.shape[1] > 1:
         rows.byteswap(inplace=True)
@@ -166,8 +166,8 @@ class _DistinctRows:
 
     def distinct(self) -> np.ndarray:
         """The distinct rows added as an (N, words) int64 array of their
-        packed words, in numeric word order; the runs are merged into one,
-        which the rows take over, so the rows are consumed."""
+        packed words, in numeric word order: the runs are merged into one,
+        whose words are swapped back in place, so the rows are consumed."""
         self._flush(keep=1)
         keys, self.runs, self.buffers = self.runs[0], [], []
         return _rows(keys)
@@ -803,12 +803,13 @@ def covering_count(cloud, eps: float) -> int:
     counted there, not built. When the cells pack into one word per
     point, the words are sorted in place: besides the cloud only the
     words and the neighbour differences of one block are held. Rows of
-    more words are sorted as big-endian keys (_keys), which adds an
-    index and a sorted copy of the words. A column spanning more than
-    2^63 cells wraps to negative int64 in a word of its own; the wrap is
-    one-to-one and only whole rows are compared, so the count stays
-    exact. Raises ValueError when the cloud has a non-finite entry or
-    when some |x / eps| reaches 2^63, where cell indices leave int64.
+    more words are sorted in place as big-endian keys (_keys), which
+    adds the argsort index of the leading word and one reordered column.
+    A column spanning more than 2^63 cells wraps to negative int64 in a
+    word of its own; the wrap is one-to-one and only whole rows are
+    compared, so the count stays exact. Raises ValueError when the cloud
+    has a non-finite entry or when some |x / eps| reaches 2^63, where
+    cell indices leave int64.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")

@@ -965,9 +965,10 @@ class TestStreamedCover:
     def test_word_rows_merged_through_runs_match_the_cloud_route(self, monkeypatch):
         # a path of two edges in the line at scales 2^40 down to 2^-5: a row
         # holds the two cells at 2^40, both 0, then the two digits of 41, 2
-        # and 2 bits that each finer scale adds, and takes two words. The finest grid of 33^2 cells is smaller
-        # than n, so the rows are merged through 256-row runs, and the
-        # coarser counts are proper prefixes of two-word keys
+        # and 2 bits that each finer scale adds, and takes two words. The
+        # finest grid of 33^2 cells is smaller than n, so the rows are
+        # merged through 256-row runs, and the coarser counts are proper
+        # prefixes of two-word keys
         monkeypatch.setattr(experiments, "_MERGE_BUFFER_ROWS", 256)
         g, sampler = path_graph(3), UnitCubeSampler(1)
         scales = [2.0 ** 40, 0.5, 0.125, 2.0 ** -5]
@@ -979,7 +980,6 @@ class TestStreamedCover:
                             lambda *args: made.append(rows(*args)) or made[-1])
         got = sample_box_dimension(g, sampler, 3000, 3, scales)
         assert len(made[0].word_radix) == 2 and merged
-        made.clear()
         want = cloud_route(g, sampler, 3000, 3, scales)
         assert same_estimate(got, want) and want[0].counts == (1, 4, 64, 754)
 
@@ -1346,9 +1346,9 @@ class TestCovering:
         cloud = np.array([[0.0, 0.0], [2.0 ** 24, 0.0], [0.0, 2.0 ** 40 - 1]])
         assert covering_count(cloud, 1.0) == 3
         # five columns spanning about 2^41 cells each (product about 2^205),
-        # one column reaching both ends of int64, and repeated rows: the
-        # wrapped column's cells pass 2^63 and wrap to negative int64 in a
-        # word of its own, which whole rows are still compared by
+        # one column reaching both ends of int64, and repeated rows: that
+        # column's cells pass 2^63 and wrap to negative int64 in a word of
+        # its own, and whole rows are still compared exactly
         made, rows = [], experiments._DistinctRows
         monkeypatch.setattr(experiments, "_DistinctRows",
                             lambda *args: made.append(rows(*args)) or made[-1])
