@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -393,6 +394,23 @@ class TestK4Residuals:
                 want = k4_euler_residuals_reference(tuples)
                 got = k4_euler_residuals(tuples)
             assert same_bits(got, want)
+
+    def test_bits_are_pinned(self):
+        # uniform tuples, tuples with a repeated point (p1 = p2, p1 = p3,
+        # p3 = p4, p2 = p4), tuples on the grid {0, 1/2, 1}^2 and lattice
+        # sampler tuples: the digest of the residuals' float64 bytes, NaNs
+        # included, is frozen
+        rng = np.random.default_rng(33)
+        base = rng.random((600, 4, 2))
+        coincident = np.repeat(base[:150], 4, axis=0)
+        for i, (a, b) in enumerate(((0, 1), (0, 2), (2, 3), (1, 3))):
+            coincident[i::4, b] = coincident[i::4, a]
+        grid = rng.integers(0, 3, size=(600, 4, 2)) / 2
+        lattice = sample_framework_tuples(LatticeSampler(build_lattice_set(2, 3, 1.5)), 4, 600, 33)
+        residuals = k4_euler_residuals(np.concatenate((base, coincident, grid, lattice)))
+        assert residuals.shape == (2400,) and int(np.isnan(residuals).sum()) == 614
+        assert hashlib.sha256(residuals.tobytes()).hexdigest() == (
+            "8563b8269b1451b1fa987f4740591c4dd0c6251bc369b8f03906e6f0c08b158e")
 
     def test_degenerate_tuples_give_nan_silently(self):
         # rows 1-3 repeat a point that leaves an angle undefined; row 4
@@ -819,6 +837,15 @@ class TestChunkedSample:
         monkeypatch.setattr(experiments, "_SAMPLE_CHUNK_ENTRIES", 24)
         got = sample_distances(complete_graph(4), sampler, 500, 1)
         assert (got.max_residual, got.degenerate) == (want_residual, want_degenerate)
+
+    def test_max_residual_is_pinned(self):
+        # 40000 tuples cross two chunk boundaries; depth-2 Cantor points
+        # take 16 values, so many K4 tuples repeat a point
+        g, scales = complete_graph(4), [0.5, 0.25]
+        _, top, degenerate = sample_box_dimension(g, UnitCubeSampler(2), 40000, 33, scales)
+        assert (top.hex(), degenerate) == ("0x1.17132138cc295p-35", 0)
+        _, top, degenerate = sample_box_dimension(g, CantorSampler(2, depth=2), 40000, 33, scales)
+        assert (top.hex(), degenerate) == ("0x1.6a09e72e00000p-24", 7070)
 
     def test_all_degenerate_has_no_residual(self, monkeypatch):
         def coincident(sampler, rng, count):
