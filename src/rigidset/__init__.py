@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .experiments import (
     CantorSampler,
     CoveringEstimate,
-    DistanceSample,
     EnumerationLimitError,
     LatticeSampler,
     LatticeSet,
@@ -21,7 +20,6 @@ from .experiments import (
     hausdorff_content_bound,
     k4_euler_residuals,
     sample_box_dimension,
-    sample_distances,
     sample_framework_tuples,
 )
 from .frameworks import (

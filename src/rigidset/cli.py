@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .experiments import (
@@ -46,31 +45,6 @@ from .rigidity import MAX_WITNESS_COORDINATES, DependentEdgeSetError, minimal_ri
 from .thresholds import ThresholdReport, analyze
 
 DEFAULT_SCALES = "3,4,5,6,7"
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """What produced an output file: rerunning the same command, parameters
-    and seed with the same tool version reproduces the bytes."""
-
-    command: str
-    parameters: dict
-    seed: int | None
-    version: str
-    input_sha1: str | None
-    outputs: tuple[str, ...]
-
-    def to_json(self) -> str:
-        obj = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "version": self.version,
-            "outputs": list(self.outputs),
-        }
-        if self.input_sha1 is not None:
-            obj["input_sha1"] = self.input_sha1
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _blob_sha1(text: str) -> str:
@@ -100,21 +74,20 @@ def _load_graph(source: str) -> Graph:
 def _emit(args, text: str, command: str, parameters: dict, graph: Graph | None = None,
           file_text: str | None = None):
     """Print text; with --output, also write it (or file_text) and its
-    manifest, which hashes the input graph when there is one."""
+    manifest, which says what produced the file: rerunning the same
+    command, parameters and seed with the same tool version reproduces
+    the bytes. The manifest hashes the input graph when there is one."""
     sys.stdout.write(text)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text if file_text is None else file_text)
-        manifest = RunManifest(
-            command=command,
-            parameters=parameters,
-            seed=getattr(args, "seed", None),
-            version=__version__,
-            input_sha1=None if graph is None else _blob_sha1(graph_to_json(graph)),
-            outputs=(args.output,),
-        )
+        manifest = {"command": command, "parameters": parameters,
+                    "seed": getattr(args, "seed", None), "version": __version__,
+                    "outputs": [args.output]}
+        if graph is not None:
+            manifest["input_sha1"] = _blob_sha1(graph_to_json(graph))
         with open(args.output + ".manifest.json", "w", encoding="utf-8") as fh:
-            fh.write(manifest.to_json())
+            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _cell(value) -> str:

@@ -187,7 +187,8 @@ class _DistinctRows:
         and the words must lie in [0, 2^63) for a proper prefix. Whole
         rows (p = m) are counted exactly for any words, since equal rows
         are adjacent in any order of the keys. The neighbours are
-        compared _MERGE_BUFFER_ROWS at a time.
+        compared _MERGE_BUFFER_ROWS at a time, their differences written
+        into one block that every comparison reuses.
         """
         if self.runs:
             self._flush(keep=2)
@@ -197,9 +198,10 @@ class _DistinctRows:
             keys = _keys(self.words[:self.fill])
         rows = _rows(keys)
         counts = [min(len(rows), 1)] * len(prefixes)
+        diffs = np.empty((min(len(rows), _MERGE_BUFFER_ROWS), rows.shape[1]), dtype=np.int64)
         for start in range(0, len(rows) - 1, _MERGE_BUFFER_ROWS):
             block = rows[start:start + _MERGE_BUFFER_ROWS + 1]
-            diff = np.bitwise_xor(block[1:], block[:-1]).view(np.uint64)
+            diff = np.bitwise_xor(block[1:], block[:-1], out=diffs[:len(block) - 1]).view(np.uint64)
             for i, p in enumerate(prefixes):
                 v = self.columns[p - 1][0]  # the word of column p - 1
                 changed = diff[:, v] >= math.prod(r for w, r, _ in self.columns[p:] if w == v)
@@ -315,69 +317,23 @@ def k4_euler_residuals(tuples) -> np.ndarray:
 def _k4_residuals(pts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """k4_euler_residuals of an (N, 4, 2) float array whose six edge
     lengths, rows t12, t13, t14, t23, t24, t34 of `lengths`, are already
-    computed; neither array is written."""
-    # euler_t24's formula on whole columns, in place, with the operations of
-    # its plain array expression in the same order, so each residual has the
-    # bits that expression gives
+    computed: euler_t24's formula on whole columns."""
     t12, t13, t14, t23, t24, t34 = lengths
-    x = [pts[:, v, 0] for v in range(4)]
-    y = [pts[:, v, 1] for v in range(4)]
+    (x1, x2, x3, x4), (y1, y2, y3, y4) = pts[:, :, 0].T, pts[:, :, 1].T
     # sides of the 1-3 diagonal: cross(p3 - p1, p - p1) for p = p2 and p4
-    n = pts.shape[0]
-    dx, dy = np.subtract(x[2], x[0]), np.subtract(y[2], y[0])
-    side2, side4, tmp = np.empty(n), np.empty(n), np.empty(n)
-    for side, v in ((side2, 1), (side4, 3)):
-        np.subtract(y[v], y[0], out=side)
-        side *= dx
-        np.subtract(x[v], x[0], out=tmp)
-        tmp *= dy
-        side -= tmp
-    del dx, dy
-    side2 *= side4
-    convex = side2 < 0
-    del side2, side4
+    side2, side4 = ((x3 - x1) * (y - y1) - (y3 - y1) * (x - x1) for x, y in ((x2, y2), (x4, y4)))
     # clip guards rounding on almost-degenerate samples; a zero side length
     # divides 0 by 0 here, silently, and leaves NaN
-    cos_theta, cos_psi = np.empty(n), np.empty(n)
-    for cos, (a, b, c) in ((cos_theta, (t12, t13, t23)), (cos_psi, (t13, t34, t14))):
-        # (a^2 + b^2 - c^2) / (2 a b)
-        np.square(a, out=cos)
-        cos += np.square(b, out=tmp)
-        cos -= np.square(c, out=tmp)
-        np.multiply(2, a, out=tmp)
-        tmp *= b
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cos /= tmp
-        np.clip(cos, -1.0, 1.0, out=cos)
-    sin_theta, sin_psi = np.empty(n), tmp  # sin_psi takes over tmp's buffer
-    for sin, cos in ((sin_theta, cos_theta), (sin_psi, cos_psi)):
-        np.square(cos, out=sin)
-        np.subtract(1.0, sin, out=sin)
-        np.sqrt(sin, out=sin)
-    # cos_gap = cos_theta cos_psi + sin_theta sin_psi on convex samples and
-    # cos_theta cos_psi - sin_theta sin_psi on the others; a - b is a + (-b)
-    cos_gap = cos_theta
-    cos_gap *= cos_psi
-    sin_theta *= sin_psi
-    np.negative(sin_theta, out=sin_theta, where=~convex)
-    cos_gap += sin_theta
-    del cos_psi, sin_theta, sin_psi, convex
-    # t23^2 + t14^2 - t13^2 + 2 t12 t34 cos_gap
-    square = np.square(t23)
-    square += np.square(t14, out=tmp)
-    square -= np.square(t13, out=tmp)
-    np.multiply(2, t12, out=tmp)
-    tmp *= t34
-    tmp *= cos_gap
-    square += tmp
-    del cos_gap, tmp
-    residual = np.maximum(square, 0.0, out=square)
-    np.sqrt(residual, out=residual)
-    # |predicted - t24| / t24, with the divisor 1.0 where t24 = 0
-    residual -= t24
-    np.abs(residual, out=residual)
-    np.divide(residual, t24, out=residual, where=t24 > 0)
-    return residual
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos_theta = np.clip((t12 ** 2 + t13 ** 2 - t23 ** 2) / (2 * t12 * t13), -1.0, 1.0)
+        cos_psi = np.clip((t13 ** 2 + t34 ** 2 - t14 ** 2) / (2 * t13 * t34), -1.0, 1.0)
+    # cos(theta - psi) where p2 and p4 lie on opposite sides, else cos(theta + psi)
+    both_cos = cos_theta * cos_psi
+    both_sin = np.sqrt(1.0 - cos_theta ** 2) * np.sqrt(1.0 - cos_psi ** 2)
+    cos_gap = np.where(side2 * side4 < 0, both_cos + both_sin, both_cos - both_sin)
+    square = t23 ** 2 + t14 ** 2 - t13 ** 2 + 2 * t12 * t34 * cos_gap
+    predicted = np.sqrt(np.maximum(square, 0.0))
+    return np.abs(predicted - t24) / np.where(t24 > 0, t24, 1.0)
 
 
 def _power_exceeds(base: int, exponent: int, limit: int) -> bool:
@@ -619,7 +575,7 @@ def _sample_chunks(sampler, n_points: int, n_samples: int, seed: int):
 def sample_framework_tuples(sampler, n_points: int, n_samples: int, seed: int) -> np.ndarray:
     """n_samples i.i.d. tuples of n_points draws each, shape
     (n_samples, n_points, d); deterministic per seed. The tuples are the
-    chunks of the stream that sample_distances measures, concatenated."""
+    chunks of the stream that sample_box_dimension measures, concatenated."""
     chunks = _sample_chunks(sampler, n_points, n_samples, seed)
     tuples = np.empty((n_samples, n_points, sampler.d))
     start = 0
@@ -638,31 +594,19 @@ def distance_images(g: Graph, tuples) -> np.ndarray:
     return _edge_lengths(pts, [(i - 1, j - 1) for i, j in g.edges]).T
 
 
-@dataclass(frozen=True)
-class DistanceSample:
-    """The edge lengths of sampled tuples, an (n_samples, n_edges) cloud
-    whose column for each edge is contiguous, and for K4 in the plane the
-    four-point identity's largest finite residual (None when no tuple has
-    one) and the number of degenerate tuples, whose residual is not
-    finite."""
-
-    cloud: np.ndarray
-    max_residual: float | None
-    degenerate: int
-
-
-def _measure_chunks(g: Graph, sampler, n_samples: int, seed: int, consume=None):
+def _measure_chunks(g: Graph, sampler, n_samples: int, seed: int, consume):
     """Measure the n_samples tuples of sample_framework_tuples' stream one
     chunk (_sample_chunks) at a time, and return the summary of their
     k4_euler_residuals for K4 in the plane: (largest finite residual or
-    None, number of non-finite ones), with the bits of the whole-array
-    computation; (None, 0) for any other graph or d.
+    None, number of non-finite ones), with the bits that
+    k4_euler_residuals gives on all the tuples; (None, 0) for any other
+    graph or d.
 
     Each chunk's edge lengths are computed once, as an (n_edges, count)
     array, into one buffer reused across chunks. For K4 in the plane the
     same lengths feed the residual, whose finite maximum and non-finite
-    count are folded across chunks. Then consume(lengths) is called, if
-    given, before the next chunk is drawn; it may overwrite the lengths.
+    count are folded across chunks. Then consume(lengths) is called
+    before the next chunk is drawn; it may overwrite the lengths.
     """
     pairs = [(i - 1, j - 1) for i, j in g.edges]
     chunks = _sample_chunks(sampler, g.n_vertices, n_samples, seed)
@@ -682,42 +626,20 @@ def _measure_chunks(g: Graph, sampler, n_samples: int, seed: int, consume=None):
             if finite.size:
                 top = float(finite.max())
                 max_residual = top if max_residual is None else max(max_residual, top)
-        if consume is not None:
-            consume(lengths)
+        consume(lengths)
     return max_residual, degenerate
 
 
-def sample_distances(g: Graph, sampler, n_samples: int, seed: int) -> DistanceSample:
-    """The distance cloud of n_samples tuples of sample_framework_tuples'
-    stream: distance_images of those tuples, and for K4 in the plane the
-    summary of their k4_euler_residuals, with the same bits.
-
-    The tuples are drawn and measured one chunk at a time by
-    _measure_chunks, the loop that sample_box_dimension runs, and each
-    chunk's lengths are copied into the preallocated cloud. So besides
-    the cloud only one chunk of draws and its work columns are held.
-    sample_box_dimension gives the box counts of the same cloud without
-    holding it.
-    """
-    cloud = np.empty((g.n_edges, max(n_samples, 0)))
-    start = 0
-
-    def store(lengths):
-        nonlocal start
-        cloud[:, start:start + lengths.shape[1]] = lengths
-        start += lengths.shape[1]
-
-    max_residual, degenerate = _measure_chunks(g, sampler, n_samples, seed, store)
-    return DistanceSample(cloud.T, max_residual, degenerate)
-
-
 def sample_box_dimension(g: Graph, sampler, n_samples: int, seed: int, scales):
-    """(fit_box_dimension(s.cloud, scales), s.max_residual, s.degenerate)
-    for s = sample_distances(g, sampler, n_samples, seed), with the same
-    counts, slope bits and errors, but no cloud is held: each chunk of
-    _measure_chunks is covered as soon as its lengths exist, into one
-    _DistinctRows of finest-scale cells whose prefixes are the cells at
-    every coarser scale.
+    """(fit_box_dimension(distance_images(g, tuples), scales), the largest
+    finite residual or None, the number of non-finite residuals) for
+    tuples = sample_framework_tuples(sampler, g.n_vertices, n_samples,
+    seed), the residuals those of k4_euler_residuals(tuples) for K4 in the
+    plane and none for any other graph or d. The counts, slope bits and
+    errors are the same, but neither the tuples nor the cloud is held:
+    each chunk of _measure_chunks is covered as soon as its lengths exist,
+    into one _DistinctRows of finest-scale cells whose prefixes are the
+    cells at every coarser scale.
 
     Every scale must be the finest times a power of two, 2^shift, or
     ValueError is raised before anything is drawn. Then floor(x / eps) is
@@ -740,7 +662,8 @@ def sample_box_dimension(g: Graph, sampler, n_samples: int, seed: int, scales):
     radix before it is covered, so a cell past it raises ValueError and
     is never miscounted.
     A cell index at or past 2^63 raises covering_count's ValueError,
-    after the last draw, as the cloud route does. Scales that fit no
+    after the last draw, as fit_box_dimension does on the whole cloud.
+    Scales that fit no
     slope (check_scales) and a graph without edges are refused before
     anything is drawn.
     """

@@ -29,7 +29,6 @@ from rigidset.experiments import (
     hausdorff_content_bound,
     k4_euler_residuals,
     sample_box_dimension,
-    sample_distances,
     sample_framework_tuples,
 )
 from rigidset.graphs import complete_graph, make_graph, path_graph
@@ -819,15 +818,13 @@ class TestChunkedSample:
         want_tuples = sampler.draw(np.random.default_rng(17), 301 * g.n_vertices)
         for entries in (1, 37, 640):
             monkeypatch.setattr(experiments, "_SAMPLE_CHUNK_ENTRIES", entries)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                got = sample_distances(g, sampler, 301, 17)
-            assert same_bits(got.cloud, want_cloud)
-            assert got.cloud.shape == (301, g.n_edges)
-            assert got.max_residual == want_residual
-            assert got.degenerate == want_degenerate
             tuples = sample_framework_tuples(sampler, g.n_vertices, 301, 17)
             assert same_bits(tuples, want_tuples.reshape(301, g.n_vertices, d))
+            assert same_bits(distance_images(g, tuples), want_cloud)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, residual, degenerate = sample_box_dimension(g, sampler, 301, 17, [0.5, 0.25])
+            assert (residual, degenerate) == (want_residual, want_degenerate)
 
     def test_k4_degenerate_counts_fold_across_chunks(self, monkeypatch):
         # depth-1 Cantor points take 4 values, so most K4 tuples repeat one
@@ -835,8 +832,8 @@ class TestChunkedSample:
         _, want_residual, want_degenerate = sample_reference(complete_graph(4), sampler, 500, 1)
         assert 0 < want_degenerate < 500 and want_residual is not None
         monkeypatch.setattr(experiments, "_SAMPLE_CHUNK_ENTRIES", 24)
-        got = sample_distances(complete_graph(4), sampler, 500, 1)
-        assert (got.max_residual, got.degenerate) == (want_residual, want_degenerate)
+        _, *got = sample_box_dimension(complete_graph(4), sampler, 500, 1, [0.5, 0.25])
+        assert got == [want_residual, want_degenerate]
 
     def test_max_residual_is_pinned(self):
         # 40000 tuples cross two chunk boundaries; depth-2 Cantor points
@@ -853,8 +850,8 @@ class TestChunkedSample:
 
         monkeypatch.setattr(experiments.UnitCubeSampler, "draw", coincident)
         monkeypatch.setattr(experiments, "_SAMPLE_CHUNK_ENTRIES", 24)
-        got = sample_distances(complete_graph(4), UnitCubeSampler(2), 10, 1)
-        assert (got.max_residual, got.degenerate) == (None, 10)
+        fit, *got = sample_box_dimension(complete_graph(4), UnitCubeSampler(2), 10, 1, [0.5, 0.25])
+        assert got == [None, 10] and fit.counts == (1, 1)
 
     @pytest.mark.parametrize("n", [1, 5, 6, 7, 100])
     def test_chunk_length_does_not_depend_on_n(self, monkeypatch, n):
@@ -866,45 +863,50 @@ class TestChunkedSample:
 
     def test_bad_count_refused_before_drawing(self):
         with pytest.raises(ValueError, match="n_samples must be >= 1"):
-            sample_distances(complete_graph(2), UnitCubeSampler(2), 0, 1)
+            sample_box_dimension(complete_graph(2), UnitCubeSampler(2), 0, 1, [0.5, 0.25])
 
     def test_lattice_equal_up_to_one_chunk(self):
         # K4 in the plane draws 8 entries per tuple: 5000 tuples are one chunk
         sampler = LatticeSampler(build_lattice_set(2, 7, 1.5))
         assert 5000 * 8 <= experiments._SAMPLE_CHUNK_ENTRIES
-        got = sample_distances(complete_graph(4), sampler, 5000, 3)
-        want_cloud, want_residual, want_degenerate = sample_reference(
-            complete_graph(4), sampler, 5000, 3)
-        assert same_bits(got.cloud, want_cloud)
-        assert (got.max_residual, got.degenerate) == (want_residual, want_degenerate)
+        want_cloud, *want = sample_reference(complete_graph(4), sampler, 5000, 3)
+        tuples = sample_framework_tuples(sampler, 4, 5000, 3)
+        assert same_bits(distance_images(complete_graph(4), tuples), want_cloud)
+        _, *got = sample_box_dimension(complete_graph(4), sampler, 5000, 3, [0.5, 0.25])
+        assert got == want
 
     def test_lattice_reruns_identical_above_one_chunk(self, monkeypatch):
         monkeypatch.setattr(experiments, "_SAMPLE_CHUNK_ENTRIES", 100)
-        g, sampler = complete_graph(4), LatticeSampler(build_lattice_set(2, 7, 1.5))
-        first = sample_distances(g, sampler, 1000, 3)
-        again = sample_distances(g, sampler, 1000, 3)
-        assert same_bits(first.cloud, again.cloud)
-        assert (first.max_residual, first.degenerate) == (again.max_residual, again.degenerate)
-        tuples = sample_framework_tuples(sampler, 4, 1000, 3)
-        assert same_bits(distance_images(g, tuples), first.cloud)
+        g, sampler, scales = complete_graph(4), LatticeSampler(build_lattice_set(2, 7, 1.5)), [0.5, 0.25]
+        first = sample_box_dimension(g, sampler, 1000, 3, scales)
+        assert same_estimate(sample_box_dimension(g, sampler, 1000, 3, scales), first)
+        assert same_estimate(cloud_route(g, sampler, 1000, 3, scales), first)
         # the lattice stream depends on the chunking, unlike the others
-        assert not same_bits(sample_reference(g, sampler, 1000, 3)[0], first.cloud)
+        tuples = sample_framework_tuples(sampler, 4, 1000, 3)
+        assert not same_bits(sample_reference(g, sampler, 1000, 3)[0], distance_images(g, tuples))
 
-    def test_k4_peak_memory_is_the_cloud_and_one_chunk(self):
-        # one chunk's draws are _SAMPLE_CHUNK_ENTRIES doubles, and its
-        # lengths scratch, residual and work columns about as many again;
-        # a pipeline that holds all 200000 tuples (12.8 MB) cannot fit
+    def test_tuples_peak_memory_is_the_tuples_and_one_chunk(self):
+        # besides the tuples, a chunk's draws of _SAMPLE_CHUNK_ENTRIES
+        # doubles, copied in, and the next chunk's (4 chunks of entries);
+        # the reference, which draws all 200000 K4 tuples at once and
+        # measures them whole, cannot fit
         n, g = 200000, complete_graph(4)
-        bound = n * g.n_edges * 8 + 4 * 8 * experiments._SAMPLE_CHUNK_ENTRIES
-        assert traced_peak(lambda: sample_distances(g, UnitCubeSampler(2), n, 1)) < bound
+        bound = n * 4 * 2 * 8 + 4 * 8 * experiments._SAMPLE_CHUNK_ENTRIES
+        assert traced_peak(lambda: sample_framework_tuples(UnitCubeSampler(2), 4, n, 1)) < bound
         assert traced_peak(lambda: sample_reference(g, UnitCubeSampler(2), n, 1)) > bound
 
 
 def cloud_route(g, sampler, n, seed, scales):
-    """sample_box_dimension's reference: the box counts of the whole
-    distance cloud, which is held."""
-    sample = sample_distances(g, sampler, n, seed)
-    return fit_box_dimension(sample.cloud, scales), sample.max_residual, sample.degenerate
+    """sample_box_dimension's reference: all n tuples are drawn and held,
+    then the box counts of their whole distance cloud and, for K4 in the
+    plane, the largest finite residual and the number of non-finite ones."""
+    tuples = sample_framework_tuples(sampler, g.n_vertices, n, seed)
+    fit = fit_box_dimension(distance_images(g, tuples), scales)
+    if sampler.d != 2 or g.edges != complete_graph(4).edges:
+        return fit, None, 0
+    residuals = k4_euler_residuals(tuples)
+    finite = residuals[np.isfinite(residuals)]
+    return fit, float(finite.max()) if finite.size else None, residuals.size - finite.size
 
 
 def same_estimate(got, want):
@@ -1279,6 +1281,29 @@ class TestDistinctRows:
             assert keys.count() == n
 
         assert traced_peak(collect) < 2.5 * 8 * n
+
+    def test_counts_hold_one_block_of_neighbour_differences(self, monkeypatch):
+        # three blocks of 2^17 sorted two-word rows: past the sort, the
+        # comparison of neighbours holds one block of their differences
+        # (4 MiB) and a few boolean columns of a block, not two blocks
+        n, block = 3 * 2 ** 17, 2 * 8 * experiments._MERGE_BUFFER_ROWS
+        rows = np.random.default_rng(9).integers(0, 2 ** 40, size=(n, 2))
+        keys = experiments._DistinctRows(2, 2 ** 40, n)
+        keys.add(rows.T, n)
+        assert len(keys.word_radix) == 2
+        held, sorted_rows = [], experiments._rows
+
+        def reset_at_the_rows(sorted_keys):
+            out = sorted_rows(sorted_keys)
+            tracemalloc.reset_peak()
+            held.append(tracemalloc.get_traced_memory()[0])
+            return out
+
+        monkeypatch.setattr(experiments, "_rows", reset_at_the_rows)
+        counted = []
+        peak = traced_peak(lambda: counted.append(keys.count()))
+        assert counted == [len(np.unique(rows, axis=0))]
+        assert peak - held[0] < 1.5 * block
 
     def test_one_buffer_is_counted_without_a_merge(self, monkeypatch):
         merges = []
