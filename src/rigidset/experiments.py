@@ -317,11 +317,15 @@ def k4_euler_residuals(tuples) -> np.ndarray:
 def _k4_residuals(pts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """k4_euler_residuals of an (N, 4, 2) float array whose six edge
     lengths, rows t12, t13, t14, t23, t24, t34 of `lengths`, are already
-    computed: euler_t24's formula on whole columns."""
+    computed: euler_t24's formula on whole columns. Intermediates are
+    deleted once used: fewer columns held at once keep the heap, and with
+    it the peak RSS of `sample`, smaller."""
     t12, t13, t14, t23, t24, t34 = lengths
     (x1, x2, x3, x4), (y1, y2, y3, y4) = pts[:, :, 0].T, pts[:, :, 1].T
     # sides of the 1-3 diagonal: cross(p3 - p1, p - p1) for p = p2 and p4
     side2, side4 = ((x3 - x1) * (y - y1) - (y3 - y1) * (x - x1) for x, y in ((x2, y2), (x4, y4)))
+    convex = side2 * side4 < 0
+    del side2, side4
     # clip guards rounding on almost-degenerate samples; a zero side length
     # divides 0 by 0 here, silently, and leaves NaN
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -330,7 +334,9 @@ def _k4_residuals(pts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     # cos(theta - psi) where p2 and p4 lie on opposite sides, else cos(theta + psi)
     both_cos = cos_theta * cos_psi
     both_sin = np.sqrt(1.0 - cos_theta ** 2) * np.sqrt(1.0 - cos_psi ** 2)
-    cos_gap = np.where(side2 * side4 < 0, both_cos + both_sin, both_cos - both_sin)
+    del cos_theta, cos_psi
+    cos_gap = np.where(convex, both_cos + both_sin, both_cos - both_sin)
+    del both_cos, both_sin
     square = t23 ** 2 + t14 ** 2 - t13 ** 2 + 2 * t12 * t34 * cos_gap
     predicted = np.sqrt(np.maximum(square, 0.0))
     return np.abs(predicted - t24) / np.where(t24 > 0, t24, 1.0)
