@@ -669,9 +669,8 @@ def sample_box_dimension(g: Graph, sampler, n_samples: int, seed: int, scales):
     is never miscounted.
     A cell index at or past 2^63 raises covering_count's ValueError,
     after the last draw, as fit_box_dimension does on the whole cloud.
-    Scales that fit no
-    slope (check_scales) and a graph without edges are refused before
-    anything is drawn.
+    Scales that fit no slope (check_scales) and a graph without edges are
+    refused before anything is drawn.
     """
     scales = check_scales(scales)
     finest = min(scales)
