@@ -877,7 +877,8 @@ class TestChunkedSample:
 
     def test_lattice_reruns_identical_above_one_chunk(self, monkeypatch):
         monkeypatch.setattr(experiments, "_SAMPLE_CHUNK_ENTRIES", 100)
-        g, sampler, scales = complete_graph(4), LatticeSampler(build_lattice_set(2, 7, 1.5)), [0.5, 0.25]
+        g, scales = complete_graph(4), [0.5, 0.25]
+        sampler = LatticeSampler(build_lattice_set(2, 7, 1.5))
         first = sample_box_dimension(g, sampler, 1000, 3, scales)
         assert same_estimate(sample_box_dimension(g, sampler, 1000, 3, scales), first)
         assert same_estimate(cloud_route(g, sampler, 1000, 3, scales), first)
