@@ -735,6 +735,24 @@ class TestSamplers:
         expected = reference_lattice_draw(ls, np.random.default_rng(seed), count)
         assert np.array_equal(draws, expected)
 
+    @pytest.mark.parametrize("d, q, s, digest, radius, side", [
+        (2, 3, 1.5, "5f5fcf5f272f23f5ceab24d98542b01660b8cdc817eec1699f891da94878822f",
+         "0x1.d955aa4f1049dp-3", "0x1.76556a93c4127p+0"),
+        (3, 7, 2.5, "7fdb3b3fd459600a68db532af4ca8d92b2588ba5baeb8cfcdbbfd11488bf46ef",
+         "0x1.8c7fcaa5a3fd2p-4", "0x1.318ff954b47fap+0"),
+        (63, 1, 40.0, "503d30e4ccda64039ee93fe45a3d01038eccb4250fe36da66a95038bd04dd14a",
+         "0x1.0000000000000p+0", "0x1.8000000000000p+1"),
+        (2, 3037000498, 1.5, "d80583f0c57d2da75205deaedb8234bd0dadc3014ae9020c323058f8c180a65b",
+         "0x1.00000003b9e08p-42", "0x1.0000000000800p+0"),
+    ])
+    def test_lattice_draws_are_pinned(self, d, q, s, digest, radius, side):
+        # the digest of 1000 draws' float64 bytes, the radius and the side
+        # are frozen, up to the largest index (q+1)^d the guard admits
+        sampler = LatticeSampler(build_lattice_set(d, q, s))
+        draws = sampler.draw(np.random.default_rng(34), 1000)
+        assert hashlib.sha256(draws.tobytes()).hexdigest() == digest
+        assert (sampler.lattice.radius.hex(), sampler.side.hex()) == (radius, side)
+
     def test_cantor_digits(self):
         rng = np.random.default_rng(3)
         draws = CantorSampler(2, depth=35).draw(rng, 200)
@@ -843,6 +861,15 @@ class TestChunkedSample:
         assert (top.hex(), degenerate) == ("0x1.17132138cc295p-35", 0)
         _, top, degenerate = sample_box_dimension(g, CantorSampler(2, depth=2), 40000, 33, scales)
         assert (top.hex(), degenerate) == ("0x1.6a09e72e00000p-24", 7070)
+
+    def test_lattice_result_is_pinned(self):
+        # 40000 K4 tuples cross two chunk boundaries, where the lattice
+        # stream depends on the chunking
+        sampler = LatticeSampler(build_lattice_set(2, 7, 1.5))
+        fit, top, degenerate = sample_box_dimension(complete_graph(4), sampler, 40000, 34,
+                                                    [0.5, 0.25, 0.125])
+        assert fit.counts == (461, 6120, 31423) and fit.slope.hex() == "0x1.85d179b27f900p+1"
+        assert (top.hex(), degenerate) == ("0x1.30f70f688c923p-32", 0)
 
     def test_all_degenerate_has_no_residual(self, monkeypatch):
         def coincident(sampler, rng, count):
