@@ -9,9 +9,7 @@ from .experiments import (
     CoveringEstimate,
     EnumerationLimitError,
     LatticeSampler,
-    LatticeSet,
     UnitCubeSampler,
-    build_lattice_set,
     congruence_class_counts,
     covering_count,
     distance_images,

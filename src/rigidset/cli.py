@@ -33,7 +33,6 @@ from .experiments import (
     EnumerationLimitError,
     LatticeSampler,
     UnitCubeSampler,
-    build_lattice_set,
     check_enumeration,
     check_sample_size,
     congruence_class_counts,
@@ -174,7 +173,7 @@ def _build_sampler(args):
     if args.sampler == "lattice":
         if args.q is None or args.s is None:
             raise ValueError("the lattice sampler needs --q and --s")
-        return LatticeSampler(build_lattice_set(args.d, args.q, args.s))
+        return LatticeSampler(args.d, args.q, args.s)
     return CantorSampler(args.d, depth=args.depth)
 
 

@@ -450,35 +450,6 @@ def hausdorff_content_bound(d: int, q: int, k: int, s: float) -> float:
     return float(q) ** exponent
 
 
-@dataclass(frozen=True)
-class LatticeSet:
-    """The scaled lattice (1/q)(Z^d in [0,q]^d) with its neighborhood radius
-    q^(-d/s): the union of radius-balls around the points is the set whose
-    distance sets the lattice experiments probe. (q+1)^d points, not stored:
-    point i is the base-(q+1) digits of i over q, the most significant on
-    axis 0 as in itertools.product(range(q+1), repeat=d). For s < d and q
-    large the radius drops below the 1/(2q) packing distance, so the balls
-    become disjoint."""
-
-    d: int
-    q: int
-    s: float
-    radius: float
-
-
-def build_lattice_set(d: int, q: int, s: float) -> LatticeSet:
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    _check_s_range(d, s)
-    # a point index is drawn by rng.integers, whose high must fit int64
-    if _power_exceeds(q + 1, d, _KEY_LIMIT):
-        raise EnumerationLimitError(f"(q+1)^d lattice points for d={d}, q={q} exceed "
-                                    f"the int64 index guard of 2^63")
-    return LatticeSet(d=d, q=q, s=float(s), radius=float(q) ** (-d / float(s)))
-
-
 class UnitCubeSampler:
     """Uniform points in [0,1]^d."""
 
@@ -494,23 +465,39 @@ class UnitCubeSampler:
 
 
 class LatticeSampler:
-    """Uniform over a lattice neighborhood set: a uniform point index, decoded
-    into its grid point, plus a uniform offset in the radius ball."""
+    """Uniform over the lattice neighborhood set of (d, q, s): the scaled
+    lattice (1/q)(Z^d in [0,q]^d) with its neighborhood radius q^(-d/s),
+    whose union of radius-balls is the set the lattice experiments probe.
+    For s < d and q large the radius drops below the 1/(2q) packing
+    distance, so the balls become disjoint. A draw is a uniform point
+    index, decoded into its grid point, plus a uniform offset in the
+    radius ball. The (q+1)^d points are not stored: point i is the
+    base-(q+1) digits of i over q, the most significant on axis 0 as in
+    itertools.product(range(q+1), repeat=d)."""
 
-    def __init__(self, lattice: LatticeSet):
-        self.lattice = lattice
-        self.d = lattice.d
+    def __init__(self, d: int, q: int, s: float):
+        if d < 2:
+            raise ValueError("d must be >= 2")
+        if q < 1:
+            raise ValueError("q must be >= 1")
+        _check_s_range(d, s)
+        # a point index is drawn by rng.integers, whose high must fit int64
+        if _power_exceeds(q + 1, d, _KEY_LIMIT):
+            raise EnumerationLimitError(f"(q+1)^d lattice points for d={d}, q={q} exceed "
+                                        f"the int64 index guard of 2^63")
+        self.d, self.q, self.s = d, q, float(s)
+        self.radius = float(q) ** (-d / self.s)
         # every draw lies in [-radius, 1 + radius]^d
-        self.side = 1.0 + 2.0 * lattice.radius
+        self.side = 1.0 + 2.0 * self.radius
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        d, q = self.d, self.lattice.q
+        d, q = self.d, self.q
         idx = rng.integers(0, (q + 1) ** d, size=count)
         # offsets and centers are summed in place: no second (count, d) array
         normals = rng.normal(size=(count, d))
         norms = np.linalg.norm(normals, axis=1, keepdims=True)
         normals /= np.where(norms > 0, norms, 1.0)
-        normals *= self.lattice.radius * rng.random((count, 1)) ** (1.0 / d)
+        normals *= self.radius * rng.random((count, 1)) ** (1.0 / d)
         for axis, digit in zip(range(d - 1, -1, -1), _grid_digits(idx, q, d)):
             normals[:, axis] += digit / q
         return normals
@@ -600,42 +587,6 @@ def distance_images(g: Graph, tuples) -> np.ndarray:
     return _edge_lengths(pts, [(i - 1, j - 1) for i, j in g.edges]).T
 
 
-def _measure_chunks(g: Graph, sampler, n_samples: int, seed: int, consume):
-    """Measure the n_samples tuples of sample_framework_tuples' stream one
-    chunk (_sample_chunks) at a time, and return the summary of their
-    k4_euler_residuals for K4 in the plane: (largest finite residual or
-    None, number of non-finite ones), with the bits that
-    k4_euler_residuals gives on all the tuples; (None, 0) for any other
-    graph or d.
-
-    Each chunk's edge lengths are computed once, as an (n_edges, count)
-    array, into one buffer reused across chunks. For K4 in the plane the
-    same lengths feed the residual, whose finite maximum and non-finite
-    count are folded across chunks. Then consume(lengths) is called
-    before the next chunk is drawn; it may overwrite the lengths.
-    """
-    pairs = [(i - 1, j - 1) for i, j in g.edges]
-    chunks = _sample_chunks(sampler, g.n_vertices, n_samples, seed)
-    k4 = sampler.d == 2 and tuple(pairs) == _K4_PAIRS
-    max_residual, degenerate = None, 0
-    buffer = None
-    for pts in chunks:
-        count = pts.shape[0]
-        if buffer is None:  # the first chunk is the longest
-            buffer = np.empty((len(pairs), count))
-        lengths = buffer[:, :count]
-        _edge_lengths(pts, pairs, lengths)
-        if k4:
-            residuals = _k4_residuals(pts, lengths)
-            finite = residuals[np.isfinite(residuals)]
-            degenerate += residuals.size - finite.size
-            if finite.size:
-                top = float(finite.max())
-                max_residual = top if max_residual is None else max(max_residual, top)
-        consume(lengths)
-    return max_residual, degenerate
-
-
 def sample_box_dimension(g: Graph, sampler, n_samples: int, seed: int, scales):
     """(fit_box_dimension(distance_images(g, tuples), scales), the largest
     finite residual or None, the number of non-finite residuals) for
@@ -643,9 +594,13 @@ def sample_box_dimension(g: Graph, sampler, n_samples: int, seed: int, scales):
     seed), the residuals those of k4_euler_residuals(tuples) for K4 in the
     plane and none for any other graph or d. The counts, slope bits and
     errors are the same, but neither the tuples nor the cloud is held:
-    each chunk of _measure_chunks is covered as soon as its lengths exist,
-    into one _DistinctRows of finest-scale cells whose prefixes are the
-    cells at every coarser scale.
+    the tuples are drawn one chunk (_sample_chunks) at a time, and each
+    chunk's edge lengths are computed once, as an (n_edges, count) array,
+    into one buffer reused across chunks. For K4 in the plane the same
+    lengths feed the residual, whose finite maximum and non-finite count
+    are folded across chunks. Then the lengths are covered, before the
+    next chunk is drawn, into one _DistinctRows of finest-scale cells
+    whose prefixes are the cells at every coarser scale.
 
     Every scale must be the finest times a power of two, 2^shift, or
     ValueError is raised before anything is drawn. Then floor(x / eps) is
@@ -692,22 +647,38 @@ def sample_box_dimension(g: Graph, sampler, n_samples: int, seed: int, scales):
     full = _power_exceeds(math.floor(reach) + 1, m, n_samples - 1)
     keys = _DistinctRows(len(levels) * m, [r for r in radices for _ in range(m)],
                          n_samples if full else 0)
-    top, failed = None, False
-
-    def cover(lengths):
-        nonlocal top, failed
+    pairs = [(i - 1, j - 1) for i, j in g.edges]
+    k4 = sampler.d == 2 and tuple(pairs) == _K4_PAIRS
+    top, failed, max_residual, degenerate, buffer = None, False, None, 0, None
+    for pts in _sample_chunks(sampler, g.n_vertices, n_samples, seed):
+        count = pts.shape[0]
+        if buffer is None:  # the first chunk is the longest
+            buffer = np.empty((m, count))
+        lengths = _edge_lengths(pts, pairs, buffer[:, :count])
+        if k4:
+            residuals = _k4_residuals(pts, lengths)
+            finite = residuals[np.isfinite(residuals)]
+            degenerate += residuals.size - finite.size
+            if finite.size:
+                chunk_max = float(finite.max())
+                max_residual = chunk_max if max_residual is None else max(max_residual, chunk_max)
         chunk_top = lengths.max()
         top = chunk_top if top is None else np.maximum(top, chunk_top)
         with np.errstate(over="ignore"):
             failed = failed or not chunk_top / finest <= reach
         if not failed:
             cells = np.empty(lengths.shape, dtype=np.int64)
-            digit = np.empty(lengths.shape[1], dtype=np.int64)
+            digit = np.empty(count, dtype=np.int64)
             np.floor(np.divide(lengths, finest, out=lengths), out=cells, casting="unsafe")
             keys.add((np.bitwise_and(np.right_shift(cell, shift, out=digit), mask, out=digit)
-                      for shift, mask in zip(levels, masks) for cell in cells), lengths.shape[1])
-
-    max_residual, degenerate = _measure_chunks(g, sampler, n_samples, seed, cover)
+                      for shift, mask in zip(levels, masks) for cell in cells), count)
+            del cells, digit
+        # the chunk's draws and residuals are not held while the next chunk
+        # is drawn; released before the cover instead, they left a larger
+        # heap and a higher peak RSS
+        del pts
+        if k4:
+            del residuals, finite
     if failed:
         for eps in scales:
             with np.errstate(over="ignore"):

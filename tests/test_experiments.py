@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import hashlib
 import itertools
 import math
@@ -17,9 +17,7 @@ from rigidset.experiments import (
     CantorSampler,
     EnumerationLimitError,
     LatticeSampler,
-    LatticeSet,
     UnitCubeSampler,
-    build_lattice_set,
     check_enumeration,
     congruence_class_counts,
     covering_count,
@@ -36,30 +34,31 @@ from rigidset.graphs import complete_graph, make_graph, path_graph
 
 def reference_lattice_points(d, q):
     """The grid (1/q){0..q}^d as a tuple of Fraction points in the order of
-    itertools.product, the form in which LatticeSet once stored it."""
+    itertools.product, the form in which the lattice set once stored it."""
     return tuple(tuple(Fraction(c, q) for c in coords)
                  for coords in itertools.product(range(q + 1), repeat=d))
 
 
-def reference_lattice_draw(lattice, rng, count):
+def reference_lattice_draw(sampler, rng, count):
     """LatticeSampler.draw as it was with the grid held as a float array of
     centers; the sampler must give the same bits."""
     centers = np.array([[float(c) for c in p]
-                        for p in reference_lattice_points(lattice.d, lattice.q)])
-    d = lattice.d
+                        for p in reference_lattice_points(sampler.d, sampler.q)])
+    d = sampler.d
     idx = rng.integers(0, len(centers), size=count)
     normals = rng.normal(size=(count, d))
     norms = np.linalg.norm(normals, axis=1, keepdims=True)
     directions = normals / np.where(norms > 0, norms, 1.0)
-    radii = lattice.radius * rng.random(count) ** (1.0 / d)
+    radii = sampler.radius * rng.random(count) ** (1.0 / d)
     return centers[idx] + directions * radii[:, None]
 
 
-def drawn_centers(lattice, count=2000, seed=0):
-    """The distinct points a radius-0 copy of the lattice set draws, sorted;
-    with count far above the point count every point is drawn."""
-    flat = dataclasses.replace(lattice, radius=0.0)
-    draws = LatticeSampler(flat).draw(np.random.default_rng(seed), count)
+def drawn_centers(sampler, count=2000, seed=0):
+    """The distinct points a radius-0 copy of the lattice sampler draws,
+    sorted; with count far above the point count every point is drawn."""
+    flat = copy.copy(sampler)
+    flat.radius = 0.0
+    draws = flat.draw(np.random.default_rng(seed), count)
     return sorted(set(map(tuple, draws.tolist())))
 
 
@@ -405,7 +404,7 @@ class TestK4Residuals:
         for i, (a, b) in enumerate(((0, 1), (0, 2), (2, 3), (1, 3))):
             coincident[i::4, b] = coincident[i::4, a]
         grid = rng.integers(0, 3, size=(600, 4, 2)) / 2
-        lattice = sample_framework_tuples(LatticeSampler(build_lattice_set(2, 3, 1.5)), 4, 600, 33)
+        lattice = sample_framework_tuples(LatticeSampler(2, 3, 1.5), 4, 600, 33)
         residuals = k4_euler_residuals(np.concatenate((base, coincident, grid, lattice)))
         assert residuals.shape == (2400,) and int(np.isnan(residuals).sum()) == 614
         assert hashlib.sha256(residuals.tobytes()).hexdigest() == (
@@ -652,8 +651,8 @@ class TestContentBound:
 
 class TestLatticeSet:
     def test_frozen_small(self):
-        ls = build_lattice_set(2, 2, 1.0)
-        assert [f.name for f in dataclasses.fields(LatticeSet)] == ["d", "q", "s", "radius"]
+        ls = LatticeSampler(2, 2, 1.0)
+        assert vars(ls) == {"d": 2, "q": 2, "s": 1.0, "radius": 0.25, "side": 1.5}
         assert ls.radius == pytest.approx(1 / 4)
         points = drawn_centers(ls)
         assert len(points) == 9
@@ -663,21 +662,21 @@ class TestLatticeSet:
                                 for p in reference_lattice_points(2, 2))
 
     def test_frozen_q4(self):
-        ls = build_lattice_set(2, 4, 1.0)
+        ls = LatticeSampler(2, 4, 1.0)
         assert len(drawn_centers(ls)) == 25
         assert ls.radius == pytest.approx(1 / 16)
 
     def test_radius_formula(self):
-        ls = build_lattice_set(3, 4, 2.5)
+        ls = LatticeSampler(3, 4, 2.5)
         assert ls.radius == pytest.approx(4 ** (-3 / 2.5), rel=1e-12)
 
     def test_point_guard(self):
         # (q+1)^d is the high of rng.integers, which must fit int64; a q
         # the old 10^7 point guard refused now draws
         with pytest.raises(EnumerationLimitError):
-            build_lattice_set(2, 3037000499, 1.0)
-        ls = build_lattice_set(2, 4000, 1.0)
-        draws = LatticeSampler(ls).draw(np.random.default_rng(1), 100)
+            LatticeSampler(2, 3037000499, 1.0)
+        ls = LatticeSampler(2, 4000, 1.0)
+        draws = ls.draw(np.random.default_rng(1), 100)
         assert draws.shape == (100, 2)
         centers = np.round(draws * 4000) / 4000
         assert np.linalg.norm(draws - centers, axis=1).max() <= ls.radius + 1e-12
@@ -687,22 +686,30 @@ class TestLatticeSet:
         # points; each accepted size draws
         for d, q, s in ((2, 3037000498, 1.5),  # 3037000499^2 < 2^63
                         (63, 1, 40.0)):        # 2^63, the largest high rng.integers takes
-            ls = build_lattice_set(d, q, s)
-            draws = LatticeSampler(ls).draw(np.random.default_rng(5), 50)
+            ls = LatticeSampler(d, q, s)
+            draws = ls.draw(np.random.default_rng(5), 50)
             assert draws.shape == (50, d) and np.isfinite(draws).all()
             assert draws.min() >= -ls.radius and draws.max() <= 1 + ls.radius
         for d, q, s in ((2, 3037000499, 1.5),  # 3037000500^2 > 2^63
                         (64, 1, 40.0)):
             with pytest.raises(EnumerationLimitError,
                                match=rf"d={d}, q={q} exceed the int64 index guard of 2\^63$"):
-                build_lattice_set(d, q, s)
+                LatticeSampler(d, q, s)
         with pytest.raises(EnumerationLimitError) as exc:
-            build_lattice_set(2, 10 ** 40, 1.0)
+            LatticeSampler(2, 10 ** 40, 1.0)
         assert len(str(exc.value)) < 150
 
     def test_s_range(self):
         with pytest.raises(ValueError, match="s must lie"):
-            build_lattice_set(2, 2, 2.0)
+            LatticeSampler(2, 2, 2.0)
+
+    def test_inputs_checked_in_order(self):
+        # d, then q, then the s range, then the index guard
+        for args, match in (((1, 0, 5.0), "d must be >= 2"), ((2, 0, 5.0), "q must be >= 1"),
+                            ((2, 10 ** 40, 5.0), "s must lie")):
+            with pytest.raises(ValueError, match=match) as exc:
+                LatticeSampler(*args)
+            assert not isinstance(exc.value, EnumerationLimitError)
 
 
 class TestSamplers:
@@ -713,13 +720,12 @@ class TestSamplers:
         assert draws.min() >= 0 and draws.max() < 1
 
     def test_lattice_sampler_stays_in_balls(self):
-        ls = build_lattice_set(2, 2, 1.0)
-        sampler = LatticeSampler(ls)
+        sampler = LatticeSampler(2, 2, 1.0)
         rng = np.random.default_rng(2)
         draws = sampler.draw(rng, 400)
         centers = np.array([[float(c) for c in p] for p in reference_lattice_points(2, 2)])
         dists = np.linalg.norm(draws[:, None, :] - centers[None, :, :], axis=2)
-        assert dists.min(axis=1).max() <= ls.radius + 1e-12
+        assert dists.min(axis=1).max() <= sampler.radius + 1e-12
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -730,9 +736,9 @@ class TestSamplers:
         s = data.draw(st.floats(d / 2, d, exclude_max=True))
         seed = data.draw(st.integers(0, 2 ** 32 - 1))
         count = data.draw(st.integers(1, 600))
-        ls = build_lattice_set(d, q, s)
-        draws = LatticeSampler(ls).draw(np.random.default_rng(seed), count)
-        expected = reference_lattice_draw(ls, np.random.default_rng(seed), count)
+        sampler = LatticeSampler(d, q, s)
+        draws = sampler.draw(np.random.default_rng(seed), count)
+        expected = reference_lattice_draw(sampler, np.random.default_rng(seed), count)
         assert np.array_equal(draws, expected)
 
     @pytest.mark.parametrize("d, q, s, digest, radius, side", [
@@ -748,10 +754,10 @@ class TestSamplers:
     def test_lattice_draws_are_pinned(self, d, q, s, digest, radius, side):
         # the digest of 1000 draws' float64 bytes, the radius and the side
         # are frozen, up to the largest index (q+1)^d the guard admits
-        sampler = LatticeSampler(build_lattice_set(d, q, s))
+        sampler = LatticeSampler(d, q, s)
         draws = sampler.draw(np.random.default_rng(34), 1000)
         assert hashlib.sha256(draws.tobytes()).hexdigest() == digest
-        assert (sampler.lattice.radius.hex(), sampler.side.hex()) == (radius, side)
+        assert (sampler.radius.hex(), sampler.side.hex()) == (radius, side)
 
     def test_cantor_digits(self):
         rng = np.random.default_rng(3)
@@ -865,7 +871,7 @@ class TestChunkedSample:
     def test_lattice_result_is_pinned(self):
         # 40000 K4 tuples cross two chunk boundaries, where the lattice
         # stream depends on the chunking
-        sampler = LatticeSampler(build_lattice_set(2, 7, 1.5))
+        sampler = LatticeSampler(2, 7, 1.5)
         fit, top, degenerate = sample_box_dimension(complete_graph(4), sampler, 40000, 34,
                                                     [0.5, 0.25, 0.125])
         assert fit.counts == (461, 6120, 31423) and fit.slope.hex() == "0x1.85d179b27f900p+1"
@@ -894,7 +900,7 @@ class TestChunkedSample:
 
     def test_lattice_equal_up_to_one_chunk(self):
         # K4 in the plane draws 8 entries per tuple: 5000 tuples are one chunk
-        sampler = LatticeSampler(build_lattice_set(2, 7, 1.5))
+        sampler = LatticeSampler(2, 7, 1.5)
         assert 5000 * 8 <= experiments._SAMPLE_CHUNK_ENTRIES
         want_cloud, *want = sample_reference(complete_graph(4), sampler, 5000, 3)
         tuples = sample_framework_tuples(sampler, 4, 5000, 3)
@@ -905,7 +911,7 @@ class TestChunkedSample:
     def test_lattice_reruns_identical_above_one_chunk(self, monkeypatch):
         monkeypatch.setattr(experiments, "_SAMPLE_CHUNK_ENTRIES", 100)
         g, scales = complete_graph(4), [0.5, 0.25]
-        sampler = LatticeSampler(build_lattice_set(2, 7, 1.5))
+        sampler = LatticeSampler(2, 7, 1.5)
         first = sample_box_dimension(g, sampler, 1000, 3, scales)
         assert same_estimate(sample_box_dimension(g, sampler, 1000, 3, scales), first)
         assert same_estimate(cloud_route(g, sampler, 1000, 3, scales), first)
@@ -959,7 +965,7 @@ def streamed_cases(draw):
         sampler = CantorSampler(d, depth=draw(st.sampled_from([1, 2, 35])))
     else:
         q, s = draw(st.integers(1, 8)), draw(st.sampled_from([0.5, 0.75]))
-        sampler = LatticeSampler(build_lattice_set(d, q, s * d))
+        sampler = LatticeSampler(d, q, s * d)
     exponents = draw(st.lists(st.integers(-2, 12), min_size=2, max_size=4, unique=True))
     if draw(st.booleans()):
         exponents.append(draw(st.integers(20, 60)))
@@ -1128,10 +1134,10 @@ class TestStreamedCover:
         # included, lies in a box of the stated side
         rng = np.random.default_rng(2)
         for sampler in (UnitCubeSampler(3), CantorSampler(2, depth=3),
-                        LatticeSampler(build_lattice_set(2, 1, 1.0))):
+                        LatticeSampler(2, 1, 1.0)):
             pts = sampler.draw(rng, 20000)
             assert np.ptp(pts, axis=0).max() <= sampler.side
-        assert LatticeSampler(build_lattice_set(2, 4, 1.5)).side == 1 + 2 * 4 ** (-2 / 1.5)
+        assert LatticeSampler(2, 4, 1.5).side == 1 + 2 * 4 ** (-2 / 1.5)
 
     def test_k4_cover_peak_does_not_grow_with_n(self):
         # one chunk's draws, lengths and residual work columns (4 chunks of
