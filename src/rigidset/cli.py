@@ -94,8 +94,6 @@ def _cell(value) -> str:
         return "-"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 
@@ -266,25 +264,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the exit code of each exception that main reports, subclasses before
+# ValueError, which they would otherwise match first
+_EXIT_CODES = ((GraphFormatError, 2), (DependentEdgeSetError, 4), (EnumerationLimitError, 5),
+               (ValueError, 3), (OSError, 2))
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         args.func(args)
-    except GraphFormatError as exc:
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DependentEdgeSetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except EnumerationLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
     return 0
 
 
