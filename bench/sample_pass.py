@@ -19,9 +19,11 @@ and (3, 2, 6); and two of many pairs, (2, 6, 2), whose packed rows take
 two words, and (1, 16, 1), where d = 1 leaves nothing to fold. Then
 `sample k4 --seed 1` at the default scales 3..7 at n = 10^6 and 3*10^6,
 and at the ten scales 3..12 at n = 10^6, whose rows take two words.
-Last, two more calls whose rows take several words: `sample k5 --n
+Then two more calls whose rows take several words: `sample k5 --n
 1000000 --seed 1` at the default scales (two words) and `sample k4 --n
-3000000 --scales 1,5,10,15,20 --seed 1` (three words).
+3000000 --scales 1,5,10,15,20 --seed 1` (three words). Last, `sample k4
+--sampler lattice --q 5 --s 1.5 --n 1000000 --seed 1`, the lattice
+sampler at the default scales.
 The trees take turns within every one of ROUNDS rounds, the first tree
 changing each round, as in analyze_pass.py, whose record fields this one
 shares.
@@ -58,6 +60,8 @@ CALLS = {
     "k5-1e6-default": ("sample", "k5", "--n", "1000000", "--seed", "1"),
     "k4-3e6-wide": ("sample", "k4", "--n", "3000000", "--scales", "1,5,10,15,20",
                     "--seed", "1"),
+    "k4-lattice-1e6": ("sample", "k4", "--sampler", "lattice", "--q", "5", "--s", "1.5",
+                       "--n", "1000000", "--seed", "1"),
 }
 ROUNDS = 7
 
