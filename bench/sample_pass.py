@@ -1,13 +1,16 @@
-"""CLI wall time and peak RSS of `rigidset sample` and `rigidset lattice`, for one
-or more source trees.
+"""CLI wall time, peak RSS, minor page faults and system time of `rigidset
+sample` and `rigidset lattice`, for one or more source trees.
 
     python3 bench/sample_pass.py --tree before=/path/to/parent --tree after=. \\
         > BENCH.json
 
 Each call is `python3 -m rigidset.cli ...` in a fresh child with TREE/src on
-PYTHONPATH. Its wall time runs from the start of the child to its exit,
-interpreter start and import included, and its peak RSS is the child's
-ru_maxrss from os.wait4. The calls are `sample k4 --scales 1,2,3,4 --seed 1`
+PYTHONPATH and PYTHONDONTWRITEBYTECODE=1, as in perfbench, so every child
+compiles the package and no record depends on the bytecode caches a shell
+left behind. Its wall time runs from the start of the child to its exit,
+interpreter start and import included; its peak RSS (ru_maxrss), minor page
+faults (ru_minflt) and system CPU seconds (ru_stime) come from the same
+os.wait4. The calls are `sample k4 --scales 1,2,3,4 --seed 1`
 at n = 10^6, 2*10^6 and 3*10^6 (the largest the sample size guard admits
 for k4), and `sample k3 --n 300000 --scales 2,3,4,5,6 --seed 1`,
 `lattice --d 2 --k 2 --q-list 2,4,6,7` and `lattice --d 3 --k 1 --q-list
@@ -67,8 +70,9 @@ ROUNDS = 7
 
 
 def _run(src: str, args: tuple) -> dict:
-    """Wall seconds and peak RSS in MB of one CLI call."""
-    env = dict(os.environ, PYTHONPATH=src)
+    """Wall seconds, peak RSS in MB, minor page faults and system CPU
+    seconds of one CLI call."""
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "rigidset.cli", *args],
                             env=env, stdout=subprocess.DEVNULL)
@@ -76,7 +80,8 @@ def _run(src: str, args: tuple) -> dict:
     wall = time.perf_counter() - start
     if status:
         raise RuntimeError(f"{' '.join(args)} failed in {src} (status {status})")
-    return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0}
+    return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0,
+            "minor_faults": usage.ru_minflt, "sys_s": usage.ru_stime}
 
 
 def measure(trees: dict) -> dict:

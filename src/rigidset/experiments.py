@@ -596,11 +596,15 @@ def sample_box_dimension(g: Graph, sampler, n_samples: int, seed: int, scales):
     errors are the same, but neither the tuples nor the cloud is held:
     the tuples are drawn one chunk (_sample_chunks) at a time, and each
     chunk's edge lengths are computed once, as an (n_edges, count) array,
-    into one buffer reused across chunks. For K4 in the plane the same
-    lengths feed the residual, whose finite maximum and non-finite count
-    are folded across chunks. Then the lengths are covered, before the
-    next chunk is drawn, into one _DistinctRows of finest-scale cells
-    whose prefixes are the cells at every coarser scale.
+    into one buffer. For K4 in the plane the same lengths feed the
+    residual, whose finite maximum and non-finite count are folded across
+    chunks. Then the lengths are covered, before the next chunk is drawn,
+    into one _DistinctRows of finest-scale cells whose prefixes are the
+    cells at every coarser scale. The lengths buffer, the int64 cells
+    (n_edges, count) and the int64 digit column that carries them to the
+    collector are allocated once per call, sized by the first chunk, the
+    longest; every chunk writes into their leading count columns, so no
+    chunk allocates or frees them.
 
     Every scale must be the finest times a power of two, 2^shift, or
     ValueError is raised before anything is drawn. Then floor(x / eps) is
@@ -649,11 +653,12 @@ def sample_box_dimension(g: Graph, sampler, n_samples: int, seed: int, scales):
                          n_samples if full else 0)
     pairs = [(i - 1, j - 1) for i, j in g.edges]
     k4 = sampler.d == 2 and tuple(pairs) == _K4_PAIRS
-    top, failed, max_residual, degenerate, buffer = None, False, None, 0, None
+    top, max_residual, degenerate, buffer = -math.inf, None, 0, None
     for pts in _sample_chunks(sampler, g.n_vertices, n_samples, seed):
         count = pts.shape[0]
         if buffer is None:  # the first chunk is the longest
             buffer = np.empty((m, count))
+            cells, digit = np.empty((m, count), dtype=np.int64), np.empty(count, dtype=np.int64)
         lengths = _edge_lengths(pts, pairs, buffer[:, :count])
         if k4:
             residuals = _k4_residuals(pts, lengths)
@@ -662,24 +667,15 @@ def sample_box_dimension(g: Graph, sampler, n_samples: int, seed: int, scales):
             if finite.size:
                 chunk_max = float(finite.max())
                 max_residual = chunk_max if max_residual is None else max(max_residual, chunk_max)
-        chunk_top = lengths.max()
-        top = chunk_top if top is None else np.maximum(top, chunk_top)
+        top = np.maximum(top, lengths.max())  # a NaN stays
         with np.errstate(over="ignore"):
-            failed = failed or not chunk_top / finest <= reach
-        if not failed:
-            cells = np.empty(lengths.shape, dtype=np.int64)
-            digit = np.empty(count, dtype=np.int64)
-            np.floor(np.divide(lengths, finest, out=lengths), out=cells, casting="unsafe")
-            keys.add((np.bitwise_and(np.right_shift(cell, shift, out=digit), mask, out=digit)
-                      for shift, mask in zip(levels, masks) for cell in cells), count)
-            del cells, digit
-        # the chunk's draws and residuals are not held while the next chunk
-        # is drawn; released before the cover instead, they left a larger
-        # heap and a higher peak RSS
-        del pts
-        if k4:
-            del residuals, finite
-    if failed:
+            covered = top / finest <= reach
+        if covered:
+            chunk_cells, out = cells[:, :count], digit[:count]
+            np.floor(np.divide(lengths, finest, out=lengths), out=chunk_cells, casting="unsafe")
+            keys.add((np.bitwise_and(np.right_shift(cell, shift, out=out), mask, out=out)
+                      for shift, mask in zip(levels, masks) for cell in chunk_cells), count)
+    if not covered:
         for eps in scales:
             with np.errstate(over="ignore"):
                 reach = top / eps

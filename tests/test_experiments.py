@@ -1167,6 +1167,26 @@ class TestStreamedCover:
         # the cloud route covers once per scale
         assert len(made) == len(scales)
 
+    def test_every_chunk_reuses_one_digit_column(self, monkeypatch):
+        # nine chunks of 100 K4 tuples, the last one of 50: every column
+        # handed to the collector is a view of one int64 digit array that
+        # the call allocates once, not an array per chunk
+        monkeypatch.setattr(experiments, "_SAMPLE_CHUNK_ENTRIES", 800)
+        g, scales = complete_graph(4), [0.5, 0.25, 0.125]
+        want = cloud_route(g, UnitCubeSampler(2), 850, 6, scales)
+        columns, counts, add = [], [], experiments._DistinctRows.add
+
+        def recorded(rows, cols, count):
+            counts.append(count)
+            add(rows, (columns.append(col) or col for col in cols), count)
+
+        monkeypatch.setattr(experiments._DistinctRows, "add", recorded)
+        got = sample_box_dimension(g, UnitCubeSampler(2), 850, 6, scales)
+        assert counts == [100] * 8 + [50] and len(columns) == 9 * 6 * len(scales)
+        assert all(col.dtype == np.int64 and col.ndim == 1 for col in columns)
+        assert all(np.shares_memory(col, columns[0]) for col in columns)
+        assert same_estimate(got, want)
+
     def test_k4_ten_scales_hold_one_collector(self):
         # ten scales 2^-3..2^-12 of 200000 K4 tuples: every grid has more
         # cells than tuples (12^6 at 2^-3), so a collector per scale would
