@@ -5,13 +5,13 @@ sample` and `rigidset lattice`, for one or more source trees.
         > BENCH.json
 
 Each call is `python3 -m rigidset.cli ...` in a fresh child with TREE/src on
-PYTHONPATH and PYTHONDONTWRITEBYTECODE=1, as in perfbench, so every child
-compiles the package and no record depends on the bytecode caches a shell
-left behind. Its wall time runs from the start of the child to its exit,
-interpreter start and import included; its peak RSS (ru_maxrss), minor page
-faults (ru_minflt) and system CPU seconds (ru_stime) come from the same
-os.wait4. The calls are `sample k4 --scales 1,2,3,4 --seed 1`
-at n = 10^6, 2*10^6 and 3*10^6 (the largest the sample size guard admits
+PYTHONPATH and PYTHONDONTWRITEBYTECODE=1, as in perfbench, so no child
+writes a bytecode cache that a later one reads; on trees whose src holds no
+__pycache__, such as fresh checkouts, every child compiles the package. Its
+wall time runs from the start of the child to its exit, interpreter start
+and import included; its peak RSS (ru_maxrss), minor page faults
+(ru_minflt) and system CPU seconds (ru_stime) come from the same os.wait4.
+The calls are `sample k4 --scales 1,2,3,4 --seed 1` at n = 10^6, 2*10^6 and 3*10^6 (the largest the sample size guard admits
 for k4), and `sample k3 --n 300000 --scales 2,3,4,5,6 --seed 1`,
 `lattice --d 2 --k 2 --q-list 2,4,6,7` and `lattice --d 3 --k 1 --q-list
 2,4,6,8`, the `experiments` workload's two sample and two lattice calls.
