@@ -653,12 +653,11 @@ def sample_box_dimension(g: Graph, sampler, n_samples: int, seed: int, scales):
                          n_samples if full else 0)
     pairs = [(i - 1, j - 1) for i, j in g.edges]
     k4 = sampler.d == 2 and tuple(pairs) == _K4_PAIRS
-    top, max_residual, degenerate, buffer = -math.inf, None, 0, None
+    top, max_residual, degenerate, buffer, digit = -math.inf, None, 0, None, None
     for pts in _sample_chunks(sampler, g.n_vertices, n_samples, seed):
         count = pts.shape[0]
         if buffer is None:  # the first chunk is the longest
             buffer = np.empty((m, count))
-            cells, digit = np.empty((m, count), dtype=np.int64), np.empty(count, dtype=np.int64)
         lengths = _edge_lengths(pts, pairs, buffer[:, :count])
         if k4:
             residuals = _k4_residuals(pts, lengths)
@@ -671,6 +670,11 @@ def sample_box_dimension(g: Graph, sampler, n_samples: int, seed: int, scales):
         with np.errstate(over="ignore"):
             covered = top / finest <= reach
         if covered:
+            if digit is None:
+                # allocated after the first chunk's temporaries, they lie above
+                # them on the heap, so freeing a chunk's temporaries leaves no
+                # free heap top for glibc to trim and fault in again
+                cells, digit = np.empty((m, count), dtype=np.int64), np.empty(count, dtype=np.int64)
             chunk_cells, out = cells[:, :count], digit[:count]
             np.floor(np.divide(lengths, finest, out=lengths), out=chunk_cells, casting="unsafe")
             keys.add((np.bitwise_and(np.right_shift(cell, shift, out=out), mask, out=out)
