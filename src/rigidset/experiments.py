@@ -666,14 +666,14 @@ def sample_box_dimension(g: Graph, sampler, n_samples: int, seed: int, scales):
             if finite.size:
                 chunk_max = float(finite.max())
                 max_residual = chunk_max if max_residual is None else max(max_residual, chunk_max)
-        top = np.maximum(top, lengths.max())  # a NaN stays
+        top = np.maximum(top, lengths.max())  # keeps a NaN, so a refusal sticks
         with np.errstate(over="ignore"):
             covered = top / finest <= reach
         if covered:
             if digit is None:
-                # allocated after the first chunk's temporaries, they lie above
-                # them on the heap, so freeing a chunk's temporaries leaves no
-                # free heap top for glibc to trim and fault in again
+                # allocated after the first chunk's temporaries, not with the
+                # buffer: allocated first, they left glibc a free heap top to
+                # trim after most chunks and fault in again on the next
                 cells, digit = np.empty((m, count), dtype=np.int64), np.empty(count, dtype=np.int64)
             chunk_cells, out = cells[:, :count], digit[:count]
             np.floor(np.divide(lengths, finest, out=lengths), out=chunk_cells, casting="unsafe")
