@@ -11,8 +11,9 @@ __pycache__, such as fresh checkouts, every child compiles the package. Its
 wall time runs from the start of the child to its exit, interpreter start
 and import included; its peak RSS (ru_maxrss), minor page faults
 (ru_minflt) and system CPU seconds (ru_stime) come from the same os.wait4.
-The calls are `sample k4 --scales 1,2,3,4 --seed 1` at n = 10^6, 2*10^6 and 3*10^6 (the largest the sample size guard admits
-for k4), and `sample k3 --n 300000 --scales 2,3,4,5,6 --seed 1`,
+The calls are `sample k4 --scales 1,2,3,4 --seed 1` at n = 10^6, 2*10^6
+and 3*10^6 (the largest the sample size guard admits for k4), and
+`sample k3 --n 300000 --scales 2,3,4,5,6 --seed 1`,
 `lattice --d 2 --k 2 --q-list 2,4,6,7` and `lattice --d 3 --k 1 --q-list
 2,4,6,8`, the `experiments` workload's two sample and two lattice calls.
 Then `sample k2 --d 1 --n 2000000 --scales 16,20 --seed 1`, whose scale
