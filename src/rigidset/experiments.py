@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _as_int
 
 ENUMERATION_LIMIT = 10 ** 8
 # At most this many array entries are allowed for one sample, counted as if
@@ -354,16 +354,19 @@ def _power_exceeds(base: int, exponent: int, limit: int) -> bool:
     return False
 
 
-def check_enumeration(d: int, q: int, k: int) -> None:
+def check_enumeration(d: int, q: int, k: int) -> tuple[int, int, int]:
     """Refuse a lattice instance before counting it: ValueError unless
-    d, q, k >= 1, EnumerationLimitError when its (q+1)^(d(k+1)) tuples
-    exceed ENUMERATION_LIMIT (only one axis's (q+1)^(k+1) are walked)."""
-    if d < 1 or q < 1 or k < 1:
+    d, q, k are integers >= 1, EnumerationLimitError when its
+    (q+1)^(d(k+1)) tuples exceed ENUMERATION_LIMIT (only one axis's
+    (q+1)^(k+1) are walked). Returns (d, q, k) as ints."""
+    d, q, k = _as_int(d, "d"), _as_int(q, "q"), _as_int(k, "k")
+    if min(d, q, k) < 1:
         raise ValueError("d, q, k must all be >= 1")
     if _power_exceeds(q + 1, d * (k + 1), ENUMERATION_LIMIT):
         raise EnumerationLimitError(
             f"(q+1)^(d(k+1)) tuples for d={d}, q={q}, k={k} exceed "
             f"the enumeration guard of {ENUMERATION_LIMIT}")
+    return d, q, k
 
 
 def _grid_digits(index: np.ndarray, q: int, n_digits: int):
@@ -392,7 +395,7 @@ def congruence_class_counts(d: int, q: int, k: int) -> tuple[int, int]:
     per vector, the unlabeled one. Chunks and blocks hold at most
     _LATTICE_CHUNK_ENTRIES int64 entries.
     """
-    check_enumeration(d, q, k)
+    d, q, k = check_enumeration(d, q, k)
     pairs = list(itertools.combinations(range(k + 1), 2))
     radix = d * q * q + 1  # every squared distance lies in [0, d q^2]
     table, n_axis = _DistinctRows(len(pairs), radix), (q + 1) ** (k + 1)
@@ -433,10 +436,7 @@ def hausdorff_content_bound(d: int, q: int, k: int, s: float) -> float:
     below that exponent are defeated. A q or a bound beyond the float range
     raises ValueError.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if q < 1 or k < 1:
-        raise ValueError("q and k must be >= 1")
+    d, q, k = _as_int(d, "d", 2), _as_int(q, "q", 1), _as_int(k, "k", 1)
     _check_s_range(d, s)
     exponent = d * k - (d / s) * (d * k - d * (d - 1) / 2)
     # decided on logarithms, so that neither float(q) nor the power is
@@ -456,9 +456,7 @@ class UnitCubeSampler:
     side = 1.0  # every draw lies in a cube of this side
 
     def __init__(self, d: int):
-        if d < 1:
-            raise ValueError("d must be >= 1")
-        self.d = d
+        self.d = _as_int(d, "d", 1)
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.random((count, self.d))
@@ -476,10 +474,7 @@ class LatticeSampler:
     itertools.product(range(q+1), repeat=d)."""
 
     def __init__(self, d: int, q: int, s: float):
-        if d < 2:
-            raise ValueError("d must be >= 2")
-        if q < 1:
-            raise ValueError("q must be >= 1")
+        d, q = _as_int(d, "d", 2), _as_int(q, "q", 1)
         _check_s_range(d, s)
         # a point index is drawn by rng.integers, whose high must fit int64
         if _power_exceeds(q + 1, d, _KEY_LIMIT):
@@ -510,12 +505,7 @@ class CantorSampler:
     side = 1.0  # every draw lies in a cube of this side
 
     def __init__(self, d: int, depth: int = 35):
-        if d < 1:
-            raise ValueError("d must be >= 1")
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
-        self.d = d
-        self.depth = depth
+        self.d, self.depth = _as_int(d, "d", 1), _as_int(depth, "depth", 1)
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         digits = rng.integers(0, 2, size=(count, self.d, self.depth)) * 2.0
@@ -550,8 +540,7 @@ def _sample_chunks(sampler, n_points: int, n_samples: int, seed: int):
     three arrays per call, so its stream does once n_samples passes one
     chunk.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    n_samples = _as_int(n_samples, "n_samples", 1)
     # the Cantor sampler draws `depth` digits per coordinate
     per_tuple = n_points * sampler.d * getattr(sampler, "depth", 1)
     chunk = max(1, _SAMPLE_CHUNK_ENTRIES // per_tuple)
@@ -569,6 +558,7 @@ def sample_framework_tuples(sampler, n_points: int, n_samples: int, seed: int) -
     """n_samples i.i.d. tuples of n_points draws each, shape
     (n_samples, n_points, d); deterministic per seed. The tuples are the
     chunks of the stream that sample_box_dimension measures, concatenated."""
+    n_samples = _as_int(n_samples, "n_samples", 1)
     chunks = _sample_chunks(sampler, n_points, n_samples, seed)
     tuples = np.empty((n_samples, n_points, sampler.d))
     start = 0
@@ -638,6 +628,7 @@ def sample_box_dimension(g: Graph, sampler, n_samples: int, seed: int, scales):
         raise ValueError(f"every scale must be the finest, {finest!r}, times a power of two")
     if not g.n_edges:
         raise ValueError("empty cloud")
+    n_samples = _as_int(n_samples, "n_samples", 1)
     m = g.n_edges
     bound = sampler.side * math.sqrt(sampler.d) * (1 + 2.0 ** -20)
     reach = min(bound / finest, _CELL_REACH)  # the largest |x / finest| admitted

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .graphs import Graph
+from .graphs import Graph, _as_int
 from .linalg import RowSpace, exact_rank_int
 
 Scalar = Union[int, Fraction]
@@ -30,8 +30,7 @@ class Configuration:
     points: tuple[tuple[Scalar, ...], ...]
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 2:
-            raise ValueError(f"ambient dimension must be an integer >= 2, got {self.d!r}")
+        object.__setattr__(self, "d", _as_int(self.d, "d", 2))
         if not self.points:
             raise ValueError("configuration needs at least one point")
         for p in self.points:

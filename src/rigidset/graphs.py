@@ -21,14 +21,19 @@ class GraphFormatError(ValueError):
     """Graph JSON does not match the expected schema."""
 
 
-def _as_int(value, what: str) -> int:
+def _as_int(value, what: str, least: int | None = None) -> int:
     """value as a Python int; numpy ints pass, bools, floats and strings
-    raise ValueError."""
+    raise ValueError, and so does an int below `least`, when it is given.
+    Every integer size the library takes is read through here."""
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            value = operator.index(value)
         except TypeError:
             pass
+        else:
+            if least is not None and value < least:
+                raise ValueError(f"{what} must be >= {least}")
+            return value
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
@@ -241,20 +246,20 @@ def prune_degree_one(g: Graph) -> PruneTrace:
 
 
 def complete_graph(n: int) -> Graph:
-    if n < 2:
+    if (n := _as_int(n, "n")) < 2:
         raise ValueError("complete_graph needs n >= 2")
     return Graph(n, tuple((i, j) for i in range(1, n) for j in range(i + 1, n + 1)))
 
 
 def path_graph(n: int) -> Graph:
-    if n < 2:
+    if (n := _as_int(n, "n")) < 2:
         raise ValueError("path_graph needs n >= 2")
     return Graph(n, tuple((i, i + 1) for i in range(1, n)))
 
 
 def star_graph(n: int) -> Graph:
     """Star with center 1 and leaves 2..n."""
-    if n < 2:
+    if (n := _as_int(n, "n")) < 2:
         raise ValueError("star_graph needs n >= 2")
     return Graph(n, tuple((1, j) for j in range(2, n + 1)))
 

@@ -78,7 +78,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .frameworks import Configuration, _check_counts, rigidity_row
-from .graphs import Graph, make_graph
+from .graphs import Graph, _as_int, make_graph
 from .linalg import RowSpace, _is_prime, exact_rank_int
 from .pebble import PebbleGame
 
@@ -121,11 +121,7 @@ class EdgeBasis:
     seed: int
 
     def to_json(self) -> str:
-        return json.dumps({
-            "edges": [list(e) for e in self.edges],
-            "rank": self.rank,
-            "seed": self.seed,
-        }, sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -140,10 +136,8 @@ class GenericCertificate:
     count, as none can exceed it, so `samples` is the most witnesses drawn
     and the maximum is over all of them. The rank mod p never exceeds the
     rank over Q at the witness, which never exceeds the generic rank r, so
-    this certifies a lower bound on r. agreed_rank < r with probability at
-    most (r/(2^21+1))^samples (each witness by Schwartz-Zippel) plus
-    60 floor(r (22 + log2(2d)/2) / 61) / 2^61 (p dividing one fixed nonzero
-    minor); the module docstring derives both.
+    this certifies a lower bound on r. The module docstring bounds the
+    probability that agreed_rank < r, for `samples` witnesses.
     """
 
     seed: int
@@ -151,17 +145,14 @@ class GenericCertificate:
     agreed_rank: int
 
     def to_json(self) -> str:
-        return json.dumps({
-            "seed": self.seed,
-            "samples": self.samples,
-            "agreed_rank": self.agreed_rank,
-        }, sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
 
 def sample_generic_config(d: int, n_vertices: int, seed: int) -> Configuration:
     """Integer configuration with coordinates uniform in [-2^20, 2^20],
     deterministic per seed. More than MAX_WITNESS_COORDINATES coordinates
     are refused with ValueError before any is drawn."""
+    d, n_vertices = _as_int(d, "d", 2), _as_int(n_vertices, "n_vertices", 1)
     if d * n_vertices > MAX_WITNESS_COORDINATES:
         raise ValueError(
             f"d={d} on {n_vertices} vertices needs {d * n_vertices} witness "
@@ -205,27 +196,18 @@ def _witness_modulus(seed: int) -> int:
             return p
 
 
-def _check_dimension(d) -> None:
-    """Refuse, with ValueError, a d that is not an int of at least 2."""
-    if isinstance(d, bool) or not isinstance(d, int):
-        raise ValueError(f"d must be an integer, got {d!r}")
-    if d < 2:
-        raise ValueError("d must be >= 2")
-
-
 def _engine(d: int, seed: int):
     """Pick the engine of every scan in R^d with this seed, by d alone.
 
-    Every rank call starts here, so d is checked here, by _check_dimension,
-    which is_independent also calls for the empty subset it answers
-    without a rank call. Returns
+    Every rank call starts here, so d is checked here; is_independent also
+    checks it, for the empty subset it answers without a rank call. Returns
     new_space(n, witness_seed), which gives a fresh space on n vertices and
     the witness _scan takes rigidity rows at. In the plane the space is the
     pebble game, fed the edges themselves, and nothing is drawn: the
     witness is None. In d >= 3 it is a RowSpace modulo the seed's prime,
     drawn once here, fed the edges' rows at
     sample_generic_config(d, n, witness_seed)."""
-    _check_dimension(d)
+    d = _as_int(d, "d", 2)
     if d == 2:
         return lambda n, witness_seed: (PebbleGame(n), None)
     modulus = _witness_modulus(seed)
@@ -260,11 +242,10 @@ def generic_rank(g: Graph, d: int, seed: int,
     greedy scan of the graph's edges. Drawing stops at the first witness
     that reaches min(n_edges, required_edge_count(d, n)), since no witness
     can exceed that, so the result is the maximum over all `samples`
-    witnesses and is deterministic per seed. See GenericCertificate for the
+    witnesses and is deterministic per seed. The module docstring gives the
     failure bound.
     """
-    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
-        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    samples = _as_int(samples, "samples", 1)
     new_space = _engine(d, seed)
     rng = random.Random(seed)
     cap = min(g.n_edges, required_edge_count(d, g.n_vertices))
@@ -285,8 +266,7 @@ def required_edge_count(d: int, n_vertices: int) -> int:
     C(n,2) (the complete graph's edge count) for fewer vertices. The two
     formulas agree at n = d+1.
     """
-    if d < 1 or n_vertices < 1:
-        raise ValueError("d and n_vertices must be positive")
+    d, n_vertices = _as_int(d, "d", 1), _as_int(n_vertices, "n_vertices", 1)
     if n_vertices >= d + 1:
         return d * n_vertices - (d + 1) * d // 2
     return n_vertices * (n_vertices - 1) // 2
@@ -304,7 +284,7 @@ def _validated_subset(g: Graph, subset) -> Graph:
 def is_independent(g: Graph, subset, d: int, seed: int) -> bool:
     """Are these edges independent rows of the generic rigidity matrix?"""
     sub = _validated_subset(g, subset)
-    _check_dimension(d)
+    d = _as_int(d, "d", 2)
     if sub.n_edges == 0:
         return True
     rank, _ = generic_rank(sub, d, seed)
@@ -321,9 +301,9 @@ def max_independent_subset(g: Graph, d: int, seed: int) -> EdgeBasis:
     unique. In the plane each edge is decided by the pebble game, so the
     basis is exact. In d >= 3 each is decided at one random integer witness
     by its row's rank mod p; the kept edges are always independent (rows
-    independent mod p are independent over Q), and the size falls short of
-    the generic rank r with probability at most r/(2^21+1) plus
-    60 floor(r (22 + log2(2d)/2) / 61) / 2^61 (see the module docstring).
+    independent mod p are independent over Q), and the module docstring
+    bounds the probability that the size falls short of the generic rank,
+    that of one witness.
     """
     space, x = _engine(d, seed)(g.n_vertices, seed)
     kept = _scan(space, g.edges, x, required_edge_count(d, g.n_vertices))
@@ -358,6 +338,7 @@ def is_generically_rigid(g: Graph, d: int, seed: int) -> bool:
 def is_minimally_rigid(g: Graph, d: int, seed: int) -> bool:
     """Generically rigid with exactly the required edge count, i.e. rigid
     with an independent edge set."""
+    d = _as_int(d, "d", 2)  # checked before the count, which takes d = 1
     return (g.n_edges == required_edge_count(d, g.n_vertices)
             and is_generically_rigid(g, d, seed))
 
@@ -377,9 +358,9 @@ def minimal_rigid_completion(g: Graph, d: int, seed: int) -> Graph:
     edges are independent mod p, hence over Q at the witness, hence
     generically. Independent input edges extend to a generic basis of r
     edges, so the witness and p fail on them (a spurious
-    DependentEdgeSetError or the RuntimeError below) with probability at
-    most r/(2^21+1) + 60 floor(r (22 + log2(2d)/2) / 61) / 2^61 (see the
-    module docstring).
+    DependentEdgeSetError or the RuntimeError below) with at most the
+    one-witness probability that the module docstring bounds, with r the
+    required edge count.
     """
     n = g.n_vertices
     space, x = _engine(d, seed)(n, seed)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, _component_counts, _prune_graph
+from .graphs import Graph, _as_int, _component_counts, _prune_graph
 from .rigidity import max_independent_subset, required_edge_count
 
 SMALL_REGIME_NOTE = (
@@ -29,10 +29,7 @@ SMALL_REGIME_NOTE = (
 
 def sufficient_threshold(d: int, n_vertices: int) -> Fraction:
     """d - 1/(k+1) for a graph on n_vertices = k+1 vertices."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if n_vertices < 2:
-        raise ValueError("n_vertices must be >= 2")
+    d, n_vertices = _as_int(d, "d", 2), _as_int(n_vertices, "n_vertices", 2)
     return Fraction(d) - Fraction(1, n_vertices)
 
 
@@ -46,19 +43,14 @@ def pruned_threshold(g: Graph, d: int) -> Fraction:
 
     Equals sufficient_threshold exactly when nothing can be pruned.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    d = _as_int(d, "d", 2)
     removed, _ = _prune_graph(g)
     return _pruned(d, g.n_vertices, len(removed))
 
 
 def necessary_exponent(d: int, n_vertices: int) -> Fraction:
     """d - C(d,2)/k; below this the positive-measure conclusion can fail."""
-    k = n_vertices - 1
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if k < 1:
-        raise ValueError("n_vertices must be >= 2")
+    d, k = _as_int(d, "d", 2), _as_int(n_vertices, "n_vertices", 2) - 1
     return Fraction(d) - Fraction(d * (d - 1) // 2, k)
 
 
@@ -68,11 +60,7 @@ def natural_measure_exponent(d: int, n_vertices: int) -> Fraction:
     d=2: 4k/(2k+1); d=3 with k in {1,2}: (12k-1)/(4k+2); d>3 with k=1:
     d/2 + 1/3; otherwise (4kd-1)/(4k+1).
     """
-    k = n_vertices - 1
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if k < 1:
-        raise ValueError("n_vertices must be >= 2")
+    d, k = _as_int(d, "d", 2), _as_int(n_vertices, "n_vertices", 2) - 1
     if d == 2:
         return Fraction(4 * k, 2 * k + 1)
     if d == 3 and k in (1, 2):
@@ -88,7 +76,7 @@ def small_regime_threshold(d: int, n_vertices: int) -> Fraction:
     With at most d+1 vertices the only rigid graph worth studying is the
     complete graph, and its threshold improves on d - 1/(k+1).
     """
-    k = n_vertices - 1
+    d, k = _as_int(d, "d", 2), _as_int(n_vertices, "n_vertices") - 1
     if not 1 <= k <= d:
         raise ValueError("small regime needs 1 <= n_vertices - 1 <= d")
     return Fraction(d * k + 1, k + 1)
@@ -150,9 +138,9 @@ def _report_for(n: int, m: int, d: int, rank: int, removals: int | None, formula
                 components=(), vertices=None) -> ThresholdReport:
     """The report of a graph on n vertices and m edges, of generic rank
     `rank`, whose degree-1 pruning makes `removals` removals (None where
-    pruning is undefined). The five threshold values depend on (n,
-    removals) alone; formulas, one dict per analyze call, keeps them so
-    each pair is computed once."""
+    pruning is undefined). The five threshold values and the required edge
+    count depend on (n, removals) alone; formulas, one dict per analyze
+    call, keeps them so each pair is computed once."""
     key = (n, removals)
     values = formulas.get(key)
     if values is None:
@@ -163,9 +151,9 @@ def _report_for(n: int, m: int, d: int, rank: int, removals: int | None, formula
             necessary_exponent(d, n) if n >= 2 else None,
             natural_measure_exponent(d, n) if n >= 2 else None,
             small_regime_threshold(d, n) if 1 <= k <= d else None,
+            required_edge_count(d, n),
         )
-    sufficient, pruned, necessary, natural, small = values
-    maximal = required_edge_count(d, n)
+    sufficient, pruned, necessary, natural, small, maximal = values
     rigid = rank == maximal
     return ThresholdReport(
         d=d,
@@ -188,12 +176,13 @@ def _report_for(n: int, m: int, d: int, rank: int, removals: int | None, formula
 def predicted_distance_set_dimension(g: Graph, d: int, seed: int) -> int:
     """Predicted dimension of the generic distance set.
 
-    The size of a maximum independent edge subset, summed over connected
-    components; the distance set of a disconnected graph is a product over
-    its components, so dimensions add. This is the same number `analyze`
-    reports, from the same basis.
+    The size of max_independent_subset(g, d, seed), the greedy basis of the
+    whole graph, which is the sum of its components' ranks; the distance
+    set of a disconnected graph is a product over its components, so
+    dimensions add. This is the same number `analyze` reports, from the
+    same basis.
     """
-    return analyze(g, d, seed).predicted_distance_set_dimension
+    return max_independent_subset(g, d, seed).rank
 
 
 def analyze(g: Graph, d: int, seed: int) -> ThresholdReport:
@@ -220,6 +209,7 @@ def analyze(g: Graph, d: int, seed: int) -> ThresholdReport:
     single-vertex component leaves it undefined (None). The threshold
     formulas are computed once per distinct (component size, removals).
     """
+    d = _as_int(d, "d", 2)
     basis = max_independent_subset(g, d, seed)
     members, edge_counts, ranks, removals = _component_counts(g, basis.edges)
     formulas: dict = {}
