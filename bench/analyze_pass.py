@@ -13,7 +13,10 @@ For each input a child times, after one warm-up call, REPEATS runs of each
 stage of `analyze` in d = 2 with seed 1: load (graph_from_json of the file's
 text), analyze, and emit (the report's JSON as the CLI writes it). The CLI
 time is the wall time of `python3 -m rigidset.cli analyze FILE --seed 1` on
-each forest, interpreter start and import included. The trees take turns
+each forest, interpreter start and import included. Every child, of either
+kind and of sample_pass.py, runs with TREE/src on PYTHONPATH and
+PYTHONDONTWRITEBYTECODE=1, so none writes a bytecode cache into a tree for
+a later child to read. The trees take turns
 within every one of ROUNDS rounds, the first tree changing each round, so
 a drift of the machine falls on all of them. Each figure is the median and
 quartiles of all its samples; the record also names each tree's commit and
@@ -55,6 +58,12 @@ def _write_inputs(workdir: str) -> dict:
         with open(paths[name], "w", encoding="utf-8") as fh:
             json.dump(obj, fh)
     return paths
+
+
+def _child_env(src: str) -> dict:
+    """The environment of every child: src on PYTHONPATH, and no bytecode
+    cache written, so that no child leaves one for a later child to read."""
+    return dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
 
 
 def child(src: str, paths: dict) -> dict:
@@ -110,12 +119,18 @@ def _tree_id(tree: str) -> dict:
     return {"commit": commit, "src_dirty": dirty, "src_sha1": digest.hexdigest()}
 
 
-def _cli_wall(src: str, path: str) -> float:
-    env = dict(os.environ, PYTHONPATH=src)
+def _run(src: str, args: tuple) -> dict:
+    """Wall seconds, peak RSS in MB, minor page faults and system CPU
+    seconds of one CLI call."""
     start = time.perf_counter()
-    subprocess.run([sys.executable, "-m", "rigidset.cli", "analyze", path, "--seed", "1"],
-                   env=env, stdout=subprocess.DEVNULL, check=True)
-    return time.perf_counter() - start
+    proc = subprocess.Popen([sys.executable, "-m", "rigidset.cli", *args],
+                            env=_child_env(src), stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    if status:
+        raise RuntimeError(f"{' '.join(args)} failed in {src} (status {status})")
+    return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0,
+            "minor_faults": usage.ru_minflt, "sys_s": usage.ru_stime}
 
 
 def header(harness: str) -> dict:
@@ -141,13 +156,13 @@ def measure(trees: dict) -> dict:
                 src = os.path.join(trees[label], "src")
                 res = subprocess.run(
                     [sys.executable, __file__, "--child", src, json.dumps(paths)],
-                    capture_output=True, text=True, check=True)
+                    env=_child_env(src), capture_output=True, text=True, check=True)
                 for name, stages in json.loads(res.stdout).items():
                     for stage, values in stages.items():
                         samples[label].setdefault(name, {}).setdefault(stage, []).extend(values)
                 for name in forests:
                     samples[label].setdefault(name, {}).setdefault("cli_analyze_s", []).append(
-                        _cli_wall(src, paths[name]))
+                        _run(src, ("analyze", paths[name], "--seed", "1"))["wall_s"])
         sizes = {}
         for name, path in paths.items():
             with open(path, encoding="utf-8") as fh:

@@ -4,13 +4,15 @@ sample` and `rigidset lattice`, for one or more source trees.
     python3 bench/sample_pass.py --tree before=/path/to/parent --tree after=. \\
         > BENCH.json
 
-Each call is `python3 -m rigidset.cli ...` in a fresh child with TREE/src on
-PYTHONPATH and PYTHONDONTWRITEBYTECODE=1, as in perfbench, so no child
-writes a bytecode cache that a later one reads; on trees whose src holds no
-__pycache__, such as fresh checkouts, every child compiles the package. Its
-wall time runs from the start of the child to its exit, interpreter start
-and import included; its peak RSS (ru_maxrss), minor page faults
-(ru_minflt) and system CPU seconds (ru_stime) come from the same os.wait4.
+Each call is `python3 -m rigidset.cli ...` in a fresh child, started by
+analyze_pass._run with the environment of every analyze_pass.py child:
+TREE/src on PYTHONPATH and PYTHONDONTWRITEBYTECODE=1, as in perfbench, so
+no child writes a bytecode cache that a later one reads; on trees whose src
+holds no __pycache__, such as fresh checkouts, every child compiles the
+package. Its wall time runs from the start of the child to its exit,
+interpreter start and import included; its peak RSS (ru_maxrss), minor
+page faults (ru_minflt) and system CPU seconds (ru_stime) come from the
+same os.wait4.
 The calls are `sample k4 --scales 1,2,3,4 --seed 1` at n = 10^6, 2*10^6
 and 3*10^6 (the largest the sample size guard admits for k4), and
 `sample k3 --n 300000 --scales 2,3,4,5,6 --seed 1`,
@@ -37,11 +39,9 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
 import sys
-import time
 
-from analyze_pass import _summary, _tree_id, header, tree_parser, trees_of
+from analyze_pass import _run, _summary, _tree_id, header, tree_parser, trees_of
 
 CALLS = {
     "k4-1e6": ("sample", "k4", "--n", "1000000", "--scales", "1,2,3,4", "--seed", "1"),
@@ -68,21 +68,6 @@ CALLS = {
                        "--n", "1000000", "--seed", "1"),
 }
 ROUNDS = 7
-
-
-def _run(src: str, args: tuple) -> dict:
-    """Wall seconds, peak RSS in MB, minor page faults and system CPU
-    seconds of one CLI call."""
-    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
-    start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "rigidset.cli", *args],
-                            env=env, stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - start
-    if status:
-        raise RuntimeError(f"{' '.join(args)} failed in {src} (status {status})")
-    return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0,
-            "minor_faults": usage.ru_minflt, "sys_s": usage.ru_stime}
 
 
 def measure(trees: dict) -> dict:

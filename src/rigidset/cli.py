@@ -8,17 +8,12 @@ a run manifest is written next to any requested output file.
 
 Exit codes: 0 success, 2 unreadable input, 3 invalid parameter (among them
 a --d below 2, a --d of 3 or more whose witness, d times the vertex count,
-would exceed rigidity.MAX_WITNESS_COORDINATES coordinates, and a sample
-whose arrays, counted as if held whole, would exceed
-experiments.SAMPLE_ENTRY_LIMIT entries), 4 dependent input edges, 5
-enumeration guard tripped.
-
-sample draws, measures and box-counts its tuples one chunk at a time
-(experiments.sample_box_dimension). It holds one collector of cells at
-the finest scale, whose prefixes are the cells at the coarser scales:
-the distinct cells, or one row per tuple where the finest grid has as
-many cells as tuples, never the tuples or the distance cloud. The entry
-guard keeps its boundary but no longer bounds memory.
+would exceed rigidity.MAX_WITNESS_COORDINATES coordinates, and a sample of
+n tuples whose n * (vertices * d coordinates, times --depth digits for the
+cantor sampler, plus edges) array entries exceed
+experiments.SAMPLE_ENTRY_LIMIT, which sample_box_dimension refuses before
+any draw; the runs measured at that edge peak at 70 to 290 MB), 4
+dependent input edges, 5 enumeration guard tripped.
 """
 
 from __future__ import annotations
@@ -34,7 +29,6 @@ from .experiments import (
     LatticeSampler,
     UnitCubeSampler,
     check_enumeration,
-    check_sample_size,
     congruence_class_counts,
     hausdorff_content_bound,
     sample_box_dimension,
@@ -70,17 +64,20 @@ def _load_graph(source: str) -> Graph:
     return graph_from_json(text)
 
 
-def _emit(args, text: str, command: str, parameters: dict, graph: Graph | None = None,
-          file_text: str | None = None):
+def _emit(args, text: str, graph: Graph | None = None, file_text: str | None = None):
     """Print text; with --output, also write it (or file_text) and its
     manifest, which says what produced the file: rerunning the same
     command, parameters and seed with the same tool version reproduces
-    the bytes. The manifest hashes the input graph when there is one."""
+    the bytes. The parameters are every parsed option but the seed and
+    the output, with the lists a command parsed in place of their strings.
+    The manifest hashes the input graph when there is one."""
     sys.stdout.write(text)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text if file_text is None else file_text)
-        manifest = {"command": command, "parameters": parameters,
+        parameters = {name: value for name, value in vars(args).items()
+                      if name not in ("command", "func", "seed", "output")}
+        manifest = {"command": args.command, "parameters": parameters,
                     "seed": getattr(args, "seed", None), "version": __version__,
                     "outputs": [args.output]}
         if graph is not None:
@@ -123,14 +120,14 @@ def cmd_analyze(args) -> None:
     report = analyze(g, args.d, args.seed)
     doc = json.dumps(report.to_json_obj(), indent=2, sort_keys=True) + "\n"
     text = _report_table(args.graph, report) + "\n" + doc
-    _emit(args, text, "analyze", {"graph": args.graph, "d": args.d}, g, file_text=doc)
+    _emit(args, text, g, file_text=doc)
 
 
 def cmd_complete(args) -> None:
     g = _load_graph(args.graph)
     completion = minimal_rigid_completion(g, args.d, args.seed)
     text = graph_to_json(completion) + "\n"
-    _emit(args, text, "complete", {"graph": args.graph, "d": args.d}, g)
+    _emit(args, text, g)
 
 
 def _parse_int_list(raw: str, flag: str) -> list[int]:
@@ -144,7 +141,7 @@ def _parse_int_list(raw: str, flag: str) -> list[int]:
 
 
 def cmd_lattice(args) -> None:
-    qs = _parse_int_list(args.q_list, "--q-list")
+    qs = args.q_list = _parse_int_list(args.q_list, "--q-list")
     if args.k < 1:
         raise ValueError("--k must be >= 1")
     # content bounds first: validates the s range before any enumeration
@@ -160,9 +157,7 @@ def cmd_lattice(args) -> None:
         unlabeled, labeled = congruence_class_counts(args.d, q, args.k)
         bound = (2 * q + 1) ** (args.d * args.k)
         lines.append(f"{q},{unlabeled},{labeled},{bound},{contents.get(q, '')}")
-    text = "\n".join(lines) + "\n"
-    params = {"d": args.d, "q_list": qs, "k": args.k, "s": args.s}
-    _emit(args, text, "lattice", params)
+    _emit(args, "\n".join(lines) + "\n")
 
 
 def _build_sampler(args):
@@ -179,14 +174,14 @@ def cmd_sample(args) -> None:
     g = _load_graph(args.graph)
     if not g.n_edges:
         raise ValueError(f"graph {args.graph!r} has no edges, so it has no distances to sample")
-    exponents = _parse_int_list(args.scales, "--scales")
+    exponents = args.scales = _parse_int_list(args.scales, "--scales")
     if args.n < 1:
         raise ValueError("--n must be >= 1")
     if args.seed < 0:
         raise ValueError("--seed must be >= 0 for sample")
-    check_sample_size(g, args.d, args.n, args.depth if args.sampler == "cantor" else 1)
     sampler = _build_sampler(args)
-    # a scale list that fits no slope is refused before any draw
+    # a sample over the entry guard and a scale list that fits no slope are
+    # refused before any draw
     estimate, max_residual, degenerate = sample_box_dimension(
         g, sampler, args.n, args.seed, [2.0 ** -e for e in exponents])
     lines = [
@@ -202,18 +197,7 @@ def cmd_sample(args) -> None:
     lines.append("eps,count")
     for eps, count in zip(estimate.scales, estimate.counts):
         lines.append(f"{repr(eps)},{count}")
-    text = "\n".join(lines) + "\n"
-    params = {
-        "graph": args.graph,
-        "d": args.d,
-        "sampler": args.sampler,
-        "n": args.n,
-        "scales": exponents,
-        "q": args.q,
-        "s": args.s,
-        "depth": args.depth,
-    }
-    _emit(args, text, "sample", params, g)
+    _emit(args, "\n".join(lines) + "\n", g)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from collections import Counter
 
+from .graphs import _as_int
+
 
 class PebbleGame:
     """The (2,3)-pebble game with rigid components on vertices 1..n
@@ -28,6 +30,7 @@ class PebbleGame:
     """
 
     def __init__(self, n_vertices: int):
+        n_vertices = _as_int(n_vertices, "n_vertices", 1)
         self.rank = 0
         self._out: list[list[int]] = [[] for _ in range(n_vertices + 1)]
         self._in: list[set[int]] = [set() for _ in range(n_vertices + 1)]

@@ -108,23 +108,10 @@ class ThresholdReport:
     vertices: tuple[int, ...] | None = None
 
     def to_json_obj(self) -> dict:
-        def frac(v):
-            return None if v is None else str(v)
-
-        obj = {
-            "d": self.d,
-            "n_vertices": self.n_vertices,
-            "n_edges": self.n_edges,
-            "generic_rank": self.generic_rank,
-            "predicted_distance_set_dimension": self.predicted_distance_set_dimension,
-            "sufficient_threshold": frac(self.sufficient_threshold),
-            "pruned_threshold": frac(self.pruned_threshold),
-            "necessary_exponent": frac(self.necessary_exponent),
-            "natural_measure_exponent": frac(self.natural_measure_exponent),
-            "small_regime_threshold": frac(self.small_regime_threshold),
-            "is_generically_rigid": self.is_generically_rigid,
-            "is_minimally_rigid": self.is_minimally_rigid,
-        }
+        # every field, each Fraction as its str (a type test: isinstance goes
+        # through ABCMeta), but components and vertices, which follow
+        obj = {name: str(v) if type(v) is Fraction else v for name, v in vars(self).items()}
+        del obj["components"], obj["vertices"]
         if self.small_regime_threshold is not None:
             obj["small_regime_note"] = SMALL_REGIME_NOTE
         if self.vertices is not None:

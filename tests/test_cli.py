@@ -464,6 +464,37 @@ class TestSample:
         assert not path.exists()
 
 
+class TestManifestParameters:
+    """The manifest of every command names the options it parsed, with
+    the lists in place of their strings, and nothing else but the seed."""
+
+    @pytest.mark.parametrize("argv, seed, parameters", [
+        (("complete", "path-6", "--d", "3", "--seed", "3"), 3, {"graph": "path-6", "d": 3}),
+        (("lattice", "--d", "2", "--k", "2", "--q-list", "2,4", "--s", "1.5"), None,
+         {"d": 2, "q_list": [2, 4], "k": 2, "s": 1.5}),
+        (("lattice", "--q-list", "1,2"), None, {"d": 2, "q_list": [1, 2], "k": 1, "s": None}),
+        (("sample", "k4", "--n", "2000", "--seed", "21"), 21,
+         {"graph": "k4", "d": 2, "sampler": "cube", "n": 2000, "scales": [3, 4, 5, 6, 7],
+          "q": None, "s": None, "depth": 35}),
+        (("sample", "k3", "--sampler", "lattice", "--q", "4", "--s", "1.5", "--n", "500",
+          "--seed", "2", "--scales", "2,3"), 2,
+         {"graph": "k3", "d": 2, "sampler": "lattice", "n": 500, "scales": [2, 3],
+          "q": 4, "s": 1.5, "depth": 35}),
+        (("sample", "k2", "--sampler", "cantor", "--d", "1", "--depth", "5", "--n", "500",
+          "--seed", "2", "--scales", "2,3"), 2,
+         {"graph": "k2", "d": 1, "sampler": "cantor", "n": 500, "scales": [2, 3],
+          "q": None, "s": None, "depth": 5}),
+    ])
+    def test_parameters(self, capsys, tmp_path, argv, seed, parameters):
+        path = tmp_path / "out.txt"
+        code, _, _ = run(capsys, *argv, "--output", str(path))
+        assert code == 0
+        manifest = json.loads((tmp_path / "out.txt.manifest.json").read_text())
+        assert manifest["command"] == argv[0]
+        assert manifest["seed"] == seed
+        assert manifest["parameters"] == parameters
+
+
 class TestDeterminism:
     def test_analyze_stdout_identical(self, capsys):
         _, first, _ = run(capsys, "analyze", "double-banana", "--d", "3", "--seed", "9")

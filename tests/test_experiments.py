@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -813,6 +814,27 @@ class TestSampling:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             distance_images(complete_graph(3), np.zeros((4, 2, 2)))
+
+    @pytest.mark.parametrize("sampler, entries", [
+        # k2: per tuple 2 points of d coordinates (times the depth's digits
+        # for the Cantor sampler) plus 1 distance, 10 tuples
+        (UnitCubeSampler(2), 50),
+        (CantorSampler(1, depth=3), 70),
+    ])
+    def test_entry_guard_refuses_before_drawing(self, monkeypatch, sampler, entries):
+        g, scales = complete_graph(2), [0.5, 0.25]
+        monkeypatch.setattr(experiments, "SAMPLE_ENTRY_LIMIT", entries)
+        sample_box_dimension(g, sampler, 10, 1, scales)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("tuples drawn for a refused sample")
+
+        monkeypatch.setattr(experiments, "SAMPLE_ENTRY_LIMIT", entries - 1)
+        monkeypatch.setattr(experiments, "_sample_chunks", no_draw)
+        message = (f"10 samples of 2 points in R^{sampler.d} need {entries} array entries; "
+                   f"at most {entries - 1} are supported")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_box_dimension(g, sampler, 10, 1, scales)
 
     @settings(max_examples=200, deadline=None)
     @given(framework_tuples())

@@ -25,6 +25,7 @@ from rigidset.experiments import (
 )
 from rigidset.frameworks import Configuration
 from rigidset.graphs import Graph, complete_graph, path_graph, star_graph
+from rigidset.pebble import PebbleGame
 from rigidset.rigidity import (
     generic_rank,
     is_generically_rigid,
@@ -102,6 +103,7 @@ ENTRIES = [
      lambda v: sample_box_dimension(K3, UnitCubeSampler(2), v, 1, [0.5, 0.25]),
      "n_samples", 1, 10, None),
     ("Configuration-d", lambda v: Configuration(v, ((0, 0),)), "d", 2, 2, None),
+    ("PebbleGame-n_vertices", lambda v: PebbleGame(v).add((1, 2)), "n_vertices", 1, 2, None),
     ("Graph-n_vertices", lambda v: Graph(v, ()), "n_vertices", 1, 2,
      "n_vertices must be a positive integer, got 0"),
     ("complete_graph-n", lambda v: complete_graph(v), "n", 2, 3, "complete_graph needs n >= 2"),
