@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +23,6 @@ ENUMERATION_LIMIT = 10 ** 8
 # and `sample k4 --n 3571428 --scales 1,20,40,60 --seed 1`, whose rows take
 # several words, 2.8 s and 285.5 MB.
 SAMPLE_ENTRY_LIMIT = 5 * 10 ** 7
-# log of the largest float, less a margin for the rounding of logarithms
-_LOG_FLOAT_MAX = math.log(sys.float_info.max) - 1e-9
 
 
 class EnumerationLimitError(ValueError):
@@ -268,13 +265,14 @@ def euler_t24(t12: float, t13: float, t14: float, t23: float, t34: float,
     `convex` selects the branch: True means vertices 2 and 4 lie on opposite
     sides of the line through 1 and 3, which holds for any convex
     quadrilateral traversed 1,2,3,4; False selects the same-side (reflex)
-    layout, flipping the sign to cos(theta + psi). The five lengths must form
-    two nondegenerate triangles {t12, t13, t23} and {t13, t34, t14}.
+    layout, flipping the sign to cos(theta + psi). The five lengths must be
+    finite and form two nondegenerate triangles {t12, t13, t23} and
+    {t13, t34, t14}.
     """
     for name, val in (("t12", t12), ("t13", t13), ("t14", t14),
                       ("t23", t23), ("t34", t34)):
-        if not val > 0:
-            raise ValueError(f"{name} must be positive, got {val!r}")
+        if not 0 < val < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {val!r}")
     cos_theta = (t12 * t12 + t13 * t13 - t23 * t23) / (2 * t12 * t13)
     cos_psi = (t13 * t13 + t34 * t34 - t14 * t14) / (2 * t13 * t34)
     if abs(cos_theta) >= 1 or abs(cos_psi) >= 1:
@@ -346,15 +344,11 @@ def _k4_residuals(pts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def _power_exceeds(base: int, exponent: int, limit: int) -> bool:
-    """Whether base^exponent > limit, for base >= 2, without building the
-    power: multiply by base at most `exponent` times and stop once the
-    product passes limit, which takes at most log2(limit) + 1 steps."""
-    product = 1
-    for _ in range(exponent):
-        product *= base
-        if product > limit:
-            return True
-    return False
+    """Whether base^exponent > limit, for ints base, exponent >= 1 and
+    limit >= 0, without building a power of more bits than limit has: a
+    base of at most limit is 1, whose powers are 1, or at least 2, whose
+    power 2^limit.bit_length() already exceeds limit."""
+    return base > limit or base ** min(exponent, limit.bit_length()) > limit
 
 
 def check_enumeration(d: int, q: int, k: int) -> tuple[int, int, int]:
@@ -442,15 +436,15 @@ def hausdorff_content_bound(d: int, q: int, k: int, s: float) -> float:
     d, q, k = _as_int(d, "d", 2), _as_int(q, "q", 1), _as_int(k, "k", 1)
     _check_s_range(d, s)
     exponent = d * k - (d / s) * (d * k - d * (d - 1) / 2)
-    # decided on logarithms, so that neither float(q) nor the power is
-    # attempted out of range
-    log_q = math.log(q)
-    if log_q > _LOG_FLOAT_MAX:
-        raise ValueError("q is beyond the float range of the content bound")
-    if exponent * log_q > _LOG_FLOAT_MAX:
+    try:
+        base = float(q)
+    except OverflowError:
+        raise ValueError("q is beyond the float range of the content bound") from None
+    try:
+        return base ** exponent
+    except OverflowError:
         raise ValueError(f"content bound q^{exponent:.6g} at q={q:.6g} "
-                         f"is beyond the float range")
-    return float(q) ** exponent
+                         f"is beyond the float range") from None
 
 
 class UnitCubeSampler:
@@ -527,31 +521,25 @@ def _sample_chunks(sampler, n_points: int, n_samples: int, seed: int):
     Cantor sampler one integer per digit, in the order of the tuples, so
     their streams do not depend on the chunking. The lattice sampler draws
     three arrays per call, so its stream does once n_samples passes one
-    chunk.
+    chunk. The callers read n_points and n_samples as ints >= 1.
     """
-    n_samples = _as_int(n_samples, "n_samples", 1)
     # the Cantor sampler draws `depth` digits per coordinate
     per_tuple = n_points * sampler.d * getattr(sampler, "depth", 1)
     chunk = max(1, _SAMPLE_CHUNK_ENTRIES // per_tuple)
     rng = np.random.default_rng(seed)
-
-    def draws():
-        for start in range(0, n_samples, chunk):
-            count = min(chunk, n_samples - start)
-            yield sampler.draw(rng, count * n_points).reshape(count, n_points, -1)
-
-    return draws()
+    for start in range(0, n_samples, chunk):
+        count = min(chunk, n_samples - start)
+        yield sampler.draw(rng, count * n_points).reshape(count, n_points, -1)
 
 
 def sample_framework_tuples(sampler, n_points: int, n_samples: int, seed: int) -> np.ndarray:
     """n_samples i.i.d. tuples of n_points draws each, shape
     (n_samples, n_points, d); deterministic per seed. The tuples are the
     chunks of the stream that sample_box_dimension measures, concatenated."""
-    n_samples = _as_int(n_samples, "n_samples", 1)
-    chunks = _sample_chunks(sampler, n_points, n_samples, seed)
+    n_points, n_samples = _as_int(n_points, "n_points", 1), _as_int(n_samples, "n_samples", 1)
     tuples = np.empty((n_samples, n_points, sampler.d))
     start = 0
-    for pts in chunks:
+    for pts in _sample_chunks(sampler, n_points, n_samples, seed):
         tuples[start:start + len(pts)] = pts
         start += len(pts)
     return tuples
@@ -750,10 +738,12 @@ class CoveringEstimate:
 
 def check_scales(scales) -> tuple[float, ...]:
     """The scales as a tuple of floats; ValueError unless every one is
-    positive and at least two of them are distinct, the fewest a slope can
-    be fitted to."""
+    positive and finite and at least two of them are distinct, the fewest
+    a slope can be fitted to."""
     scales = tuple(float(e) for e in scales)
     for eps in scales:
+        if not math.isfinite(eps):
+            raise ValueError(f"scale {eps!r} is not finite")
         if not eps > 0:
             raise ValueError(f"scale {eps!r} is not positive "
                              f"(2^-e underflows to 0.0 for every e >= 1075)")

@@ -45,14 +45,13 @@ class Configuration:
         return len(self.points)
 
 
-def make_config(points, d: int | None = None) -> Configuration:
-    """Build a Configuration from any nested sequence of coordinates."""
+def make_config(points) -> Configuration:
+    """Build a Configuration from any nested sequence of coordinates; its
+    dimension is the first point's length."""
     pts = tuple(tuple(p) for p in points)
-    if d is None:
-        if not pts:
-            raise ValueError("configuration needs at least one point")
-        d = len(pts[0])
-    return Configuration(d, pts)
+    if not pts:
+        raise ValueError("configuration needs at least one point")
+    return Configuration(len(pts[0]), pts)
 
 
 def _check_counts(g: Graph, x: Configuration):

@@ -283,6 +283,16 @@ class TestLattice:
         assert code == 3
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("lattice", "--k", "0"), "--k must be >= 1"),
+    (("lattice", "--q-list", "0"), "--q-list expects positive integers, got '0'"),
+    (("sample", "k4", "--seed", "1", "--scales", "0,1"),
+     "--scales expects positive integers, got '0,1'"),
+])
+def test_nonpositive_flag_refused(capsys, argv, message):
+    assert run(capsys, *argv) == (3, "", f"error: {message}\n")
+
+
 class TestSample:
     def test_k2_cube(self, capsys):
         code, out, _ = run(capsys, "sample", "k2", "--n", "2000", "--seed", "11")

@@ -363,6 +363,18 @@ class TestEulerT24:
         with pytest.raises(ValueError, match="positive"):
             euler_t24(1, 1, 1, -2, 1)
 
+    @pytest.mark.parametrize("lengths, name", [((math.inf, 1, 1, 1, 1), "t12"),
+                                               ((1, 1, 1, 1, math.inf), "t34")])
+    def test_infinite_rejected(self, lengths, name):
+        # the identity's angles are undefined at an infinite length
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got inf$"):
+            euler_t24(*lengths)
+
+    def test_rounding_below_zero_clamped(self):
+        # vertex 4 on vertex 2 of the reflex layout: the square comes out
+        # as -2^-52, inside the tolerance, and the distance as exactly 0.0
+        assert euler_t24(1, 2, 1, 2, 2, convex=False) == 0.0
+
 
 class TestK4Residuals:
     def test_random_tuples_lie_on_hypersurface(self):
@@ -919,6 +931,15 @@ class TestChunkedSample:
     def test_bad_count_refused_before_drawing(self):
         with pytest.raises(ValueError, match="n_samples must be >= 1"):
             sample_box_dimension(complete_graph(2), UnitCubeSampler(2), 0, 1, [0.5, 0.25])
+
+    def test_infinite_scale_refused_before_drawing(self, monkeypatch):
+        # refused by check_scales, before the power-of-two test or any draw
+        def no_draw(*args, **kwargs):
+            raise AssertionError("tuples drawn for an infinite scale")
+
+        monkeypatch.setattr(experiments, "_sample_chunks", no_draw)
+        with pytest.raises(ValueError, match="^scale inf is not finite$"):
+            sample_box_dimension(complete_graph(2), UnitCubeSampler(1), 10, 1, [math.inf, 0.5])
 
     def test_lattice_equal_up_to_one_chunk(self):
         # K4 in the plane draws 8 entries per tuple: 5000 tuples are one chunk
@@ -1563,6 +1584,12 @@ class TestBoxDimension:
         for scales in ([0.5, 2.0 ** -1100], [2.0 ** -1080, 2.0 ** -1100], [0.5, -0.25]):
             with pytest.raises(ValueError, match="is not positive"):
                 fit_box_dimension(np.array([1.0, 2.0]), scales)
+
+    def test_infinite_scale_refused(self, capfd):
+        # refused before any count or fit: LAPACK writes to stderr on an infinite scale
+        with pytest.raises(ValueError, match="^scale inf is not finite$"):
+            fit_box_dimension(np.array([0.1, 0.9]), [math.inf, 0.5])
+        assert capfd.readouterr().err == ""
 
     def test_estimate_fields(self):
         est = fit_box_dimension(np.array([0.1, 0.9]), [0.5, 0.25])

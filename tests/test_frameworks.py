@@ -130,6 +130,10 @@ class TestConfiguration:
         x = make_config([(1, 2, 3), (4, 5, 6)])
         assert x.d == 3 and x.n_points == 2
 
+    def test_make_config_refuses_no_points(self):
+        with pytest.raises(ValueError, match="^configuration needs at least one point$"):
+            make_config([])
+
 
 class TestDistanceMaps:
     def test_k2_squared(self):

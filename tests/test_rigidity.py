@@ -509,7 +509,7 @@ class TestAgainstDenseRoute:
                                st.fractions(-2, 2, max_denominator=3))
         points = data.draw(st.lists(st.lists(coordinate, min_size=d, max_size=d),
                                     min_size=g.n_vertices, max_size=g.n_vertices))
-        x = make_config(points, d)
+        x = make_config(points)
         assert is_framework_inf_rigid(g, x) == oracles.reference_inf_rigid(g, x)
 
     @pytest.mark.parametrize("points", [

@@ -97,6 +97,8 @@ ENTRIES = [
     ("LatticeSampler-q", lambda v: LatticeSampler(2, v, 1.5), "q", 1, 3, None),
     ("CantorSampler-d", lambda v: CantorSampler(v), "d", 1, 2, None),
     ("CantorSampler-depth", lambda v: CantorSampler(2, depth=v), "depth", 1, 5, None),
+    ("sample_framework_tuples-n_points",
+     lambda v: sample_framework_tuples(UnitCubeSampler(2), v, 10, 1), "n_points", 1, 3, None),
     ("sample_framework_tuples-n_samples",
      lambda v: sample_framework_tuples(UnitCubeSampler(2), 3, v, 1), "n_samples", 1, 10, None),
     ("sample_box_dimension-n_samples",
