@@ -286,13 +286,10 @@ def euler_t24(t12: float, t13: float, t14: float, t23: float, t34: float,
     else:
         cos_gap = cos_theta * cos_psi - sin_theta * sin_psi
     square = t23 * t23 + t14 * t14 - t13 * t13 + 2 * t12 * t34 * cos_gap
-    if square < 0:
-        # tolerate rounding at a genuine zero, reject anything worse
-        if square > -1e-12 * (t13 * t13 + t14 * t14 + t23 * t23):
-            square = 0.0
-        else:
-            raise ValueError("lengths are not realizable in the plane")
-    return math.sqrt(square)
+    # the two triangles glue along t13 in the plane, so the exact square is
+    # t24^2 >= 0; rounding leaves an error of order machine epsilon times
+    # t13^2 + t14^2 + t23^2 (1/t12 and 1/sin theta cancel), and only that
+    return math.sqrt(max(square, 0.0))
 
 
 def k4_euler_residuals(tuples) -> np.ndarray:
@@ -593,8 +590,8 @@ def sample_box_dimension(g: Graph, sampler, n_samples: int, seed: int, scales):
     come close to n_samples. Every chunk is checked against the finest
     radix before it is covered, so a cell past it raises ValueError and
     is never miscounted.
-    A cell index at or past 2^63 raises covering_count's ValueError,
-    after the last draw, as fit_box_dimension does on the whole cloud.
+    A cell index at or past 2^63 raises covering_count's ValueError
+    (_check_cells), after the last draw, as fit_box_dimension does on the whole cloud.
     A sample of more than SAMPLE_ENTRY_LIMIT entries, counted as that
     constant says, then scales that fit no slope (check_scales) and a
     graph without edges are refused with ValueError before anything is
@@ -657,11 +654,7 @@ def sample_box_dimension(g: Graph, sampler, n_samples: int, seed: int, scales):
             keys.add((np.bitwise_and(np.right_shift(cell, shift, out=out), mask, out=out)
                       for shift, mask in zip(levels, masks) for cell in chunk_cells), count)
     if not covered:
-        for eps in scales:
-            with np.errstate(over="ignore"):
-                reach = top / eps
-            if not reach <= _CELL_REACH:
-                _refuse_cells(eps, bool(np.isfinite(top)), reach)
+        _check_cells(0.0, top, scales)
         raise ValueError(f"an edge length of {float(top)!r} exceeds the bound "
                          f"{bound!r} that the sampler's side gives")
     counts = keys.counts([(levels.index(shift) + 1) * m for shift in shifts])
@@ -683,29 +676,22 @@ def covering_count(cloud, eps: float) -> int:
     adds the argsort index of the leading word and one reordered column.
     A column spanning more than 2^63 cells wraps to negative int64 in a
     word of its own; the wrap is one-to-one and only whole rows are
-    compared, so the count stays exact. Raises ValueError when the cloud
-    has a non-finite entry or when some |x / eps| reaches 2^63, where
-    cell indices leave int64.
+    compared, so the count stays exact. Raises ValueError when eps is not
+    positive and finite, as check_scales does for each scale, when the
+    cloud has a non-finite entry or when some |x / eps| reaches 2^63,
+    where cell indices leave int64 (_check_cells).
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    eps = _check_scale(eps)
     a = np.asarray(cloud, dtype=float)
     if a.ndim == 1:
         a = a[:, None]
     if a.size == 0:
         raise ValueError("empty cloud")
     n, m = a.shape
-    lows, radix = [], 1
-    for j in range(m):
-        with np.errstate(over="ignore"):
-            lo, hi = a[:, j].min() / eps, a[:, j].max() / eps
-        if not (-_KEY_LIMIT < lo and hi < _KEY_LIMIT):
-            finite = bool(np.isfinite(a).all())
-            with np.errstate(over="ignore"):
-                reach = max(-a.min(), a.max()) / eps if finite else None
-            _refuse_cells(eps, finite, reach)
-        lows.append(int(np.floor(lo)))
-        radix = max(radix, int(np.floor(hi)) - lows[-1] + 1)
+    low, high = a.min(axis=0), a.max(axis=0)
+    _check_cells(low.min(), high.max(), [eps])
+    lows = [int(cell) for cell in np.floor(low / eps)]
+    radix = max(int(top) - lo + 1 for top, lo in zip(np.floor(high / eps), lows))
     keys = _DistinctRows(m, radix, n)
     chunk = max(1, _SAMPLE_CHUNK_ENTRIES // m)
     for start in range(0, n, chunk):
@@ -715,15 +701,22 @@ def covering_count(cloud, eps: float) -> int:
     return keys.count()
 
 
-def _refuse_cells(eps: float, finite: bool, reach):
-    """Raise the ValueError for a cloud some of whose cell indices at eps
-    leave int64: that it has a non-finite entry, or else reach, the
-    largest |x / eps|."""
-    if not finite:
-        raise ValueError("cloud has a non-finite entry")
-    raise ValueError(
-        f"eps={eps!r} gives cell indices beyond the int64 range "
-        f"(|x/eps| up to {reach:.3g}, limit 2^63)")
+def _check_cells(low, high, scales):
+    """ValueError if some cell index of a cloud with entries in [low, high]
+    leaves int64 at one of the scales, that is if max(-low, high) / eps
+    reaches 2^63: that the cloud has a non-finite entry, or else the
+    largest |x / eps| at the first such eps in the list. The extremes are
+    tested for finiteness, not the reach, so a finite cloud whose
+    |x / eps| overflows to inf gets the int64 message."""
+    for eps in scales:
+        with np.errstate(over="ignore"):
+            reach = np.maximum(-low, high) / eps  # keeps a NaN; max(-0.0, nan) is -0.0
+        if not reach <= _CELL_REACH:
+            if not (math.isfinite(low) and math.isfinite(high)):
+                raise ValueError("cloud has a non-finite entry")
+            raise ValueError(
+                f"eps={eps!r} gives cell indices beyond the int64 range "
+                f"(|x/eps| up to {reach:.3g}, limit 2^63)")
 
 
 @dataclass(frozen=True)
@@ -736,17 +729,22 @@ class CoveringEstimate:
     slope: float
 
 
+def _check_scale(eps) -> float:
+    """eps as a float; ValueError unless it is finite and positive."""
+    eps = float(eps)
+    if not math.isfinite(eps):
+        raise ValueError(f"scale {eps!r} is not finite")
+    if not eps > 0:
+        raise ValueError(f"scale {eps!r} is not positive "
+                         f"(2^-e underflows to 0.0 for every e >= 1075)")
+    return eps
+
+
 def check_scales(scales) -> tuple[float, ...]:
     """The scales as a tuple of floats; ValueError unless every one is
     positive and finite and at least two of them are distinct, the fewest
     a slope can be fitted to."""
-    scales = tuple(float(e) for e in scales)
-    for eps in scales:
-        if not math.isfinite(eps):
-            raise ValueError(f"scale {eps!r} is not finite")
-        if not eps > 0:
-            raise ValueError(f"scale {eps!r} is not positive "
-                             f"(2^-e underflows to 0.0 for every e >= 1075)")
+    scales = tuple(map(_check_scale, scales))
     if len(set(scales)) < 2:
         raise ValueError("need at least two distinct scales to fit a slope")
     return scales

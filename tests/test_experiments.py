@@ -20,6 +20,7 @@ from rigidset.experiments import (
     LatticeSampler,
     UnitCubeSampler,
     check_enumeration,
+    check_scales,
     congruence_class_counts,
     covering_count,
     distance_images,
@@ -374,6 +375,31 @@ class TestEulerT24:
         # vertex 4 on vertex 2 of the reflex layout: the square comes out
         # as -2^-52, inside the tolerance, and the distance as exactly 0.0
         assert euler_t24(1, 2, 1, 2, 2, convex=False) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-10, 10), st.floats(-10, 10), st.floats(0.01, 10), st.floats(0.01, 10),
+           st.floats(0, 2 * math.pi), st.floats(0.1, math.pi - 0.1), st.sampled_from([1, -1]),
+           st.sampled_from([0.0, 2.0 ** -20, -2.0 ** -20, 2.0 ** -40, -2.0 ** -40]),
+           st.floats(0, 2 * math.pi))
+    def test_near_coincident_p4_matches_coordinates(self, x1, y1, r13, r12, heading, angle,
+                                                    side, offset, turn):
+        # p2 at an angle of 0.1..pi - 0.1 from p1p3, on either side of it,
+        # so the triangle's area is at least r12 r13 sin(0.1) / 2; p4 on p2
+        # or 2^-20 or 2^-40 of the longest side away from it, where the
+        # square of t24 is zero or nearly so
+        p1 = (x1, y1)
+        p2, p3 = ((x1 + r * math.cos(a), y1 + r * math.sin(a))
+                  for r, a in ((r12, heading + side * angle), (r13, heading)))
+        longest = max(math.dist(p1, p2), math.dist(p1, p3), math.dist(p2, p3))
+        p4 = (p2[0] + offset * longest * math.cos(turn), p2[1] + offset * longest * math.sin(turn))
+
+        def side_of(p):
+            return (p3[0] - p1[0]) * (p[1] - p1[1]) - (p3[1] - p1[1]) * (p[0] - p1[0])
+
+        got = euler_t24(math.dist(p1, p2), math.dist(p1, p3), math.dist(p1, p4),
+                        math.dist(p2, p3), math.dist(p3, p4),
+                        convex=side_of(p2) * side_of(p4) < 0)
+        assert abs(got - math.dist(p2, p4)) <= 1e-6 * longest
 
 
 class TestK4Residuals:
@@ -1509,6 +1535,14 @@ class TestCovering:
         assert covering_count(cloud, 1.0) == covering_reference(cloud, 1.0) == 50
         words = [w for w, _, _ in made[0].columns]
         assert made[0].word_radix[words[5]] > 2 ** 63 and words.count(words[5]) == 1
+
+    @pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_scale_rule_matches_check_scales(self, eps):
+        with pytest.raises(ValueError) as want:
+            check_scales([eps, 0.5])
+        with pytest.raises(ValueError) as got:
+            covering_count(np.array([0.1, 0.9]), eps)
+        assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_rejected(self, bad):
