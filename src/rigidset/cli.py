@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -183,7 +184,7 @@ def cmd_sample(args) -> None:
     # a sample over the entry guard and a scale list that fits no slope are
     # refused before any draw
     estimate, max_residual, degenerate = sample_box_dimension(
-        g, sampler, args.n, args.seed, [2.0 ** -e for e in exponents])
+        g, sampler, args.n, args.seed, [math.ldexp(1.0, -e) for e in exponents])
     lines = [
         f"# sample {args.graph} d={args.d} sampler={args.sampler} n={args.n} seed={args.seed}",
         f"# scales={','.join(str(e) for e in exponents)}",

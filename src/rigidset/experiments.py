@@ -418,8 +418,9 @@ def congruence_class_counts(d: int, q: int, k: int) -> tuple[int, int]:
 
 
 def _check_s_range(d: int, s: float):
-    if not d / 2 <= s < d:
-        raise ValueError(f"s must lie in [d/2, d) = [{d / 2}, {d}), got {s}")
+    # compared and printed exactly: d may be an int beyond the float range
+    if not (d <= 2 * s and s < d):
+        raise ValueError(f"s must lie in [d/2, d) = [{d // 2}.{5 * (d % 2)}, {d}), got {s}")
 
 
 def hausdorff_content_bound(d: int, q: int, k: int, s: float) -> float:
@@ -427,16 +428,17 @@ def hausdorff_content_bound(d: int, q: int, k: int, s: float) -> float:
     of the distance set of the q-lattice neighborhood set.
 
     Decreasing in q exactly when s < d - C(d,2)/k, which is how thresholds
-    below that exponent are defeated. A q or a bound beyond the float range
-    raises ValueError.
+    below that exponent are defeated. A q, an exponent or a bound beyond the
+    float range raises ValueError.
     """
     d, q, k = _as_int(d, "d", 2), _as_int(q, "q", 1), _as_int(k, "k", 1)
     _check_s_range(d, s)
-    exponent = d * k - (d / s) * (d * k - d * (d - 1) / 2)
     try:
         base = float(q)
+        exponent = d * k - (d / s) * (d * k - d * (d - 1) / 2)
     except OverflowError:
-        raise ValueError("q is beyond the float range of the content bound") from None
+        raise ValueError("q or the exponent of the content bound "
+                         "is beyond the float range") from None
     try:
         return base ** exponent
     except OverflowError:

@@ -1,6 +1,6 @@
-"""Smoke tests of the scripts in bench/: one CLI call measured by
-sample_pass.py, the --tree parsing it shares with analyze_pass.py, and the
-code line count of code_lines.py."""
+"""Smoke tests of the scripts in bench/: one CLI call and one whole
+measurement of one tree by compare.py, its --tree parsing, and the code
+line count of code_lines.py."""
 
 import importlib
 import os
@@ -9,30 +9,47 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
+CALL_FIGURES = {"wall_s", "peak_rss_mb", "minor_faults", "sys_s"}
 
 
 @pytest.fixture
-def bench(monkeypatch):
+def compare(monkeypatch):
     monkeypatch.syspath_prepend(BENCH)
-    return importlib.import_module("analyze_pass"), importlib.import_module("sample_pass")
+    return importlib.import_module("compare")
 
 
-def test_run_records_every_figure_of_one_call(bench):
-    _, sample_pass = bench
-    got = sample_pass._run(os.path.join(ROOT, "src"),
-                           ("sample", "k2", "--n", "100", "--seed", "1", "--scales", "1,2"))
-    assert set(got) == {"wall_s", "peak_rss_mb", "minor_faults", "sys_s"}
+def test_run_records_every_figure_of_one_call(compare):
+    got = compare._run(os.path.join(ROOT, "src"),
+                       ("sample", "k2", "--n", "100", "--seed", "1", "--scales", "1,2"), ROOT)
+    assert set(got) == CALL_FIGURES
     assert got["wall_s"] > 0 and got["peak_rss_mb"] > 0 and got["minor_faults"] > 0
     assert got["sys_s"] >= 0
 
 
-def test_trees_of_wants_label_equals_path(bench, capsys):
-    analyze_pass, _ = bench
-    parser = analyze_pass.tree_parser(analyze_pass.__doc__)
-    assert analyze_pass.trees_of(parser, ["change=."]) == {"change": os.path.abspath(".")}
+def test_trees_of_wants_label_equals_path(compare, capsys):
+    assert compare._tree("change=.") == ("change", os.path.abspath("."))
     with pytest.raises(SystemExit) as refused:
-        analyze_pass.trees_of(parser, ["/path/to/parent"])
+        compare.main(["--tree", "/path/to/parent"])
     assert refused.value.code == 2 and "LABEL=PATH" in capsys.readouterr().err
+
+
+def test_measure_records_stages_and_calls_of_one_tree(compare, monkeypatch):
+    monkeypatch.setattr(compare, "ROUNDS", 1)
+    monkeypatch.setattr(compare, "FOREST_SIZES", (3,))
+    monkeypatch.setattr(compare, "LAMAN_SIZES", (6,))
+    monkeypatch.setattr(compare, "CALLS", {"forest": ("analyze", "forest-3.json", "--seed", "1")})
+    record = compare.measure({"change": ROOT})
+    assert record["calls"] == {"forest": "analyze forest-3.json --seed 1"}
+    assert set(record["inputs"]) == {"forest-3", "laman-6"}
+    tree = record["trees"]["change"]
+    assert tree["src_sha1"] and "commit" in tree and "src_dirty" in tree
+    figures = tree["figures"]
+    assert set(figures) == {"forest-3", "laman-6", "forest"}
+    for name in ("forest-3", "laman-6"):
+        assert set(figures[name]) == set(compare.STAGES)
+        assert all(figure["samples"] == compare.REPEATS for figure in figures[name].values())
+    assert set(figures["forest"]) == CALL_FIGURES
+    assert all(figure["samples"] == 1 for figure in figures["forest"].values())
 
 
 MODULE = '''"""A module docstring,

@@ -293,6 +293,30 @@ def test_nonpositive_flag_refused(capsys, argv, message):
     assert run(capsys, *argv) == (3, "", f"error: {message}\n")
 
 
+HUGE = str(10 ** 400)  # beyond the float range, so no float may be made of it
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "k4", "--d", HUGE, "--seed", "1"),
+    ("lattice", "--d", HUGE, "--s", "1.5"),
+    ("lattice", "--d", str(10 ** 200), "--s", "6e199"),
+    ("sample", "k4", "--d", HUGE, "--sampler", "lattice", "--q", "2", "--s", "1.5",
+     "--seed", "1"),
+    ("lattice", "--k", HUGE),
+    ("lattice", "--q-list", HUGE),
+    ("lattice", "--q-list", HUGE, "--s", "1.5"),
+    ("sample", "k4", "--sampler", "lattice", "--q", HUGE, "--s", "1.5", "--seed", "1"),
+    ("sample", "k4", "--n", HUGE, "--seed", "1"),
+    ("sample", "k4", "--sampler", "cantor", "--depth", HUGE, "--n", "10", "--seed", "1"),
+    ("complete", "k4", "--seed", HUGE),
+    ("sample", "k3", "--n", "10", "--seed", "1", "--scales", f"1,{HUGE}"),
+])
+def test_huge_integer_gets_a_documented_exit_code(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 2, 3, 4, 5)
+    assert code == 0 or err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestSample:
     def test_k2_cube(self, capsys):
         code, out, _ = run(capsys, "sample", "k2", "--n", "2000", "--seed", "11")
