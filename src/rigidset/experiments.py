@@ -434,11 +434,13 @@ def hausdorff_content_bound(d: int, q: int, k: int, s: float) -> float:
     d, q, k = _as_int(d, "d", 2), _as_int(q, "q", 1), _as_int(k, "k", 1)
     _check_s_range(d, s)
     try:
-        base = float(q)
         exponent = d * k - (d / s) * (d * k - d * (d - 1) / 2)
     except OverflowError:
-        raise ValueError("q or the exponent of the content bound "
-                         "is beyond the float range") from None
+        raise ValueError("the exponent of the content bound is beyond the float range") from None
+    try:
+        base = float(q)
+    except OverflowError:
+        raise ValueError("q is beyond the float range of the content bound") from None
     try:
         return base ** exponent
     except OverflowError:

@@ -659,12 +659,15 @@ class TestContentBound:
             hausdorff_content_bound(2, 2, 1, 2.0)
         with pytest.raises(ValueError, match="s must lie"):
             hausdorff_content_bound(2, 2, 1, 2.5)
+        with pytest.raises(ValueError, match="s must lie"):  # d/2 is no float
+            hausdorff_content_bound(10 ** 400, 2, 1, 1.5)
 
     @pytest.mark.parametrize("d, q, k, s", [
         (10, 10 ** 10, 1, 9.99),  # the bound is about 10^450
         (2, 10 ** 309, 1, 1.5),  # q itself is no float
         (2, 10 ** 4000, 1, 1.0),  # exponent 0, but float(q) overflows
         (2, 10 ** 309, 2, 1.0),  # exponent -2, but float(q) overflows
+        (10 ** 200, 2, 1, 6e199),  # the exponent, about -8e399, is no float
     ])
     def test_beyond_float_range_refused(self, d, q, k, s):
         with pytest.raises(ValueError, match="float range") as exc:
