@@ -13,12 +13,23 @@ n tuples whose n * (vertices * d coordinates, times --depth digits for the
 cantor sampler, plus edges) array entries exceed
 experiments.SAMPLE_ENTRY_LIMIT, which sample_box_dimension refuses before
 any draw; the runs measured at that edge peak at 70 to 290 MB), 4
-dependent input edges, 5 enumeration guard tripped.
+dependent input edges, 5 enumeration guard tripped. A refusal prints an
+integer above 10^30 in size by its digit count.
+
+The process entry, run (the `rigidset` script and `python -m
+rigidset.cli`), freezes the heap before main: the tens of thousands of
+objects the imports leave, numpy's most of all, would otherwise be
+rescanned by every full collection, during the command and at exit.
+analyze writes its report JSON through _report_json, which gives the same
+bytes as json.dumps(report.to_json_obj(), indent=2, sort_keys=True) but
+runs that pure-Python indenter once per distinct component, not once per
+component.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -34,7 +45,8 @@ from .experiments import (
     hausdorff_content_bound,
     sample_box_dimension,
 )
-from .graphs import Graph, GraphFormatError, graph_from_json, graph_to_json, named_graph
+from .graphs import (_INT_TEXT_LIMIT, Graph, GraphFormatError, _int_text, graph_from_json,
+                     graph_to_json, named_graph)
 from .rigidity import MAX_WITNESS_COORDINATES, DependentEdgeSetError, minimal_rigid_completion
 from .thresholds import ThresholdReport, analyze
 
@@ -116,10 +128,36 @@ def _report_table(label: str, report: ThresholdReport) -> str:
     return "".join(f"{name:<{width}}  {_cell(value)}\n" for name, value in rows)
 
 
+def _report_json(report: ThresholdReport) -> str:
+    """json.dumps(report.to_json_obj(), indent=2, sort_keys=True), byte for
+    byte. An indented dump runs json's pure-Python encoder over every
+    component; here it runs on the top level and once per distinct set of a
+    component's fields other than `vertices`, and each vertex list is
+    joined. `components` sorts first among the top level's keys, and
+    `vertices`, never empty, last among a component's."""
+    obj = report.to_json_obj()
+    subs = obj.pop("components", None)
+    top = json.dumps(obj, indent=2, sort_keys=True)
+    if subs is None:
+        return top
+    heads: dict = {}
+    parts = []
+    for sub in subs:
+        vertices = sub.pop("vertices")
+        key = tuple(sub.items())
+        head = heads.get(key)
+        if head is None:
+            # the fields one level in, without the closing brace
+            fields = json.dumps(sub, indent=2, sort_keys=True)[:-2].replace("\n", "\n    ")
+            head = heads[key] = f'    {fields},\n      "vertices": [\n        '
+        parts.append(head + ",\n        ".join(map(str, vertices)) + "\n      ]\n    }")
+    return '{\n  "components": [\n' + ",\n".join(parts) + "\n  ]," + top[1:]
+
+
 def cmd_analyze(args) -> None:
     g = _load_graph(args.graph)
     report = analyze(g, args.d, args.seed)
-    doc = json.dumps(report.to_json_obj(), indent=2, sort_keys=True) + "\n"
+    doc = _report_json(report) + "\n"
     text = _report_table(args.graph, report) + "\n" + doc
     _emit(args, text, g, file_text=doc)
 
@@ -137,6 +175,8 @@ def _parse_int_list(raw: str, flag: str) -> list[int]:
     except ValueError:
         raise ValueError(f"{flag} expects comma-separated integers, got {raw!r}") from None
     if not values or any(v < 1 for v in values):
+        if any(abs(v) > _INT_TEXT_LIMIT for v in values):
+            raw = ",".join(map(_int_text, values))
         raise ValueError(f"{flag} expects positive integers, got {raw!r}")
     return values
 
@@ -265,5 +305,15 @@ def main(argv=None) -> int:
     return 0
 
 
+def run(argv=None) -> int:
+    """Process entry of `rigidset` and `python -m rigidset.cli`: main, after
+    gc.freeze() moves every object alive now, the imported modules and
+    numpy's most of all, out of the collector's reach for the rest of the
+    process. main leaves the collector alone, since callers run it in
+    process."""
+    gc.freeze()
+    return main(argv)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

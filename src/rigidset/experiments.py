@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, _as_int
+from .graphs import _INT_TEXT_LIMIT, Graph, _as_int, _int_text
 
 ENUMERATION_LIMIT = 10 ** 8
 # sample_box_dimension refuses, before any draw, a sample of n tuples of
@@ -358,8 +358,8 @@ def check_enumeration(d: int, q: int, k: int) -> tuple[int, int, int]:
         raise ValueError("d, q, k must all be >= 1")
     if _power_exceeds(q + 1, d * (k + 1), ENUMERATION_LIMIT):
         raise EnumerationLimitError(
-            f"(q+1)^(d(k+1)) tuples for d={d}, q={q}, k={k} exceed "
-            f"the enumeration guard of {ENUMERATION_LIMIT}")
+            f"(q+1)^(d(k+1)) tuples for d={_int_text(d)}, q={_int_text(q)}, "
+            f"k={_int_text(k)} exceed the enumeration guard of {ENUMERATION_LIMIT}")
     return d, q, k
 
 
@@ -418,9 +418,11 @@ def congruence_class_counts(d: int, q: int, k: int) -> tuple[int, int]:
 
 
 def _check_s_range(d: int, s: float):
-    # compared and printed exactly: d may be an int beyond the float range
+    # compared exactly: d may be an int beyond the float range
     if not (d <= 2 * s and s < d):
-        raise ValueError(f"s must lie in [d/2, d) = [{d // 2}.{5 * (d % 2)}, {d}), got {s}")
+        bounds = (f"= [{d // 2}.{5 * (d % 2)}, {d})" if d <= _INT_TEXT_LIMIT
+                  else f"for d = {_int_text(d)}")
+        raise ValueError(f"s must lie in [d/2, d) {bounds}, got {s}")
 
 
 def hausdorff_content_bound(d: int, q: int, k: int, s: float) -> float:
@@ -476,8 +478,8 @@ class LatticeSampler:
         _check_s_range(d, s)
         # a point index is drawn by rng.integers, whose high must fit int64
         if _power_exceeds(q + 1, d, _KEY_LIMIT):
-            raise EnumerationLimitError(f"(q+1)^d lattice points for d={d}, q={q} exceed "
-                                        f"the int64 index guard of 2^63")
+            raise EnumerationLimitError(f"(q+1)^d lattice points for d={_int_text(d)}, "
+                                        f"q={_int_text(q)} exceed the int64 index guard of 2^63")
         self.d, self.q, self.s = d, q, float(s)
         self.radius = float(q) ** (-d / self.s)
         # every draw lies in [-radius, 1 + radius]^d
@@ -607,8 +609,9 @@ def sample_box_dimension(g: Graph, sampler, n_samples: int, seed: int, scales):
     entries = n_samples * (g.n_vertices * d * getattr(sampler, "depth", 1) + g.n_edges)
     if entries > SAMPLE_ENTRY_LIMIT:
         raise ValueError(
-            f"{n_samples} samples of {g.n_vertices} points in R^{d} need {entries} "
-            f"array entries; at most {SAMPLE_ENTRY_LIMIT} are supported")
+            f"{_int_text(n_samples)} samples of {g.n_vertices} points in R^{_int_text(d)} "
+            f"need {_int_text(entries)} array entries; "
+            f"at most {SAMPLE_ENTRY_LIMIT} are supported")
     scales = check_scales(scales)
     finest = min(scales)
     # eps is finest times a power of two exactly when their mantissas are equal

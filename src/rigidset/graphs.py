@@ -37,6 +37,25 @@ def _as_int(value, what: str, least: int | None = None) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+# refusal messages print an integer up to this size in full (_int_text)
+_INT_TEXT_LIMIT = 10 ** 30
+
+
+def _int_text(n: int) -> str:
+    """n as a refusal message prints it: in full up to _INT_TEXT_LIMIT in
+    size, else as `an integer of N digits` (or `a negative integer of N
+    digits`), so that an option of hundreds of digits does not fill the
+    message, nor meet str's limit of 4300 digits."""
+    size = abs(n)
+    if size <= _INT_TEXT_LIMIT:
+        return str(n)
+    # a lower bound on the digit count, then exact
+    digits = int(size.bit_length() * 0.30102999566398120)
+    while size >= 10 ** digits:
+        digits += 1
+    return f"{'a negative' if n < 0 else 'an'} integer of {digits} digits"
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph on vertices 1..n_vertices.
@@ -285,10 +304,11 @@ def double_banana() -> Graph:
 def _check_size(source: str, n_vertices: int, n_edges: int) -> None:
     if n_vertices > MAX_VERTICES:
         raise GraphFormatError(
-            f"{source} has {n_vertices} vertices; at most {MAX_VERTICES} are supported")
+            f"{source} has {_int_text(n_vertices)} vertices; "
+            f"at most {MAX_VERTICES} are supported")
     if n_edges > MAX_EDGES:
         raise GraphFormatError(
-            f"{source} has {n_edges} edges; at most {MAX_EDGES} are supported")
+            f"{source} has {_int_text(n_edges)} edges; at most {MAX_EDGES} are supported")
 
 
 def graph_from_json(text: str) -> Graph:

@@ -78,7 +78,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .frameworks import Configuration, _check_counts, rigidity_row
-from .graphs import Graph, _as_int, make_graph
+from .graphs import Graph, _as_int, _int_text, make_graph
 from .linalg import RowSpace, _is_prime, exact_rank_int
 from .pebble import PebbleGame
 
@@ -155,8 +155,9 @@ def sample_generic_config(d: int, n_vertices: int, seed: int) -> Configuration:
     d, n_vertices = _as_int(d, "d", 2), _as_int(n_vertices, "n_vertices", 1)
     if d * n_vertices > MAX_WITNESS_COORDINATES:
         raise ValueError(
-            f"d={d} on {n_vertices} vertices needs {d * n_vertices} witness "
-            f"coordinates; at most {MAX_WITNESS_COORDINATES} are supported")
+            f"d={_int_text(d)} on {_int_text(n_vertices)} vertices needs "
+            f"{_int_text(d * n_vertices)} witness coordinates; "
+            f"at most {MAX_WITNESS_COORDINATES} are supported")
     rng = random.Random(seed)
     pts = tuple(
         tuple(rng.randint(-COORDINATE_BOUND, COORDINATE_BOUND) for _ in range(d))

@@ -1,13 +1,24 @@
+import gc
 import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rigidset
 from rigidset import cli, experiments, rigidity
 from rigidset.cli import main
-from rigidset.graphs import complete_graph, graph_to_json, make_graph
+from rigidset.graphs import (complete_graph, double_banana, graph_to_json, make_graph,
+                             path_graph, star_graph)
+from rigidset.thresholds import analyze
 
 
 def run(capsys, *argv):
@@ -310,11 +321,40 @@ HUGE = str(10 ** 400)  # beyond the float range, so no float may be made of it
     ("sample", "k4", "--sampler", "cantor", "--depth", HUGE, "--n", "10", "--seed", "1"),
     ("complete", "k4", "--seed", HUGE),
     ("sample", "k3", "--n", "10", "--seed", "1", "--scales", f"1,{HUGE}"),
+    ("sample", "k4", "--d", HUGE, "--seed", "1"),
+    ("complete", "k4", "--d", HUGE, "--seed", "1"),
+    ("lattice", "--q-list", f"1,-{HUGE}"),
 ])
 def test_huge_integer_gets_a_documented_exit_code(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code in (0, 2, 3, 4, 5)
     assert code == 0 or err.startswith("error: ") and err.count("\n") == 1
+    # a refusal names an integer above 10^30 by its digit count
+    assert len(err) < 200
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("sample", "k4", "--n", HUGE, "--seed", "1"),
+     "an integer of 401 digits samples of 4 points in R^2 need an integer of 402 digits "
+     "array entries; at most 50000000 are supported"),
+    (("analyze", "k4", "--d", HUGE, "--seed", "1"),
+     "d=an integer of 401 digits on 4 vertices needs an integer of 401 digits witness "
+     "coordinates; at most 1000000 are supported"),
+    (("lattice", "--d", HUGE, "--s", "1.5"),
+     "s must lie in [d/2, d) for d = an integer of 401 digits, got 1.5"),
+    (("lattice", "--d", str(10 ** 30), "--q-list", "2"),
+     f"(q+1)^(d(k+1)) tuples for d={10 ** 30}, q=2, k=1 exceed the enumeration "
+     "guard of 100000000"),
+    (("lattice", "--d", str(10 ** 30 + 1), "--q-list", "2"),
+     "(q+1)^(d(k+1)) tuples for d=an integer of 31 digits, q=2, k=1 exceed the "
+     "enumeration guard of 100000000"),
+    (("lattice", "--q-list", f"1,-{HUGE}"),
+     "--q-list expects positive integers, got '1,a negative integer of 401 digits'"),
+])
+def test_huge_integer_named_by_its_digits(capsys, argv, message):
+    # an integer up to 10^30 is printed in full, a larger one by its digits
+    code, out, err = run(capsys, *argv)
+    assert (out, err) == ("", f"error: {message}\n")
 
 
 class TestSample:
@@ -565,3 +605,88 @@ class TestDeterminism:
         run(capsys, "lattice", "--q-list", "1,2,3", "--s", "1.25", "--output", str(a))
         run(capsys, "lattice", "--q-list", "1,2,3", "--s", "1.25", "--output", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+# pairs that share a size and a rank but not their pruning (the 4-cycle, a
+# triangle with a pendant edge) or, in the plane, their edge count (K4 and K4
+# less an edge, each with a pendant edge)
+_LOOKALIKES = [make_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]),
+               make_graph(4, [(1, 2), (1, 3), (2, 3), (3, 4)]),
+               make_graph(5, complete_graph(4).edges + ((4, 5),)),
+               make_graph(5, complete_graph(4).edges[1:] + ((4, 5),))]
+# the parts of the emitter's graphs: K2..K5, paths, stars, the double banana,
+# isolated vertices and the lookalikes
+_PARTS = st.one_of(
+    st.integers(2, 5).map(complete_graph),
+    st.integers(2, 6).map(path_graph),
+    st.integers(2, 6).map(star_graph),
+    st.just(double_banana()),
+    st.none(),
+    st.sampled_from(_LOOKALIKES),
+)
+
+
+def _disjoint_union(parts, rng: random.Random):
+    """The disjoint union of parts (None for an isolated vertex), its
+    labels shuffled by rng."""
+    edges, n = [], 0
+    for part in parts:
+        if part is not None:
+            edges += [(n + i, n + j) for i, j in part.edges]
+        n += 1 if part is None else part.n_vertices
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    return make_graph(n, [(labels[i - 1], labels[j - 1]) for i, j in edges])
+
+
+class TestReportJson:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_PARTS, min_size=1, max_size=12), st.integers(2, 5), st.integers(0, 2 ** 32),
+           st.randoms(use_true_random=False))
+    def test_same_bytes_as_the_indented_dump(self, parts, d, seed, rng):
+        # d = 2..5 gives thresholds that are None (isolated vertices) and
+        # components with and without small_regime_note
+        report = analyze(_disjoint_union(parts, rng), d, seed)
+        reference = json.dumps(report.to_json_obj(), indent=2, sort_keys=True)
+        assert cli._report_json(report) == reference
+
+    def test_forest_output_pinned(self, capsys, tmp_path, monkeypatch):
+        # sha1 of the stdout recorded before analyze wrote its JSON per
+        # distinct component: 200 components cycling through twelve kinds
+        kinds = [complete_graph(2), complete_graph(3), complete_graph(4), complete_graph(5),
+                 path_graph(4), star_graph(5), double_banana(), None, *_LOOKALIKES]
+        g = _disjoint_union([kinds[c % len(kinds)] for c in range(200)], random.Random(200))
+        monkeypatch.chdir(tmp_path)
+        Path("forest-200.json").write_text(graph_to_json(g))
+        code, out, err = run(capsys, "analyze", "forest-200.json", "--seed", "1")
+        assert (code, err) == (0, "")
+        assert hashlib.sha1(out.encode("utf-8")).hexdigest() == (
+            "280aae64dba05e8ababa554db477cbd25d0ee83c")
+
+
+def _child(*args):
+    # the child runs the package this test imported, from a fresh cwd
+    package_root = str(Path(rigidset.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+class TestProcessEntry:
+    def test_module_prints_what_main_prints(self, capsys):
+        argv = ("analyze", "k4", "--seed", "1")
+        child = _child("-m", "rigidset.cli", *argv)
+        assert (child.returncode, child.stdout, child.stderr) == run(capsys, *argv)
+
+    def test_run_freezes_the_heap(self):
+        child = _child("-c", "import gc, sys\n"
+                             "from rigidset import cli\n"
+                             "code = cli.run(['analyze', 'k2', '--seed', '1'])\n"
+                             "print(code, gc.get_freeze_count() > 0, file=sys.stderr)")
+        assert child.stderr == "0 True\n"
+
+    def test_main_leaves_the_collector_alone(self, capsys):
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert run(capsys, "analyze", "k4", "--seed", "1")[0] == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
