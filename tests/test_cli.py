@@ -665,7 +665,7 @@ class TestReportJson:
 
 
 def _child(*args):
-    # the child runs the package this test imported, from a fresh cwd
+    # the package this test imported goes first on the child's path
     package_root = str(Path(rigidset.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
