@@ -13,9 +13,8 @@ small components (the `forest` workload's generator) and plane Laman graphs.
 Each round, each tree first runs the stage child, which times in one
 process, after one warm-up call, REPEATS runs of each stage of `analyze` in
 d = 2 with seed 1 on each input: load (graph_from_json of the file's text),
-analyze, and emit (the report's JSON as the CLI writes it: through
-rigidset.cli._report_json, or, on a tree without it, through the indented
-json.dumps of the report that the CLI wrote before). Then each of
+analyze, and emit (the report's JSON as the CLI writes it, through
+rigidset.cli._report_json, which every tree measured needs). Then each of
 CALLS runs as `python3 -m rigidset.cli ...` in a fresh child; its wall time
 runs from its start to its exit, interpreter start and import included, and
 its peak RSS (ru_maxrss), minor page faults (ru_minflt) and system CPU
@@ -103,9 +102,6 @@ def stages(names: list) -> dict:
     from rigidset.graphs import graph_from_json
     from rigidset.thresholds import analyze
 
-    # trees from before cli._report_json wrote the indented dump themselves
-    emit = getattr(cli, "_report_json", None) or (
-        lambda report: json.dumps(report.to_json_obj(), indent=2, sort_keys=True))
     out = {}
     for name in names:
         samples = {stage: [] for stage in STAGES}
@@ -116,7 +112,7 @@ def stages(names: list) -> dict:
             t1 = time.perf_counter()
             report = analyze(g, 2, 1)
             t2 = time.perf_counter()
-            emit(report)
+            cli._report_json(report)
             t3 = time.perf_counter()
             if run:  # the first run warms up
                 for stage, seconds in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2)):

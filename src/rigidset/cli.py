@@ -6,7 +6,8 @@ bounds), sample (box-counting estimate of a sampled distance set). Every
 randomized command takes an explicit --seed and reruns byte-identically;
 a run manifest is written next to any requested output file.
 
-Exit codes: 0 success, 2 unreadable input, 3 invalid parameter (among them
+Exit codes: 0 success, 2 unreadable input or unwritable --output (or an
+option argparse cannot read), 3 invalid parameter (among them
 a --d below 2, a --d of 3 or more whose witness, d times the vertex count,
 would exceed rigidity.MAX_WITNESS_COORDINATES coordinates, and a sample of
 n tuples whose n * (vertices * d coordinates, times --depth digits for the
@@ -14,7 +15,9 @@ cantor sampler, plus edges) array entries exceed
 experiments.SAMPLE_ENTRY_LIMIT, which sample_box_dimension refuses before
 any draw; the runs measured at that edge peak at 70 to 290 MB), 4
 dependent input edges, 5 enumeration guard tripped. A refusal prints an
-integer above 10^30 in size by its digit count.
+integer above 10^30 in size by its digit count, and option text of more
+than _ECHO_LIMIT characters by its length. With --output the file and
+its manifest are written before stdout, so a failed write prints nothing.
 
 The process entry, run (the `rigidset` script and `python -m
 rigidset.cli`), freezes the heap before main: the tens of thousands of
@@ -51,6 +54,25 @@ from .rigidity import MAX_WITNESS_COORDINATES, DependentEdgeSetError, minimal_ri
 from .thresholds import ThresholdReport, analyze
 
 DEFAULT_SCALES = "3,4,5,6,7"
+# the longest option text a refusal repeats; longer text is named by its length
+_ECHO_LIMIT = 64
+
+
+def _echo(text: str, shown: str | None = None) -> str:
+    """repr(shown), by default of text, if that has at most _ECHO_LIMIT
+    characters; else the length of text."""
+    shown = text if shown is None else shown
+    return repr(shown) if len(shown) <= _ECHO_LIMIT else f"a text of {len(text)} characters"
+
+
+def _number(text: str, kind=int):
+    """kind(text), an int by default, as an argparse type. Text that kind
+    cannot read raises ArgumentTypeError, which argparse prints in its own
+    wording, with the text shown by _echo, and exits with code 2."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {_echo(text)}")
 
 
 def _blob_sha1(text: str) -> str:
@@ -78,13 +100,12 @@ def _load_graph(source: str) -> Graph:
 
 
 def _emit(args, text: str, graph: Graph | None = None, file_text: str | None = None):
-    """Print text; with --output, also write it (or file_text) and its
+    """Print text; with --output, first write it (or file_text) and its
     manifest, which says what produced the file: rerunning the same
     command, parameters and seed with the same tool version reproduces
     the bytes. The parameters are every parsed option but the seed and
     the output, with the lists a command parsed in place of their strings.
     The manifest hashes the input graph when there is one."""
-    sys.stdout.write(text)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text if file_text is None else file_text)
@@ -97,6 +118,7 @@ def _emit(args, text: str, graph: Graph | None = None, file_text: str | None = N
             manifest["input_sha1"] = _blob_sha1(graph_to_json(graph))
         with open(args.output + ".manifest.json", "w", encoding="utf-8") as fh:
             fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(text)
 
 
 def _cell(value) -> str:
@@ -136,10 +158,8 @@ def _report_json(report: ThresholdReport) -> str:
     joined. `components` sorts first among the top level's keys, and
     `vertices`, never empty, last among a component's."""
     obj = report.to_json_obj()
-    subs = obj.pop("components", None)
+    subs = obj.pop("components")
     top = json.dumps(obj, indent=2, sort_keys=True)
-    if subs is None:
-        return top
     heads: dict = {}
     parts = []
     for sub in subs:
@@ -173,11 +193,12 @@ def _parse_int_list(raw: str, flag: str) -> list[int]:
     try:
         values = [int(part) for part in raw.split(",") if part.strip() != ""]
     except ValueError:
-        raise ValueError(f"{flag} expects comma-separated integers, got {raw!r}") from None
+        raise ValueError(f"{flag} expects comma-separated integers, got {_echo(raw)}") from None
     if not values or any(v < 1 for v in values):
-        if any(abs(v) > _INT_TEXT_LIMIT for v in values):
-            raw = ",".join(map(_int_text, values))
-        raise ValueError(f"{flag} expects positive integers, got {raw!r}")
+        # an integer above 10^30 is named by its digits
+        huge = any(abs(v) > _INT_TEXT_LIMIT for v in values)
+        shown = ",".join(map(_int_text, values)) if huge else raw
+        raise ValueError(f"{flag} expects positive integers, got {_echo(raw, shown)}")
     return values
 
 
@@ -252,36 +273,37 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="threshold report for a graph")
     p.add_argument("graph", help="built-in name (k4, path-5, star-6, double-banana) or JSON file")
-    p.add_argument("--d", type=int, default=2, help=witness_d_help)
-    p.add_argument("--seed", type=int, required=True, help="witness seed")
+    p.add_argument("--d", type=_number, default=2, help=witness_d_help)
+    p.add_argument("--seed", type=_number, required=True, help="witness seed")
     p.add_argument("--output", help="also write the report JSON here")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("complete", help="minimally rigid completion of a graph")
     p.add_argument("graph", help="built-in name or JSON file")
-    p.add_argument("--d", type=int, default=2, help=witness_d_help)
-    p.add_argument("--seed", type=int, required=True, help="witness seed")
+    p.add_argument("--d", type=_number, default=2, help=witness_d_help)
+    p.add_argument("--seed", type=_number, required=True, help="witness seed")
     p.add_argument("--output", help="also write the completion JSON here")
     p.set_defaults(func=cmd_complete)
 
     p = sub.add_parser("lattice", help="exact congruence-class counts on {0..q}^d grids")
-    p.add_argument("--d", type=int, default=2, help="ambient dimension (default 2)")
+    p.add_argument("--d", type=_number, default=2, help="ambient dimension (default 2)")
     p.add_argument("--q-list", default="1,2,3", help="comma-separated grid sizes")
-    p.add_argument("--k", type=int, default=1, help="tuples have k+1 points")
-    p.add_argument("--s", type=float, default=None,
+    p.add_argument("--k", type=_number, default=1, help="tuples have k+1 points")
+    p.add_argument("--s", type=lambda text: _number(text, float), default=None,
                    help="dimension parameter in [d/2, d) for the content-bound column")
     p.add_argument("--output", help="also write the CSV here")
     p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("sample", help="box-counting estimate of a sampled distance set")
     p.add_argument("graph", help="built-in name or JSON file")
-    p.add_argument("--d", type=int, default=2, help="ambient dimension (default 2)")
+    p.add_argument("--d", type=_number, default=2, help="ambient dimension (default 2)")
     p.add_argument("--sampler", choices=("cube", "lattice", "cantor"), default="cube")
-    p.add_argument("--q", type=int, default=None, help="lattice sampler: grid size")
-    p.add_argument("--s", type=float, default=None, help="lattice sampler: dimension parameter")
-    p.add_argument("--depth", type=int, default=35, help="cantor sampler: ternary digits")
-    p.add_argument("--n", type=int, default=10000, help="number of sampled tuples")
-    p.add_argument("--seed", type=int, required=True, help="sampler seed")
+    p.add_argument("--q", type=_number, default=None, help="lattice sampler: grid size")
+    p.add_argument("--s", type=lambda text: _number(text, float), default=None,
+                   help="lattice sampler: dimension parameter")
+    p.add_argument("--depth", type=_number, default=35, help="cantor sampler: ternary digits")
+    p.add_argument("--n", type=_number, default=10000, help="number of sampled tuples")
+    p.add_argument("--seed", type=_number, required=True, help="sampler seed")
     p.add_argument("--scales", default=DEFAULT_SCALES,
                    help="comma-separated exponents e; grids use eps = 2^-e")
     p.add_argument("--output", help="also write the CSV here")

@@ -251,45 +251,70 @@ def _edge_lengths(pts: np.ndarray, pairs, out: np.ndarray | None = None) -> np.n
     return out
 
 
-def euler_t24(t12: float, t13: float, t14: float, t23: float, t34: float,
-              convex: bool = True) -> float:
+def _quadrilateral_t24(t12, t13, t14, t23, t34, convex, strict=False):
     """Sixth distance t24 of a planar 4-point configuration from the other
-    five, via the quadrilateral identity
+    five, for floats or for whole columns of them alike, via the
+    quadrilateral identity
 
         t24^2 = t23^2 + t14^2 - t13^2 + 2 t12 t34 cos(theta -+ psi)
 
     where theta (angle at vertex 1 between segments to 2 and 3) and psi
     (angle at vertex 3 between segments to 1 and 4) come from the law of
-    cosines on the two triangles sharing the diagonal t13.
+    cosines on the two triangles {t12, t13, t23} and {t13, t34, t14} that
+    share the diagonal t13. Put p1 at the origin and p3 at (t13, 0): then
+    p2 = t12 (cos theta, a sin theta) and p4 = p3 + t34 (-cos psi, b sin psi)
+    with signs a, b = +-1, and expanding |p4 - p2|^2, with t23^2 and t14^2
+    from the law of cosines, gives the identity with cos theta cos psi -
+    a b sin theta sin psi. Where `convex` is true, vertices 2 and 4 lie on
+    opposite sides of the line through 1 and 3 (a b = -1), as in any convex
+    quadrilateral traversed 1,2,3,4, and that is cos(theta - psi); where it
+    is false (the same-side, reflex layout) it is cos(theta + psi).
+
+    The cosines are clipped to [-1, 1] against rounding on almost-degenerate
+    triangles. A zero length divides 0 by 0 in them, silently for numpy
+    operands, and leaves NaN. With `strict` (floats only), a flat or
+    impossible triangle, a cosine of absolute value 1 or more, which the
+    clip leaves at +-1, raises ValueError instead. The two triangles glue
+    along t13 in the plane, so the exact square is t24^2 >= 0; rounding
+    leaves an error of order machine epsilon times t13^2 + t14^2 + t23^2
+    (1/t12 and 1/sin theta cancel), and only that is clamped at 0. Every
+    square is a product, as numpy's scalar ** is not correctly rounded.
+    Intermediates are deleted once used: fewer columns held at once keep
+    the heap, and with it the peak RSS of `sample`, smaller.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos_theta = np.clip((t12 * t12 + t13 * t13 - t23 * t23) / (2 * t12 * t13), -1.0, 1.0)
+        cos_psi = np.clip((t13 * t13 + t34 * t34 - t14 * t14) / (2 * t13 * t34), -1.0, 1.0)
+    if strict and (abs(cos_theta) >= 1 or abs(cos_psi) >= 1):
+        raise ValueError("lengths do not satisfy the strict triangle inequality "
+                         "around the diagonal")
+    both_cos = cos_theta * cos_psi
+    both_sin = np.sqrt(1.0 - cos_theta * cos_theta) * np.sqrt(1.0 - cos_psi * cos_psi)
+    del cos_theta, cos_psi
+    cos_gap = np.where(convex, both_cos + both_sin, both_cos - both_sin)
+    del both_cos, both_sin
+    square = t23 * t23 + t14 * t14 - t13 * t13 + 2 * t12 * t34 * cos_gap
+    del cos_gap
+    return np.sqrt(np.maximum(square, 0.0))
+
+
+def euler_t24(t12: float, t13: float, t14: float, t23: float, t34: float,
+              convex: bool = True) -> float:
+    """Sixth distance t24 of a planar 4-point configuration from the other
+    five by the quadrilateral identity (_quadrilateral_t24 derives it).
 
     `convex` selects the branch: True means vertices 2 and 4 lie on opposite
     sides of the line through 1 and 3, which holds for any convex
     quadrilateral traversed 1,2,3,4; False selects the same-side (reflex)
-    layout, flipping the sign to cos(theta + psi). The five lengths must be
-    finite and form two nondegenerate triangles {t12, t13, t23} and
-    {t13, t34, t14}.
+    layout. The five lengths must be positive and finite and form two
+    nondegenerate triangles {t12, t13, t23} and {t13, t34, t14}, or
+    ValueError is raised.
     """
     for name, val in (("t12", t12), ("t13", t13), ("t14", t14),
                       ("t23", t23), ("t34", t34)):
         if not 0 < val < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {val!r}")
-    cos_theta = (t12 * t12 + t13 * t13 - t23 * t23) / (2 * t12 * t13)
-    cos_psi = (t13 * t13 + t34 * t34 - t14 * t14) / (2 * t13 * t34)
-    if abs(cos_theta) >= 1 or abs(cos_psi) >= 1:
-        raise ValueError(
-            "lengths do not satisfy the strict triangle inequality "
-            "around the diagonal")
-    sin_theta = math.sqrt(1 - cos_theta * cos_theta)
-    sin_psi = math.sqrt(1 - cos_psi * cos_psi)
-    if convex:
-        cos_gap = cos_theta * cos_psi + sin_theta * sin_psi
-    else:
-        cos_gap = cos_theta * cos_psi - sin_theta * sin_psi
-    square = t23 * t23 + t14 * t14 - t13 * t13 + 2 * t12 * t34 * cos_gap
-    # the two triangles glue along t13 in the plane, so the exact square is
-    # t24^2 >= 0; rounding leaves an error of order machine epsilon times
-    # t13^2 + t14^2 + t23^2 (1/t12 and 1/sin theta cancel), and only that
-    return math.sqrt(max(square, 0.0))
+    return float(_quadrilateral_t24(t12, t13, t14, t23, t34, convex, strict=True))
 
 
 def k4_euler_residuals(tuples) -> np.ndarray:
@@ -315,28 +340,14 @@ def k4_euler_residuals(tuples) -> np.ndarray:
 def _k4_residuals(pts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """k4_euler_residuals of an (N, 4, 2) float array whose six edge
     lengths, rows t12, t13, t14, t23, t24, t34 of `lengths`, are already
-    computed: euler_t24's formula on whole columns. Intermediates are
-    deleted once used: fewer columns held at once keep the heap, and with
-    it the peak RSS of `sample`, smaller."""
+    computed: _quadrilateral_t24 on whole columns, against t24."""
     t12, t13, t14, t23, t24, t34 = lengths
     (x1, x2, x3, x4), (y1, y2, y3, y4) = pts[:, :, 0].T, pts[:, :, 1].T
     # sides of the 1-3 diagonal: cross(p3 - p1, p - p1) for p = p2 and p4
     side2, side4 = ((x3 - x1) * (y - y1) - (y3 - y1) * (x - x1) for x, y in ((x2, y2), (x4, y4)))
     convex = side2 * side4 < 0
     del side2, side4
-    # clip guards rounding on almost-degenerate samples; a zero side length
-    # divides 0 by 0 here, silently, and leaves NaN
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cos_theta = np.clip((t12 ** 2 + t13 ** 2 - t23 ** 2) / (2 * t12 * t13), -1.0, 1.0)
-        cos_psi = np.clip((t13 ** 2 + t34 ** 2 - t14 ** 2) / (2 * t13 * t34), -1.0, 1.0)
-    # cos(theta - psi) where p2 and p4 lie on opposite sides, else cos(theta + psi)
-    both_cos = cos_theta * cos_psi
-    both_sin = np.sqrt(1.0 - cos_theta ** 2) * np.sqrt(1.0 - cos_psi ** 2)
-    del cos_theta, cos_psi
-    cos_gap = np.where(convex, both_cos + both_sin, both_cos - both_sin)
-    del both_cos, both_sin
-    square = t23 ** 2 + t14 ** 2 - t13 ** 2 + 2 * t12 * t34 * cos_gap
-    predicted = np.sqrt(np.maximum(square, 0.0))
+    predicted = _quadrilateral_t24(t12, t13, t14, t23, t34, convex)
     return np.abs(predicted - t24) / np.where(t24 > 0, t24, 1.0)
 
 
@@ -634,7 +645,7 @@ def sample_box_dimension(g: Graph, sampler, n_samples: int, seed: int, scales):
                          n_samples if full else 0)
     pairs = [(i - 1, j - 1) for i, j in g.edges]
     k4 = d == 2 and tuple(pairs) == _K4_PAIRS
-    top, max_residual, degenerate, buffer, digit = -math.inf, None, 0, None, None
+    top, worst, degenerate, buffer, digit = -math.inf, -math.inf, 0, None, None
     for pts in _sample_chunks(sampler, g.n_vertices, n_samples, seed):
         count = pts.shape[0]
         if buffer is None:  # the first chunk is the longest
@@ -642,11 +653,9 @@ def sample_box_dimension(g: Graph, sampler, n_samples: int, seed: int, scales):
         lengths = _edge_lengths(pts, pairs, buffer[:, :count])
         if k4:
             residuals = _k4_residuals(pts, lengths)
-            finite = residuals[np.isfinite(residuals)]
-            degenerate += residuals.size - finite.size
-            if finite.size:
-                chunk_max = float(finite.max())
-                max_residual = chunk_max if max_residual is None else max(max_residual, chunk_max)
+            finite = np.isfinite(residuals)
+            degenerate += residuals.size - np.count_nonzero(finite)
+            worst = max(worst, float(residuals.max(where=finite, initial=-math.inf)))
         top = np.maximum(top, lengths.max())  # keeps a NaN, so a refusal sticks
         with np.errstate(over="ignore"):
             covered = top / finest <= reach
@@ -665,7 +674,8 @@ def sample_box_dimension(g: Graph, sampler, n_samples: int, seed: int, scales):
         raise ValueError(f"an edge length of {float(top)!r} exceeds the bound "
                          f"{bound!r} that the sampler's side gives")
     counts = keys.counts([(levels.index(shift) + 1) * m for shift in shifts])
-    return _fit_slope(scales, tuple(counts)), max_residual, degenerate
+    # residuals are never negative, so -inf is left only where none was finite
+    return _fit_slope(scales, tuple(counts)), (worst if worst > -math.inf else None), degenerate
 
 
 def covering_count(cloud, eps: float) -> int:

@@ -61,6 +61,13 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "k4", "--d", "1", "--seed", "1")
         assert code == 3
 
+    def test_unwritable_output_prints_nothing(self, capsys, tmp_path):
+        # the file is written before stdout, so a failed write leaves stdout empty
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "analyze", "k4", "--seed", "1", "--output", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno 2] No such file or directory") and err.count("\n") == 1
+
     def test_output_and_manifest(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         code, out, _ = run(capsys, "analyze", "k4", "--seed", "7",
@@ -355,6 +362,55 @@ def test_huge_integer_named_by_its_digits(capsys, argv, message):
     # an integer up to 10^30 is printed in full, a larger one by its digits
     code, out, err = run(capsys, *argv)
     assert (out, err) == ("", f"error: {message}\n")
+
+
+# past int's 4300-digit limit, so argparse and the list parser never make an
+# integer of either; a refusal must not repeat them
+LONG_TEXTS = {"digits": "1" + "0" * 4999, "letters": "x" * 5000}
+
+
+@pytest.mark.parametrize("text", LONG_TEXTS.values(), ids=LONG_TEXTS)
+@pytest.mark.parametrize("argv, code", [
+    (("analyze", "k4", "--seed", "1", "--d"), 2),
+    (("analyze", "k4", "--seed"), 2),
+    (("complete", "k4", "--seed", "1", "--d"), 2),
+    (("complete", "k4", "--seed"), 2),
+    (("lattice", "--d"), 2),
+    (("lattice", "--k"), 2),
+    (("sample", "k4", "--seed", "1", "--d"), 2),
+    (("sample", "k4", "--seed", "1", "--q"), 2),
+    (("sample", "k4", "--seed", "1", "--depth"), 2),
+    (("sample", "k4", "--seed", "1", "--n"), 2),
+    (("sample", "k4", "--seed"), 2),
+    (("lattice", "--q-list"), 3),
+    (("sample", "k4", "--seed", "1", "--scales"), 3),
+])
+def test_long_option_text_refused_briefly(capsys, argv, code, text):
+    # argparse (exit 2) prints its usage block, then one line; main (exit 3)
+    # prints one `error:` line. Either line names the text by its length.
+    try:
+        got = main([*argv, text])
+    except SystemExit as exc:
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert (got, out) == (code, "")
+    assert err.endswith(f" a text of {len(text)} characters\n")
+    assert len(err.splitlines()[-1]) < 200 and text[:20] not in err
+    assert code == 2 or err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, tail", [
+    (("analyze", "k4", "--seed", "x" * 64), f"argument --seed: invalid int value: '{'x' * 64}'"),
+    (("analyze", "k4", "--seed", "x" * 65),
+     "argument --seed: invalid int value: a text of 65 characters"),
+    (("lattice", "--s", "one"), "argument --s: invalid float value: 'one'"),
+    (("lattice", "--s", "x" * 5000),
+     "argument --s: invalid float value: a text of 5000 characters"),
+])
+def test_option_text_repeated_up_to_64_characters(capsys, argv, tail):
+    with pytest.raises(SystemExit):
+        main(list(argv))
+    assert capsys.readouterr().err.endswith(f": error: {tail}\n")
 
 
 class TestSample:

@@ -230,6 +230,30 @@ def k4_euler_residuals_reference(tuples):
     return np.abs(predicted - t24) / np.where(t24 > 0, t24, 1.0)
 
 
+def euler_t24_reference(t12, t13, t14, t23, t34, convex=True):
+    """Reference: euler_t24 as it was written before it shared the
+    identity's arithmetic with k4_euler_residuals, with Python's math on
+    each scalar."""
+    for name, val in (("t12", t12), ("t13", t13), ("t14", t14),
+                      ("t23", t23), ("t34", t34)):
+        if not 0 < val < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {val!r}")
+    cos_theta = (t12 * t12 + t13 * t13 - t23 * t23) / (2 * t12 * t13)
+    cos_psi = (t13 * t13 + t34 * t34 - t14 * t14) / (2 * t13 * t34)
+    if abs(cos_theta) >= 1 or abs(cos_psi) >= 1:
+        raise ValueError(
+            "lengths do not satisfy the strict triangle inequality "
+            "around the diagonal")
+    sin_theta = math.sqrt(1 - cos_theta * cos_theta)
+    sin_psi = math.sqrt(1 - cos_psi * cos_psi)
+    if convex:
+        cos_gap = cos_theta * cos_psi + sin_theta * sin_psi
+    else:
+        cos_gap = cos_theta * cos_psi - sin_theta * sin_psi
+    square = t23 * t23 + t14 * t14 - t13 * t13 + 2 * t12 * t34 * cos_gap
+    return math.sqrt(max(square, 0.0))
+
+
 def sample_reference(g, sampler, n, seed):
     """Reference: the whole-array pipeline of `sample` before it drew in
     chunks. One draw of every tuple, then the residuals and the lengths of
@@ -400,6 +424,43 @@ class TestEulerT24:
                         math.dist(p2, p3), math.dist(p3, p4),
                         convex=side_of(p2) * side_of(p4) < 0)
         assert abs(got - math.dist(p2, p4)) <= 1e-6 * longest
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1.0, 2.0 ** 30, 1e-150, 1e150]),
+           st.sampled_from([0.0, 1e-6, 1e-9, 2.0 ** -52]), st.booleans(),
+           st.sampled_from(["sides", True, False]))
+    def test_bits_equal_the_reference(self, seed, scale, flat, numpy_args, branch):
+        # 1000 quadrilaterals per example, 10^5 in all. Unless `flat` is 0,
+        # p2 is put on segment p1p3 and moved `flat` times its length off
+        # it, so the cosine at p1 comes near +-1 or rounds to it. The branch
+        # is read from the sides of the 1-3 diagonal, or forced, and the
+        # lengths are passed as np.float64 or as Python floats. Both give
+        # the same float bits, or the same error.
+        rng = np.random.default_rng(seed)
+        pts = rng.random((1000, 4, 2)) * scale
+        if flat:
+            along = rng.random((1000, 1))
+            normal = (pts[:, 2] - pts[:, 0])[:, ::-1] * (1.0, -1.0)
+            pts[:, 1] = pts[:, 0] + along * (pts[:, 2] - pts[:, 0]) + flat * normal
+        cols = [np.linalg.norm(pts[:, i] - pts[:, j], axis=1)
+                for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3))]
+        diagonal = pts[:, 2] - pts[:, 0]
+        side2, side4 = (diagonal[:, 0] * (pts[:, k, 1] - pts[:, 0, 1])
+                        - diagonal[:, 1] * (pts[:, k, 0] - pts[:, 0, 0]) for k in (1, 3))
+        with np.errstate(over="ignore"):
+            convex = side2 * side4 < 0 if branch == "sides" else np.full(1000, branch)
+        for row, side in zip(zip(*cols), convex.tolist()):
+            args = row if numpy_args else [float(t) for t in row]
+            outcomes = []
+            for f in (euler_t24, euler_t24_reference):
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")  # overflow at the 1e150 scale
+                        got = f(*args, convex=side)
+                    outcomes.append((type(got), np.float64(got).tobytes()))
+                except (ValueError, ZeroDivisionError) as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1], (args, side)
 
 
 class TestK4Residuals:
